@@ -22,7 +22,7 @@ from .quant import (
     quantize_tensor,
 )
 from .sinks import SinkSet
-from .tensors import as_tensor, l2_norm_per_token, split_heads
+from .tensors import as_tensor, causal_attention, l2_norm_per_token, split_heads
 
 
 def mse(a, b) -> float:
@@ -262,22 +262,6 @@ def bias_report_from_heads(A_heads, V_heads, sinks: SinkSet, layer: int = 0, met
     return rows
 
 
-def _head_logits(q_heads, k_heads):
-    dk = q_heads.shape[-1]
-    return q_heads @ k_heads.transpose(0, 2, 1) / np.sqrt(dk)
-
-
-def _causal_softmax(logits):
-    n = logits.shape[1]
-    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
-    scores = logits.copy()
-    scores[:, mask] = -np.inf
-    shifted = scores - scores.max(axis=2, keepdims=True)
-    w = np.exp(shifted)
-    w[:, mask] = 0.0
-    return w / w.sum(axis=2, keepdims=True)
-
-
 def bias_disruption(
     keys, values, queries, sinks: SinkSet, specs, num_heads: int = 1, preserve_sinks: bool = False
 ):
@@ -303,14 +287,16 @@ def bias_disruption(
     first = idx[0]
 
     q_heads = split_heads(q_arr, num_heads)
-    k_fp = split_heads(k_arr, num_heads)
-    v_fp = split_heads(v_arr, num_heads)
-    logits_fp = _head_logits(q_heads, k_fp)
-    attn_fp = _causal_softmax(logits_fp)
-    bias_fp = attn_fp[:, first:, :][:, :, idx] @ v_fp[:, idx, :]
+    scale = np.sqrt(q_heads.shape[-1])
 
-    valid = ~np.triu(np.ones((n, n), dtype=bool), k=1)
-    sink_cols = valid[:, idx]  # [n, |S|] — positions where t >= s
+    def sink_terms(k_heads, v_heads):
+        """Sink-column logits [heads, n, |S|] and per-token sink biases."""
+        logits = q_heads @ k_heads[:, idx, :].transpose(0, 2, 1) / scale
+        _, attn = causal_attention(q_heads, k_heads, v_heads, keep_weights=True)
+        return logits, attn[:, first:, idx] @ v_heads[:, idx, :]
+
+    logits_fp, bias_fp = sink_terms(split_heads(k_arr, num_heads), split_heads(v_arr, num_heads))
+    sink_cols = np.arange(n)[:, None] >= np.asarray(idx)  # [n, |S|] — positions where t >= s
 
     rows = []
     for spec in specs:
@@ -323,14 +309,10 @@ def bias_disruption(
                 return out
             return dequantize(quantize_tensor(full, spec))
 
-        k_q = split_heads(_requant(k_arr), num_heads)
-        v_q = split_heads(_requant(v_arr), num_heads)
-        logits_q = _head_logits(q_heads, k_q)
-        attn_q = _causal_softmax(logits_q)
-        bias_q = attn_q[:, first:, :][:, :, idx] @ v_q[:, idx, :]
-
-        delta_logits = np.abs(logits_q[:, :, idx] - logits_fp[:, :, idx])
-        score_delta = float(delta_logits[:, sink_cols].max(initial=0.0))
+        logits_q, bias_q = sink_terms(
+            split_heads(_requant(k_arr), num_heads), split_heads(_requant(v_arr), num_heads)
+        )
+        score_delta = float(np.abs(logits_q - logits_fp)[:, sink_cols].max(initial=0.0))
         bias_delta = float(np.linalg.norm(bias_q - bias_fp, axis=2).mean())
         rows.append(
             {

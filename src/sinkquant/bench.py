@@ -3,7 +3,8 @@
 Detection is a single top-k scan over a few profiled channels of one layer's
 output, run once per sequence, so its cost should be a vanishing fraction of
 the prefill itself. ``run_bench`` measures both on the toy decoder (median
-over repeats, monotonic clock) and attaches the closed-form cache footprint.
+over repeats, monotonic clock) and attaches the footprint of the cache the
+last timed prefill built, with the number of sink tokens it kept.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import footprint_megabytes, predict_footprint
+from .cache import footprint_megabytes
 from .decoder import DecoderConfig, decoder_forward, init_weights, prefill_with_kvsink
 from .errors import UsageError
 from .sinks import SinkProfile, detect_sinks
@@ -42,6 +43,7 @@ class BenchReport:
     detect_ms: float
     detect_to_prefill_ratio: float
     footprint: dict
+    sinks_kept: int
     config: dict
 
     def to_json_dict(self) -> dict:
@@ -53,6 +55,7 @@ class BenchReport:
             "detect_to_prefill_ratio": self.detect_to_prefill_ratio,
             "footprint": self.footprint,
             "footprint_mb": footprint_megabytes(self.footprint),
+            "sinks_kept": self.sinks_kept,
             "config": self.config,
         }
 
@@ -68,7 +71,11 @@ def run_bench(
     profile: SinkProfile | None = None,
     seed: int = 0,
 ) -> BenchReport:
-    """Median prefill and detection times over ``repeats`` runs."""
+    """Median prefill and detection times over ``repeats`` runs.
+
+    The footprint is the last timed prefill's ``memory_footprint()``: the
+    bytes its cache holds, with only the sinks detection actually kept.
+    """
     if repeats < 1:
         raise UsageError(f"repeat count must be >= 1, got {repeats}")
     if tokens < 1:
@@ -87,7 +94,7 @@ def run_bench(
     detect_times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        prefill_with_kvsink(
+        _, cache, kept = prefill_with_kvsink(
             h0,
             weights,
             cfg,
@@ -105,15 +112,13 @@ def run_bench(
 
     prefill_ms = float(np.median(prefill_times) * 1e3)
     detect_ms = float(np.median(detect_times) * 1e3)
-    footprint = predict_footprint(
-        cfg.num_layers, tokens, cfg.kv_width, scheme=scheme, bits=bits, group_size=group_size, sink_tokens=k
-    )
     return BenchReport(
         tokens=tokens,
         repeats=repeats,
         prefill_ms=prefill_ms,
         detect_ms=detect_ms,
         detect_to_prefill_ratio=detect_ms / prefill_ms if prefill_ms > 0 else 0.0,
-        footprint=footprint,
+        footprint=cache.memory_footprint(),
+        sinks_kept=len(kept),
         config=cfg.to_json_dict(),
     )

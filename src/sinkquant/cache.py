@@ -280,7 +280,14 @@ def predict_footprint(
     sink_tokens: int = 0,
     sparse_fraction: float | None = None,
 ) -> dict:
-    """Closed-form footprint of a fully loaded cache (no tensors needed)."""
+    """Closed-form footprint of a fully loaded cache (no tensors needed).
+
+    ``sink_tokens`` is charged to every one of the ``num_layers`` layers. A
+    ``prefill_with_kvsink`` cache in kvsink mode holds no sinks at or below
+    the emergence layer, which is quantized before detection runs, so its
+    exact prediction is the per-layer sum: ``predict_footprint(1, ...)`` with
+    each layer's own sink count.
+    """
     if sink_tokens > tokens:
         raise ConfigError("more sink tokens than tokens", sink_tokens=sink_tokens, tokens=tokens)
     key_spec, value_spec = scheme_specs(scheme, bits, group_size, sparse_fraction)

@@ -35,7 +35,7 @@ from . import dumpio
 from .cache import KVCache
 from .errors import BoundsError, ConfigError, NumericError, ShapeError
 from .sinks import SinkProfile, SinkSet, detect_sinks, preserve_first_n
-from .tensors import as_tensor, merge_heads, split_heads
+from .tensors import as_tensor, causal_attention, merge_heads, split_heads
 
 ACTIVATIONS = ("silu", "gelu")
 HOOK_MODES = ("add_to_ffn_output", "negate_channels")
@@ -206,21 +206,13 @@ def _rope(x_heads, theta: float = 10000.0):
     return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
 
 
-def _causal_attention(q_heads, k_heads, v_heads, cfg: DecoderConfig):
-    """Masked softmax attention; returns ([heads, n, dk] outputs, [heads, n, n] weights)."""
+def _causal_attention(q_heads, k_heads, v_heads, cfg: DecoderConfig, keep_weights: bool):
+    """Grouped-query attention; returns ([heads, n, dk] outputs, [heads, n, n] weights or None)."""
     group = cfg.heads // cfg.kv_heads
     if group > 1:
         k_heads = np.repeat(k_heads, group, axis=0)
         v_heads = np.repeat(v_heads, group, axis=0)
-    n = q_heads.shape[1]
-    scores = q_heads @ k_heads.transpose(0, 2, 1) / np.sqrt(cfg.head_dim)
-    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
-    scores[:, mask] = -np.inf
-    shifted = scores - scores.max(axis=2, keepdims=True)
-    weights = np.exp(shifted)
-    weights[:, mask] = 0.0
-    weights /= weights.sum(axis=2, keepdims=True)
-    return weights @ v_heads, weights
+    return causal_attention(q_heads, k_heads, v_heads, keep_weights=keep_weights)
 
 
 def _check_finite(h, layer, op):
@@ -263,7 +255,7 @@ def _run_stack(h0, weights, cfg, hooks, capture, kv_stage=None):
             k_flat, v_flat = kv_stage(l, merge_heads(k_heads), merge_heads(v_heads))
             k_heads = split_heads(k_flat, cfg.kv_heads)
             v_heads = split_heads(v_flat, cfg.kv_heads)
-        attn, attn_weights = _causal_attention(q_heads, k_heads, v_heads, cfg)
+        attn, attn_weights = _causal_attention(q_heads, k_heads, v_heads, cfg, keep_weights="A" in dumps)
         h_prime = merge_heads(attn) @ lw.wo + h
         _check_finite(h_prime, l, "attention_residual")
         y = _layer_norm(h_prime, lw.ln_ffn_gain, cfg.ln_epsilon)

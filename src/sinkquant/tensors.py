@@ -12,6 +12,10 @@ import numpy as np
 
 from .errors import NumericError, ShapeError
 
+# Query rows per tile of ``causal_attention``. At n=4096, dk=64 and one head,
+# 256 rows was fastest of 128-1024 on a 2-vCPU host.
+ATTENTION_TILE = 256
+
 
 def as_tensor(x, ndim: int | None = None, name: str = "tensor") -> np.ndarray:
     """Coerce to a float64 array, checking rank and finiteness."""
@@ -81,19 +85,45 @@ def softmax_row(scores) -> np.ndarray:
     return out
 
 
-def softmax_rows(scores: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a 2-D score matrix with -inf masking."""
-    mat = np.asarray(scores, dtype=np.float64)
-    if mat.ndim != 2:
-        raise ShapeError(f"expected a 2-D score matrix, got shape {mat.shape}")
-    if np.any(np.isnan(mat)) or np.any(mat == np.inf):
-        raise NumericError("softmax input must be finite or -inf")
-    finite = mat > -np.inf
-    if not finite.any(axis=1).all():
-        raise NumericError("softmax over a fully masked row is undefined")
-    shifted = mat - np.max(np.where(finite, mat, -np.inf), axis=1, keepdims=True)
-    e = np.where(finite, np.exp(np.where(finite, shifted, 0.0)), 0.0)
-    return e / e.sum(axis=1, keepdims=True)
+def causal_attention(q, k, v, keep_weights: bool = False):
+    """Causal scaled dot-product attention over ``[heads, n, dk]`` tensors.
+
+    Query rows are processed in tiles of ``ATTENTION_TILE``. A tile of rows
+    ``[start, end)`` is scored only against keys ``[:end]``; inside that
+    block, the keys after each query row are masked to ``-inf``. Each tile's
+    softmax is formed in place and multiplied by ``v[:, :end]``, so the
+    working set is one tile of scores. The full ``[heads, n, n]`` weights are
+    allocated only when ``keep_weights`` is true, filled tile by tile and
+    exactly zero above the diagonal.
+
+    Returns ``(out [heads, n, dv], weights [heads, n, n] or None)``; ``out``
+    does not depend on ``keep_weights``.
+    """
+    if q.ndim != 3 or k.shape != q.shape or v.ndim != 3 or v.shape[:2] != q.shape[:2]:
+        raise ShapeError(
+            "attention needs q and k of one [heads, n, dk] shape and v of [heads, n, dv]",
+            q=list(q.shape),
+            k=list(k.shape),
+            v=list(v.shape),
+        )
+    heads, n, dk = q.shape
+    scale = np.sqrt(dk)
+    k_t = k.transpose(0, 2, 1)
+    above = np.triu(np.ones((ATTENTION_TILE, ATTENTION_TILE), dtype=bool), k=1)
+    out = np.empty((heads, n, v.shape[2]))
+    weights = np.zeros((heads, n, n)) if keep_weights else None
+    for start in range(0, n, ATTENTION_TILE):
+        end = min(start + ATTENTION_TILE, n)
+        scores = q[:, start:end] @ k_t[:, :, :end]
+        scores /= scale
+        np.copyto(scores[:, :, start:], -np.inf, where=above[: end - start, : end - start])
+        scores -= scores.max(axis=2, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=2, keepdims=True)
+        out[:, start:end] = scores @ v[:, :end]
+        if keep_weights:
+            weights[:, start:end, :end] = scores
+    return out, weights
 
 
 def split_heads(x, num_heads: int) -> np.ndarray:

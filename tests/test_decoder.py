@@ -13,6 +13,7 @@ from sinkquant.decoder import (
 )
 from sinkquant.errors import BoundsError, ConfigError, NumericError, ShapeError
 from sinkquant.sinks import SinkProfile, classify_stages, discover_profile
+from sinkquant.tensors import ATTENTION_TILE, merge_heads
 
 
 def small_cfg(**kw):
@@ -158,6 +159,53 @@ class TestHooks:
             InjectionHook(0, "bad_mode", ())
         with pytest.raises(ConfigError):
             InjectionHook(-1, "add_to_ffn_output", ())
+
+
+def dense_causal_attention(q, k, v):
+    """Reference: the whole [heads, n, n] masked softmax at once."""
+    n = q.shape[1]
+    scores = q @ k.transpose(0, 2, 1) / np.sqrt(q.shape[-1])
+    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
+    scores[:, mask] = -np.inf
+    weights = np.exp(scores - scores.max(axis=2, keepdims=True))
+    weights[:, mask] = 0.0
+    weights /= weights.sum(axis=2, keepdims=True)
+    return weights @ v, weights
+
+
+class TestTiledAttention:
+    CONFIGS = {
+        "gqa": dict(num_layers=2, hidden=32, heads=4, kv_heads=2, ffn_hidden=24, seed=4),
+        "rope": dict(num_layers=2, hidden=32, heads=2, ffn_hidden=24, rope=True, seed=5),
+    }
+
+    @pytest.mark.parametrize("n", (1, ATTENTION_TILE + 1))
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_matches_dense_reference(self, name, n):
+        cfg = DecoderConfig(**self.CONFIGS[name])
+        w = init_weights(cfg)
+        h0 = np.random.default_rng(n).normal(size=(n, cfg.hidden))
+        _, dumps = decoder_forward(h0, w, cfg, capture=("H", "H_prime", "Q", "K", "V", "A"))
+        group = cfg.heads // cfg.kv_heads
+        for layer, lw in enumerate(w.layers):
+            k = np.repeat(dumps["K"][layer], group, axis=0)
+            v = np.repeat(dumps["V"][layer], group, axis=0)
+            ref_out, ref_weights = dense_causal_attention(dumps["Q"][layer], k, v)
+            np.testing.assert_allclose(dumps["A"][layer], ref_weights, atol=1e-12, rtol=0)
+            h_prev = h0 if layer == 0 else dumps["H"][layer - 1]
+            np.testing.assert_allclose(
+                dumps["H_prime"][layer], merge_heads(ref_out) @ lw.wo + h_prev, atol=1e-12, rtol=0
+            )
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_capturing_weights_leaves_output_bitwise(self, name):
+        cfg = DecoderConfig(**self.CONFIGS[name])
+        w = init_weights(cfg)
+        h0 = np.random.default_rng(0).normal(size=(2 * ATTENTION_TILE + 5, cfg.hidden))
+        h_plain, _ = decoder_forward(h0, w, cfg, capture=("H",))
+        h_captured, dumps = decoder_forward(h0, w, cfg, capture=("H", "A"))
+        np.testing.assert_array_equal(h_plain, h_captured)
+        assert len(dumps["A"]) == cfg.num_layers
 
 
 def sink_fixture(seed=3, layers=8, hidden=128, n=32):

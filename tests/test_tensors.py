@@ -7,14 +7,27 @@ from hypothesis import strategies as st
 
 from sinkquant.errors import NumericError, ShapeError
 from sinkquant.tensors import (
+    ATTENTION_TILE,
+    causal_attention,
     cosine_similarity,
     l2_norm_per_token,
     merge_heads,
     softmax_row,
-    softmax_rows,
     split_heads,
     top_k_abs,
 )
+
+
+def dense_causal_attention(q, k, v):
+    """Reference: the whole [heads, n, n] masked softmax at once."""
+    n = q.shape[1]
+    scores = q @ k.transpose(0, 2, 1) / np.sqrt(q.shape[-1])
+    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
+    scores[:, mask] = -np.inf
+    weights = np.exp(scores - scores.max(axis=2, keepdims=True))
+    weights[:, mask] = 0.0
+    weights /= weights.sum(axis=2, keepdims=True)
+    return weights @ v, weights
 
 
 class TestL2Norm:
@@ -143,13 +156,56 @@ class TestSoftmax:
         scores = np.random.default_rng(seed).normal(size=9)
         np.testing.assert_allclose(softmax_row(scores + shift), softmax_row(scores), atol=1e-9)
 
-    def test_rows_variant_matches_rowwise(self):
-        rng = np.random.default_rng(3)
-        mat = rng.normal(size=(5, 6))
-        mat[2, 4] = -np.inf
-        got = softmax_rows(mat)
-        for i in range(5):
-            np.testing.assert_allclose(got[i], softmax_row(mat[i]), atol=1e-12)
+
+
+class TestCausalAttention:
+    SIZES = (1, ATTENTION_TILE - 1, ATTENTION_TILE, ATTENTION_TILE + 1, 3 * ATTENTION_TILE + 17)
+
+    @staticmethod
+    def qkv(n, heads=3, dk=8, dv=8, seed=0):
+        rng = np.random.default_rng(seed)
+        return (
+            rng.normal(size=(heads, n, dk)),
+            rng.normal(size=(heads, n, dk)),
+            rng.normal(size=(heads, n, dv)),
+        )
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_matches_dense_reference(self, n):
+        q, k, v = self.qkv(n, dv=5, seed=n)
+        out, weights = causal_attention(q, k, v, keep_weights=True)
+        ref_out, ref_weights = dense_causal_attention(q, k, v)
+        assert out.shape == (3, n, 5) and weights.shape == (3, n, n)
+        np.testing.assert_allclose(out, ref_out, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(weights, ref_weights, atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_kept_weights_are_causal_distributions(self, n):
+        _, weights = causal_attention(*self.qkv(n, heads=2, seed=n + 1), keep_weights=True)
+        assert np.all(weights[:, np.triu(np.ones((n, n), dtype=bool), k=1)] == 0.0)
+        np.testing.assert_allclose(weights.sum(axis=2), 1.0, atol=1e-12, rtol=0)
+
+    def test_output_independent_of_keep_weights(self):
+        q, k, v = self.qkv(2 * ATTENTION_TILE + 3, heads=2)
+        out, weights = causal_attention(q, k, v)
+        kept_out, _ = causal_attention(q, k, v, keep_weights=True)
+        assert weights is None
+        np.testing.assert_array_equal(out, kept_out)
+
+    def test_large_scores_stay_finite(self):
+        q, k, v = self.qkv(ATTENTION_TILE + 9, heads=1)
+        out, weights = causal_attention(q * 1e3, k * 1e3, v, keep_weights=True)
+        assert np.all(np.isfinite(out)) and np.all(np.isfinite(weights))
+        np.testing.assert_allclose(weights.sum(axis=2), 1.0, atol=1e-12, rtol=0)
+
+    def test_shape_mismatch(self):
+        q, k, v = self.qkv(4)
+        with pytest.raises(ShapeError):
+            causal_attention(q, k[:, :3], v)
+        with pytest.raises(ShapeError):
+            causal_attention(q, k, v[:2])
+        with pytest.raises(ShapeError):
+            causal_attention(q[0], k[0], v[0])
 
 
 class TestHeadViews:
