@@ -334,7 +334,7 @@ def qk_sink_diagnostics(Q, K, sinks: SinkSet, V=None):
     Inputs are per-head tensors, either [tokens, head_dim] for one head or
     [heads, tokens, head_dim]. The cosine is averaged over all (non-sink
     query, sink key) pairs; norm ratios divide the mean sink-row norm by the
-    mean non-sink-row norm.
+    mean non-sink-row norm, and are ``None`` when every non-sink row is zero.
     """
 
     def _as_heads(x, name):
@@ -362,7 +362,7 @@ def qk_sink_diagnostics(Q, K, sinks: SinkSet, V=None):
         norms = l2_norm_per_token(arr_heads[h])
         non = float(norms[~sink_mask].mean())
         snk = float(norms[sink_mask].mean())
-        return snk / non if non > 0 else float("inf")
+        return snk / non if non > 0 else None
 
     rows = []
     for h in range(q.shape[0]):

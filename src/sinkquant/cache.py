@@ -12,7 +12,7 @@ token block is quantized; a trailing partial block simply stays in the
 buffer. ``bulk_load`` is defined as the corresponding sequence of appends and
 reconstructs identically to it.
 
-Byte accounting (``memory_footprint`` and ``predict_footprint``):
+Byte accounting (``footprint_bytes``, behind every footprint report):
 
 * quantized codes: exact packed length (each group padded to a byte),
 * sink rows and not-yet-quantized pending rows: 16 bits per element,
@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BoundsError, ConfigError, ShapeError, StateError
-from .packing import packed_nbytes
 from .quant import (
+    GroupLayout,
     QuantizedTensor,
     QuantParams,
     QuantSpec,
@@ -43,6 +43,16 @@ from .tensors import as_tensor
 PARAM_BYTES_PER_GROUP = 8
 SINK_BYTES_PER_ELEMENT = 2
 SPARSE_BYTES_PER_OUTLIER = 6
+
+
+def footprint_bytes(packed: int, full_precision: int, groups: int, outliers: int) -> dict:
+    """Bytes of packed codes, full-precision elements, parameter groups and outliers."""
+    return {
+        "quantized_bytes": int(packed),
+        "sink_bytes": int(full_precision * SINK_BYTES_PER_ELEMENT),
+        "params_bytes": int(groups * PARAM_BYTES_PER_GROUP),
+        "sparse_bytes": int(outliers * SPARSE_BYTES_PER_OUTLIER),
+    }
 
 
 @dataclass
@@ -241,33 +251,18 @@ class KVCache:
 
     def memory_footprint(self) -> dict:
         """Exact byte accounting of the current contents."""
-        quantized = 0
-        params = 0
-        sparse = 0
-        fp_rows = 0
+        packed = groups = outliers = fp_rows = 0
         for layer in range(self.num_layers):
             fp_rows += 2 * len(self._sinks[layer])
             for side in (self._keys[layer], self._values[layer]):
                 fp_rows += len(side.pending_rows)
-                for qt in side.blocks:
-                    quantized += len(qt.packed)
-                    sparse += qt.outlier_indices.size * SPARSE_BYTES_PER_OUTLIER
-                if side.spec.mode == "static":
-                    if side.params is not None:
-                        params += side.params.n_groups * PARAM_BYTES_PER_GROUP
-                else:
-                    params += sum(qt.params.n_groups for qt in side.blocks) * PARAM_BYTES_PER_GROUP
-        return {
-            "quantized_bytes": int(quantized),
-            "sink_bytes": int(fp_rows * self.width * SINK_BYTES_PER_ELEMENT),
-            "params_bytes": int(params),
-            "sparse_bytes": int(sparse),
-        }
-
-
-def _segments_of(length: int, gs: int) -> list[int]:
-    full, tail = divmod(length, gs)
-    return [gs] * full + ([tail] if tail else [])
+                packed += sum(len(qt.packed) for qt in side.blocks)
+                outliers += sum(qt.outlier_indices.size for qt in side.blocks)
+                if side.spec.mode == "dynamic":
+                    groups += sum(qt.params.n_groups for qt in side.blocks)
+                elif side.params is not None:
+                    groups += side.params.n_groups
+        return footprint_bytes(packed, fp_rows * self.width, groups, outliers)
 
 
 def predict_footprint(
@@ -282,6 +277,8 @@ def predict_footprint(
 ) -> dict:
     """Closed-form footprint of a fully loaded cache (no tensors needed).
 
+    Each side holds whole ``GroupLayout.block`` blocks plus a full-precision remainder.
+
     ``sink_tokens`` is charged to every one of the ``num_layers`` layers. A
     ``prefill_with_kvsink`` cache in kvsink mode holds no sinks at or below
     the emergence layer, which is quantized before detection runs, so its
@@ -290,42 +287,18 @@ def predict_footprint(
     """
     if sink_tokens > tokens:
         raise ConfigError("more sink tokens than tokens", sink_tokens=sink_tokens, tokens=tokens)
-    key_spec, value_spec = scheme_specs(scheme, bits, group_size, sparse_fraction)
     rows = tokens - sink_tokens
-    quantized = 0
-    params = 0
-    sparse = 0
+    packed = groups = outliers = 0
     fp_rows = 2 * sink_tokens
-    for spec in (key_spec, value_spec):
-        if spec.axis == "per_channel":
-            nblocks, pending = divmod(rows, spec.group_size)
-            per_block = width * packed_nbytes(spec.group_size, spec.bits)
-            quantized += nblocks * per_block
-            fp_rows += pending
-            block_groups = width  # one token segment per block
-            if spec.mode == "static":
-                params += width * PARAM_BYTES_PER_GROUP
-            else:
-                params += nblocks * block_groups * PARAM_BYTES_PER_GROUP
-            per_vec = int(np.rint((spec.sparse_fraction or 0.0) * spec.group_size))
-            sparse += nblocks * width * per_vec * SPARSE_BYTES_PER_OUTLIER
-        else:
-            segs = _segments_of(width, spec.group_size) if spec.axis == "per_token" else [width]
-            bytes_per_row = sum(packed_nbytes(s, spec.bits) for s in segs)
-            quantized += rows * bytes_per_row
-            groups_per_row = len(segs)
-            if spec.mode == "static":
-                params += groups_per_row * PARAM_BYTES_PER_GROUP
-            else:
-                params += rows * groups_per_row * PARAM_BYTES_PER_GROUP
-            per_vec = int(np.rint((spec.sparse_fraction or 0.0) * width))
-            sparse += rows * per_vec * SPARSE_BYTES_PER_OUTLIER
-    return {
-        "quantized_bytes": int(num_layers * quantized),
-        "sink_bytes": int(num_layers * fp_rows * width * SINK_BYTES_PER_ELEMENT),
-        "params_bytes": int(num_layers * params),
-        "sparse_bytes": int(num_layers * sparse),
-    }
+    for spec in scheme_specs(scheme, bits, group_size, sparse_fraction):
+        block = GroupLayout.block(spec, width)
+        nblocks, pending = divmod(rows, block.shape[0])
+        fp_rows += pending
+        packed += nblocks * block.packed_nbytes(spec.bits)
+        outliers += nblocks * block.n_vectors * block.outliers_per_vector(spec.sparse_fraction)
+        groups += block.n_groups * (1 if spec.mode == "static" else nblocks)
+    total = footprint_bytes(packed, fp_rows * width, groups, outliers)
+    return {key: num_layers * value for key, value in total.items()}
 
 
 def footprint_megabytes(footprint: dict) -> dict:

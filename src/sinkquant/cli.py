@@ -99,14 +99,12 @@ def _cmd_quantize(args) -> dict:
     dumpio.write_quantized(os.path.join(args.out, "keys.kvsq"), qk)
     dumpio.write_quantized(os.path.join(args.out, "values.kvsq"), qv)
     dumpio.write_json(os.path.join(args.out, "sinks.json"), sinks.to_json_dict())
-    sink_rows = len(sinks)
-    footprint = {
-        "quantized_bytes": len(qk.packed) + len(qv.packed),
-        "sink_bytes": sink_rows * (keys.shape[1] + values.shape[1]) * cache.SINK_BYTES_PER_ELEMENT,
-        "params_bytes": (qk.params.n_groups + qv.params.n_groups) * cache.PARAM_BYTES_PER_GROUP,
-        "sparse_bytes": (qk.outlier_indices.size + qv.outlier_indices.size)
-        * cache.SPARSE_BYTES_PER_OUTLIER,
-    }
+    footprint = cache.footprint_bytes(
+        len(qk.packed) + len(qv.packed),
+        len(sinks) * (keys.shape[1] + values.shape[1]),
+        qk.params.n_groups + qv.params.n_groups,
+        qk.outlier_indices.size + qv.outlier_indices.size,
+    )
     return {
         "scheme": args.scheme,
         "bits": args.bits,
@@ -406,8 +404,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         result = args.handler(args)
-        json.dump(result, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(dumpio.strict_json(result) + "\n")
         return 0
     except SinkQuantError as exc:
         json.dump(exc.to_json_dict(), sys.stderr, sort_keys=True, default=str)

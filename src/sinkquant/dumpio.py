@@ -14,7 +14,8 @@ Quantized tensor format (``.kvsq``): magic ``KVSQ``, version, a
 length-prefixed JSON header describing the quantization settings, group
 layout, and section byte lengths, then raw little-endian sections in order:
 scales (f64), zeros (i64), degenerate flags (u8), constants (f64), outlier
-indices (u64), outlier values (f64), packed codes.
+indices (u64), outlier values (f64), packed codes. A header or section that
+does not fit the layout of ``shape`` under ``spec`` is a ``FormatError``.
 
 All writes go through a temp file and ``os.replace`` so readers never see a
 partial file.
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, NumericError, ShapeError
-from .quant import QuantParams, QuantizedTensor, QuantSpec
+from .errors import ConfigError, FormatError, LayoutError, NumericError, ShapeError
+from .quant import GroupLayout, QuantParams, QuantizedTensor, QuantSpec
 
 MAGIC = b"KVSD"
 QMAGIC = b"KVSQ"
@@ -42,6 +43,11 @@ _MAX_NDIM = 8
 
 #: Activation kinds the decoder can capture; manifests must use these names.
 CAPTURE_KINDS = ("H", "H_prime", "X_d_in", "X_d_out", "Q", "K", "V", "A")
+
+_QHEADER_KEYS = ["n_groups", "params_shape", "sections", "shape", "spec"]
+_QSPEC_TYPES = dict(
+    axis=str, bits=int, clip=(int, float, type(None)), group_size=int, mode=str, sparse_fraction=(int, float)
+)
 
 
 def _atomic_write(path: str, data: bytes) -> None:
@@ -240,19 +246,28 @@ def read_quantized(path: str) -> QuantizedTensor:
         raise FormatError("unsupported format version", path=path, offset=4, actual=version)
     try:
         header = json.loads(blob[12 : 12 + head_len])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise FormatError(f"corrupt header: {exc}", path=path, offset=12) from exc
-    sections = header["sections"]
+    spec, shape, params_shape, sections = _parse_qheader(header, path)
+    layout = GroupLayout.for_spec(shape, spec)
+    n_groups, n_out = layout.n_groups, sections[4] // 8
+    packed = layout.packed_nbytes(spec.bits)
+    lengths = [8 * n_groups] * 2 + [n_groups, 8 * n_groups] + [8 * n_out] * 2 + [packed]
+    if header["n_groups"] != n_groups or sections != lengths:
+        raise FormatError(
+            "n_groups or section lengths do not match the layout of shape and spec",
+            path=path,
+            expected=[n_groups, lengths],
+            actual=[header["n_groups"], sections],
+        )
     expected = 12 + head_len + sum(sections)
     if len(blob) != expected:
         raise FormatError("payload length mismatch", path=path, expected=expected, actual=len(blob))
-    spec = QuantSpec(**header["spec"])
     offset = 12 + head_len
     raw = []
     for size in sections:
         raw.append(blob[offset : offset + size])
         offset += size
-    n_groups = int(header["n_groups"])
 
     def _arr(buf, dtype, count):
         out = np.frombuffer(buf, dtype=dtype, count=count)
@@ -262,25 +277,67 @@ def read_quantized(path: str) -> QuantizedTensor:
         axis=spec.axis,
         mode=spec.mode,
         group_size=spec.group_size,
-        shape=tuple(int(s) for s in header["params_shape"]),
+        shape=params_shape,
         scale=_arr(raw[0], "<f8", n_groups),
         zero=_arr(raw[1], "<i8", n_groups),
         degenerate=np.frombuffer(raw[2], dtype=np.uint8, count=n_groups).astype(bool),
         constant=_arr(raw[3], "<f8", n_groups),
     )
-    n_out = len(raw[4]) // 8
+    try:
+        params.layout_for(shape)
+    except LayoutError as exc:
+        raise FormatError(f"parameters do not fit the tensor: {exc.message}", path=path) from exc
+    indices = _arr(raw[4], "<u8", n_out)
+    if n_out and indices.max() >= shape[0] * shape[1]:
+        raise FormatError(
+            "outlier index outside the tensor", path=path, shape=list(shape), index=int(indices.max())
+        )
     return QuantizedTensor(
-        shape=tuple(int(s) for s in header["shape"]),
+        shape=shape,
         spec=spec,
         params=params,
         packed=raw[6],
-        outlier_indices=_arr(raw[4], "<u8", n_out).astype(np.int64),
+        outlier_indices=indices.astype(np.int64),
         outlier_values=_arr(raw[5], "<f8", n_out),
     )
 
 
+def _parse_qheader(header, path: str):
+    """Typed fields of a ``.kvsq`` header: (spec, shape, params_shape, sections)."""
+
+    def counts(value, length, limit=None):
+        ints = isinstance(value, list) and all(type(v) is int and 0 <= v for v in value)
+        return ints and len(value) == length and (limit is None or max(value) < limit)
+
+    if not isinstance(header, dict) or sorted(header) != _QHEADER_KEYS:
+        raise FormatError("header keys differ from the format", path=path, expected=_QHEADER_KEYS)
+    raw = header["spec"]
+    if not isinstance(raw, dict) or sorted(raw) != sorted(_QSPEC_TYPES):
+        raise FormatError("spec keys differ from the format", path=path, expected=sorted(_QSPEC_TYPES))
+    if any(type(raw[k]) is bool or not isinstance(raw[k], kind) for k, kind in _QSPEC_TYPES.items()):
+        raise FormatError("spec fields have the wrong type", path=path, spec=raw)
+    try:
+        spec = QuantSpec(**raw)
+    except ConfigError as exc:
+        raise FormatError(f"invalid spec: {exc.message}", path=path) from exc
+    for key, length, limit in (("shape", 2, 2**32), ("params_shape", 2, 2**32), ("sections", 7, None)):
+        if not counts(header[key], length, limit):
+            raise FormatError(
+                f"{key} must be {length} non-negative integers", path=path, below=limit, actual=header[key]
+            )
+    return spec, tuple(header["shape"]), tuple(header["params_shape"]), header["sections"]
+
+
+def strict_json(obj) -> str:
+    """Indented JSON text; a non-finite number (not valid JSON) is a ``NumericError``."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"refusing to emit a non-finite number as JSON: {exc}") from exc
+
+
 def write_json(path: str, obj) -> None:
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True).encode() + b"\n")
+    _atomic_write(path, strict_json(obj).encode() + b"\n")
 
 
 def read_json(path: str):

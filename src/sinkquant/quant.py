@@ -49,7 +49,7 @@ from .errors import (
     LayoutError,
     ShapeError,
 )
-from .packing import pack_codes, unpack_codes
+from .packing import pack_codes, packed_nbytes, unpack_codes
 from .tensors import as_tensor
 
 AXES = ("per_token", "per_channel", "per_tensor")
@@ -101,83 +101,93 @@ def _canonical(x, name="input") -> np.ndarray:
     return arr
 
 
-def _segments(length: int, gs: int) -> int:
-    return -(-length // gs) if length else 0
-
-
 class GroupLayout:
-    """Maps every position of an [n, d] tensor to its quantization group.
+    """Splits an [n, d] tensor into quantization groups by one segment table.
 
-    Group ids are dense integers; ``grouping_order`` gives the stable
-    permutation that makes the flattened tensor group-major (the packed-code
-    ordering: ascending group id, row-major within a group).
+    Vectors are token rows (per-token, per-tensor) or channel columns
+    (per-channel). Each splits into segments of ``group_size`` with a shorter
+    tail, or is one whole segment (per-tensor, per-channel static). Segment
+    ``s`` of every vector is one shared group (per-token static, per-tensor),
+    or else every (vector, segment) pair is a group, numbered vector-major.
+    The group-major stream (the packed-code order) lists groups by id, each
+    row-major. Group sizes, the stream, its inverse and per-element expansion
+    of per-group values all follow from the table by reshapes and transposes.
     """
 
     def __init__(self, shape: tuple[int, int], axis: str, mode: str, group_size: int):
+        if axis not in AXES:
+            raise ConfigError(f"unknown axis {axis!r}")
         self.shape = (int(shape[0]), int(shape[1]))
         self.axis = axis
         self.mode = mode
         self.group_size = int(group_size)
+        self.by_rows = axis != "per_channel"
+        self.shared = axis == "per_tensor" or (axis == "per_token" and mode == "static")
+        whole = axis == "per_tensor" or (axis == "per_channel" and mode == "static")
         n, d = self.shape
-        gs = self.group_size
-        if axis == "per_tensor":
-            self.n_groups = 1 if n * d else 0
-        elif axis == "per_token":
-            s = _segments(d, gs)
-            self.n_groups = s if mode == "static" else n * s
-        elif axis == "per_channel":
-            self.n_groups = d if mode == "static" else d * _segments(n, gs)
-        else:
-            raise ConfigError(f"unknown axis {axis!r}")
-        self._gid = None
-        self._order = None
+        self.n_vectors, self.length = (n, d) if self.by_rows else (d, n)
+        self.segment = self.length if whole else self.group_size
+        self.full, self.tail = (1, 0) if whole else divmod(self.length, self.group_size)
+        # Vectors stacked in one group, and groups per segment position.
+        self.stack, self.copies = (self.n_vectors, 1) if self.shared else (1, self.n_vectors)
+        self.n_groups = self.copies * (self.full + (self.tail > 0))
         self._sizes = None
 
     @classmethod
     def for_spec(cls, shape, spec: QuantSpec) -> "GroupLayout":
         return cls(shape, spec.axis, spec.mode, spec.group_size)
 
-    def group_ids(self) -> np.ndarray:
-        if self._gid is None:
-            n, d = self.shape
-            gs = self.group_size
-            if self.axis == "per_tensor":
-                gid = np.zeros((n, d), dtype=np.int64)
-            elif self.axis == "per_token":
-                seg = np.arange(d, dtype=np.int64) // gs
-                if self.mode == "static":
-                    gid = np.broadcast_to(seg, (n, d)).copy()
-                else:
-                    s = _segments(d, gs)
-                    gid = np.arange(n, dtype=np.int64)[:, None] * s + seg
-            else:
-                if self.mode == "static":
-                    gid = np.broadcast_to(np.arange(d, dtype=np.int64), (n, d)).copy()
-                else:
-                    t = _segments(n, gs)
-                    tseg = np.arange(n, dtype=np.int64) // gs
-                    gid = np.arange(d, dtype=np.int64)[None, :] * t + tseg[:, None]
-            self._gid = gid
-        return self._gid
-
-    def grouping_order(self) -> np.ndarray:
-        if self._order is None:
-            gid = self.group_ids().ravel()
-            # Row-major order is already group-major for these layouts.
-            if self.axis == "per_tensor" or (self.axis == "per_token" and self.mode == "dynamic"):
-                self._order = np.arange(gid.size, dtype=np.int64)
-            else:
-                self._order = np.argsort(gid, kind="stable")
-        return self._order
+    @classmethod
+    def block(cls, spec: QuantSpec, width: int) -> "GroupLayout":
+        """Smallest token block quantized on its own: 1 row, or ``group_size`` for columns."""
+        return cls.for_spec((1 if spec.axis != "per_channel" else spec.group_size, width), spec)
 
     def group_sizes(self) -> np.ndarray:
         if self._sizes is None:
-            self._sizes = np.bincount(self.group_ids().ravel(), minlength=self.n_groups)
+            sizes = np.full((self.copies, self.full + (self.tail > 0)), self.segment * self.stack)
+            if self.tail:
+                sizes[:, -1] = self.tail * self.stack
+            self._sizes = sizes.ravel()
         return self._sizes
 
-    def vector_axis(self) -> int:
-        """Axis along which dense-and-sparse vectors run: 1 = rows, 0 = columns."""
-        return 0 if self.axis == "per_channel" else 1
+    def packed_nbytes(self, bits: int) -> int:
+        """Length of the packed codes; pure integer arithmetic, no arrays."""
+        full = self.full * packed_nbytes(self.segment * self.stack, bits)
+        return self.copies * (full + packed_nbytes(self.tail * self.stack, bits))
+
+    def outliers_per_vector(self, fraction: float) -> int:
+        """Entries that dense-and-sparse isolation takes from each vector."""
+        return min(int(np.rint(fraction * self.length)), self.length)
+
+    def vectors(self, x: np.ndarray) -> np.ndarray:
+        """``x`` as [vectors, length]: itself, or a transposed view for columns."""
+        return x if self.by_rows else x.T
+
+    def to_group_major(self, x: np.ndarray) -> np.ndarray:
+        """The elements of an [n, d] array as the 1-D group-major stream."""
+        vec = self.vectors(x)
+        if not self.shared:
+            return vec.ravel()
+        cut = self.full * self.segment
+        head = vec[:, :cut].reshape(self.n_vectors, self.full, self.segment).swapaxes(0, 1).ravel()
+        return np.concatenate((head, vec[:, cut:].ravel())) if self.tail else head
+
+    def from_group_major(self, stream: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`to_group_major`: a C-ordered [n, d] array."""
+        if not self.shared:
+            return np.ascontiguousarray(self.vectors(stream.reshape(self.n_vectors, self.length)))
+        cut = self.full * self.segment
+        head = stream[: self.n_vectors * cut].reshape(self.full, self.n_vectors, self.segment).swapaxes(0, 1)
+        tail = stream[self.n_vectors * cut :].reshape(self.n_vectors, self.tail)
+        return np.hstack((head.reshape(self.n_vectors, cut), tail))
+
+    def expand(self, per_group: np.ndarray) -> np.ndarray:
+        """Per-group values repeated onto every element of the group-major stream."""
+        return np.repeat(per_group, self.group_sizes())
+
+    def group_ids(self) -> np.ndarray:
+        """Dense [n, d] map of group ids (for analyses; quantization never builds it)."""
+        return self.from_group_major(self.expand(np.arange(self.n_groups, dtype=np.int64)))
 
 
 @dataclass
@@ -213,7 +223,7 @@ class QuantParams:
                 tensor_width=int(shape[1]),
             )
         layout = GroupLayout(shape, self.axis, self.mode, self.group_size)
-        if layout.n_groups != self.n_groups and not (self.mode == "static" and shape[0] == 0):
+        if layout.n_groups != self.n_groups:
             raise LayoutError(
                 "group count mismatch",
                 params_groups=int(self.n_groups),
@@ -233,20 +243,13 @@ class QuantizedTensor:
     outlier_indices: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     outlier_values: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.float64))
 
-    @property
-    def size(self) -> int:
-        return int(self.shape[0] * self.shape[1])
-
     def layout(self) -> GroupLayout:
         return self.params.layout_for(self.shape)
 
     def codes(self) -> np.ndarray:
         """Unpacked [n, d] integer codes."""
         layout = self.layout()
-        grouped = unpack_codes(self.packed, layout.group_sizes(), self.spec.bits)
-        flat = np.empty(self.size, dtype=np.uint8)
-        flat[layout.grouping_order()] = grouped
-        return flat.reshape(self.shape)
+        return layout.from_group_major(unpack_codes(self.packed, layout.group_sizes(), self.spec.bits))
 
 
 def _coerce_exclude(exclude, n: int) -> np.ndarray:
@@ -258,62 +261,48 @@ def _coerce_exclude(exclude, n: int) -> np.ndarray:
     return rows
 
 
-def _outlier_selection(x: np.ndarray, spec: QuantSpec):
-    """Flat indices (sorted) and values of the per-vector top-|.| entries."""
-    n, d = x.shape
-    if spec.sparse_fraction <= 0.0 or x.size == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
-    layout_axis = 0 if spec.axis == "per_channel" else 1
-    veclen = n if layout_axis == 0 else d
-    k = int(np.rint(spec.sparse_fraction * veclen))
-    if k <= 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
-    k = min(k, veclen)
-    mag = np.abs(x)
-    if layout_axis == 1:
-        picked = np.argsort(-mag, axis=1, kind="stable")[:, :k]
-        flat = (np.arange(n, dtype=np.int64)[:, None] * d + picked).ravel()
-    else:
-        picked = np.argsort(-mag, axis=0, kind="stable")[:k, :]
-        flat = (picked * d + np.arange(d, dtype=np.int64)[None, :]).ravel()
-    flat = np.sort(flat)
-    return flat, x.ravel()[flat].copy()
+def _outlier_mask(x: np.ndarray, spec: QuantSpec) -> np.ndarray:
+    """Mask of the per-vector top-|.| entries that dense-and-sparse isolation removes."""
+    layout = GroupLayout.for_spec(x.shape, spec)
+    mask = np.zeros(x.shape, dtype=bool)
+    k = layout.outliers_per_vector(spec.sparse_fraction)
+    if k and x.size:
+        picked = np.argsort(-np.abs(layout.vectors(x)), axis=1, kind="stable")[:, :k]
+        np.put_along_axis(layout.vectors(mask), picked, True, axis=1)
+    return mask
 
 
 def _group_minmax(x, layout: GroupLayout, valid: np.ndarray, clip: float | None):
     """Per-group (cmin, cmax, count) over positions marked valid."""
-    gid = layout.group_ids().ravel()
-    vals = x.ravel()
-    keep = valid.ravel()
-    gid_v = gid[keep]
-    vals_v = vals[keep]
-    counts = np.bincount(gid_v, minlength=layout.n_groups)
     cmin = np.zeros(layout.n_groups)
     cmax = np.zeros(layout.n_groups)
+    if not valid.any():
+        return cmin, cmax, np.zeros(layout.n_groups, dtype=np.int64)
+    # A layout has empty groups only when the whole tensor is empty.
+    sizes = layout.group_sizes()
+    starts = np.cumsum(sizes) - sizes
+    vals = layout.to_group_major(x)
+    keep = layout.to_group_major(valid)
+    counts = np.add.reduceat(keep, starts, dtype=np.int64)
     present = counts > 0
-    if gid_v.size:
-        if clip:
-            order = np.lexsort((vals_v, gid_v))
-        else:
-            order = np.argsort(gid_v, kind="stable")
-        sorted_vals = vals_v[order]
-        starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
-        if clip:
-            # Linear-interpolated quantiles at clip and 1-clip per group.
-            pos_lo = clip * (counts - 1)
-            pos_hi = (1.0 - clip) * (counts - 1)
-            for target, pos in ((cmin, pos_lo), (cmax, pos_hi)):
-                base = np.floor(pos).astype(np.int64)
-                frac = pos - base
-                idx0 = starts + np.where(present, base, 0)
-                idx1 = np.minimum(idx0 + 1, starts + np.maximum(counts - 1, 0))
-                lo = sorted_vals[np.minimum(idx0, sorted_vals.size - 1)]
-                hi = sorted_vals[np.minimum(idx1, sorted_vals.size - 1)]
-                target[:] = lo * (1.0 - frac) + hi * frac
-        else:
-            pstarts = starts[present]
-            cmin[present] = np.minimum.reduceat(sorted_vals, pstarts)
-            cmax[present] = np.maximum.reduceat(sorted_vals, pstarts)
+    if clip:
+        # Linear-interpolated quantiles at clip and 1-clip per group.
+        kept = vals[keep]
+        sorted_vals = kept[np.lexsort((kept, np.repeat(np.arange(layout.n_groups), counts)))]
+        kept_starts = np.cumsum(counts) - counts
+        pos_lo = clip * (counts - 1)
+        pos_hi = (1.0 - clip) * (counts - 1)
+        for target, pos in ((cmin, pos_lo), (cmax, pos_hi)):
+            base = np.floor(pos).astype(np.int64)
+            frac = pos - base
+            idx0 = kept_starts + np.where(present, base, 0)
+            idx1 = np.minimum(idx0 + 1, kept_starts + np.maximum(counts - 1, 0))
+            lo = sorted_vals[np.minimum(idx0, sorted_vals.size - 1)]
+            hi = sorted_vals[np.minimum(idx1, sorted_vals.size - 1)]
+            target[:] = lo * (1.0 - frac) + hi * frac
+    else:
+        cmin[:] = np.minimum.reduceat(np.where(keep, vals, np.inf), starts)
+        cmax[:] = np.maximum.reduceat(np.where(keep, vals, -np.inf), starts)
     cmin[~present] = 0.0
     cmax[~present] = 0.0
     return cmin, cmax, counts
@@ -350,34 +339,27 @@ def compute_params(x, spec: QuantSpec, exclude=None, outlier_mask=None) -> Quant
     rows = _coerce_exclude(exclude, arr.shape[0])
     if rows.size:
         valid[rows, :] = False
-    if outlier_mask is None and spec.sparse_fraction > 0.0:
-        idx, _ = _outlier_selection(arr, spec)
-        outlier_mask = np.zeros(arr.size, dtype=bool)
-        outlier_mask[idx] = True
-        outlier_mask = outlier_mask.reshape(arr.shape)
-    if outlier_mask is not None:
-        valid &= ~outlier_mask
+    if outlier_mask is None:
+        outlier_mask = _outlier_mask(arr, spec)
+    valid &= ~outlier_mask
     cmin, cmax, counts = _group_minmax(arr, layout, valid, spec.clip)
     return _params_from_minmax(spec, arr.shape, cmin, cmax, counts)
 
 
-def _encode(arr: np.ndarray, params: QuantParams, spec: QuantSpec, out_idx, out_val) -> QuantizedTensor:
+def _encode(arr: np.ndarray, params: QuantParams, spec: QuantSpec, outliers) -> QuantizedTensor:
     layout = params.layout_for(arr.shape)
-    gid = layout.group_ids()
-    scale = params.scale[gid]
-    zero = params.zero[gid]
-    deg = params.degenerate[gid]
-    codes = np.clip(np.rint(arr / scale) + zero, 0, spec.levels)
-    codes = np.where(deg, 0, codes).astype(np.uint8)
-    grouped = codes.ravel()[layout.grouping_order()]
-    packed = pack_codes(grouped, layout.group_sizes(), spec.bits)
+    codes = np.rint(layout.to_group_major(arr) / layout.expand(params.scale)) + layout.expand(params.zero)
+    codes = np.clip(codes, 0, spec.levels).astype(np.uint8)
+    if params.degenerate.any():
+        codes[layout.expand(params.degenerate)] = 0
+    idx = np.flatnonzero(outliers)
     return QuantizedTensor(
         shape=tuple(int(s) for s in arr.shape),
         spec=spec,
         params=params,
-        packed=packed,
-        outlier_indices=out_idx,
-        outlier_values=out_val,
+        packed=pack_codes(codes, layout.group_sizes(), spec.bits),
+        outlier_indices=idx,
+        outlier_values=arr.ravel()[idx],
     )
 
 
@@ -394,37 +376,28 @@ def quantize(x, params: QuantParams, spec: QuantSpec) -> QuantizedTensor:
             params=(params.axis, params.mode, params.group_size),
             spec=(spec.axis, spec.mode, spec.group_size),
         )
-    idx, vals = _outlier_selection(arr, spec)
-    return _encode(arr, params, spec, idx, vals)
+    return _encode(arr, params, spec, _outlier_mask(arr, spec))
 
 
 def quantize_tensor(x, spec: QuantSpec, params: QuantParams | None = None, exclude=None) -> QuantizedTensor:
     """One-call pipeline: isolate outliers, derive parameters, encode."""
     arr = _canonical(x)
-    idx, vals = _outlier_selection(arr, spec)
+    mask = _outlier_mask(arr, spec)
     if params is None:
-        mask = None
-        if idx.size:
-            mask = np.zeros(arr.size, dtype=bool)
-            mask[idx] = True
-            mask = mask.reshape(arr.shape)
         params = compute_params(arr, spec, exclude=exclude, outlier_mask=mask)
-    return _encode(arr, params, spec, idx, vals)
+    return _encode(arr, params, spec, mask)
 
 
 def dequantize(qt: QuantizedTensor) -> np.ndarray:
     """Reconstruct ``x' = scale * (code - zero)`` with outliers restored exactly."""
     layout = qt.layout()
-    gid = layout.group_ids()
-    codes = qt.codes().astype(np.float64)
-    out = qt.params.scale[gid] * (codes - qt.params.zero[gid])
-    deg = qt.params.degenerate[gid]
-    if deg.any():
-        out = np.where(deg, qt.params.constant[gid], out)
-    if qt.outlier_indices.size:
-        flat = out.ravel()
-        flat[qt.outlier_indices] = qt.outlier_values
-        out = flat.reshape(qt.shape)
+    p = qt.params
+    codes = unpack_codes(qt.packed, layout.group_sizes(), qt.spec.bits).astype(np.float64)
+    stream = layout.expand(p.scale) * (codes - layout.expand(p.zero))
+    if p.degenerate.any():
+        stream = np.where(layout.expand(p.degenerate), layout.expand(p.constant), stream)
+    out = layout.from_group_major(stream)
+    out.flat[qt.outlier_indices] = qt.outlier_values
     return out
 
 
@@ -480,10 +453,7 @@ def calibrate(cal, spec: QuantSpec, exclude_sinks: bool = False, sinks_per_sampl
     offset = 0
     for sample, sinks in zip(cal.samples, sinks_per_sample):
         blocks.append(sample)
-        idx, _ = _outlier_selection(sample, spec)
-        mask = np.zeros(sample.size, dtype=bool)
-        mask[idx] = True
-        masks.append(mask.reshape(sample.shape))
+        masks.append(_outlier_mask(sample, spec))
         if exclude_sinks and sinks is not None:
             rows = _coerce_exclude(sinks, sample.shape[0])
             excludes.extend(int(r) + offset for r in rows)

@@ -117,6 +117,36 @@ class TestQuantize:
         assert out["footprint"]["quantized_bytes"] == 2 * 30 * 16 * 4 // 8
         assert out["sinks"]["indices"] == [0, 14]
 
+    def test_footprint_fields_with_sparse_outliers(self, workspace, capsys):
+        rng = np.random.default_rng(5)
+        write_dump(str(workspace / "k160.kvsd"), rng.normal(size=(160, 128)))
+        write_dump(str(workspace / "v160.kvsd"), rng.normal(size=(160, 128)))
+        code, out, _ = run_cli(
+            capsys,
+            "quantize",
+            "--keys", str(workspace / "k160.kvsd"),
+            "--values", str(workspace / "v160.kvsd"),
+            "--scheme", "kvquant_like",
+            "--bits", "2",
+            "--group", "16",
+            "--sparse", "0.01",
+            "--sinks", str(workspace / "sinks.json"),
+            "--out", str(workspace / "out160"),
+        )
+        assert code == 0
+        rows = 160 - 2
+        assert out["footprint"] == {
+            # keys: 128 per-channel static groups of 158 codes, 40 bytes each;
+            # values: 158 rows x 8 per-token groups of 16 codes, 4 bytes each
+            "quantized_bytes": 128 * 40 + rows * 8 * 4,
+            # two sink rows of keys and values at 2 bytes per element
+            "sink_bytes": 2 * (128 + 128) * 2,
+            # 8 bytes per group: 128 static key groups plus the value groups
+            "params_bytes": (128 + rows * 8) * 8,
+            # rint(0.01 * 158) = 2 outliers per key column, rint(0.01 * 128) = 1 per value row
+            "sparse_bytes": (128 * 2 + rows * 1) * 6,
+        }
+
     def test_pfn_flag(self, workspace, capsys):
         out_dir = workspace / "out2"
         code, out, _ = run_cli(
@@ -246,6 +276,27 @@ class TestAnalyze:
         assert code == 0
         assert "v_norm_ratio" in out["rows"][0]
 
+    def test_qk_report_is_strict_json_with_zero_non_sink_rows(self, workspace, capsys):
+        zeros = np.zeros((32, 16))
+        zeros[[0, 14]] = np.random.default_rng(2).normal(size=(2, 16))
+        write_dump(str(workspace / "zq.kvsd"), zeros)
+        code = main(
+            [
+                "analyze", "qk",
+                "--queries", str(workspace / "zq.kvsd"),
+                "--keys", str(workspace / "zq.kvsd"),
+                "--sinks", str(workspace / "sinks.json"),
+            ]
+        )
+        text = capsys.readouterr().out
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        out = json.loads(text, parse_constant=reject)
+        assert code == 0
+        assert out["rows"][0]["q_norm_ratio"] is None and out["rows"][0]["k_norm_ratio"] is None
+
     def test_stages_via_manifest(self, workspace, capsys):
         from sinkquant.decoder import DecoderConfig, decoder_forward, synthesize_sink_model
 
@@ -325,9 +376,9 @@ class TestSimulate:
         assert code == 2 and err["code"] == "config"
 
     def test_numeric_failure_exit_code(self, workspace, capsys):
-        write_json(
-            str(workspace / "inf_plant.json"),
-            {"targets": [[0, 1, float("inf")]], "emerge_layer": 1, "dissipate_layer": 3},
+        # write_json refuses non-finite numbers, so the plant is written as lenient JSON text
+        (workspace / "inf_plant.json").write_text(
+            json.dumps({"targets": [[0, 1, float("inf")]], "emerge_layer": 1, "dissipate_layer": 3})
         )
         code, _, err = run_cli(
             capsys,

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -5,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sinkquant.dumpio import (
     CAPTURE_KINDS,
@@ -18,7 +21,7 @@ from sinkquant.dumpio import (
     write_manifest,
     write_quantized,
 )
-from sinkquant.errors import FormatError, NumericError, ShapeError
+from sinkquant.errors import FormatError, NumericError, ShapeError, SinkQuantError
 from sinkquant.quant import QuantSpec, dequantize, quantize_tensor
 
 
@@ -200,6 +203,155 @@ class TestQuantizedFile:
         path.write_bytes(blob[:-1])
         with pytest.raises(FormatError):
             read_quantized(str(path))
+
+
+def sparse_tensor():
+    x = np.random.default_rng(3).normal(size=(12, 16))
+    return quantize_tensor(x, QuantSpec(3, "per_channel", "dynamic", group_size=5, sparse_fraction=0.1))
+
+
+def split_kvsq(blob):
+    """(header dict, section bytes) of a ``.kvsq`` blob."""
+    head_len = struct.unpack_from("<I", blob, 8)[0]
+    return json.loads(blob[12 : 12 + head_len]), blob[12 + head_len :]
+
+
+def join_kvsq(header, body):
+    head = json.dumps(header).encode()
+    return b"KVSQ" + struct.pack("<II", 1, len(head)) + head + body
+
+
+class TestQuantizedHeaderChecks:
+    """Every malformed header fails at read time with a FormatError."""
+
+    @pytest.fixture
+    def valid(self, tmp_path):
+        path = tmp_path / "q.kvsq"
+        write_quantized(str(path), sparse_tensor())
+        return path, *split_kvsq(path.read_bytes())
+
+    def rewrite(self, valid, header):
+        path, _, body = valid
+        path.write_bytes(join_kvsq(header, body))
+        with pytest.raises(FormatError) as info:
+            read_quantized(str(path))
+        return info.value
+
+    @pytest.mark.parametrize("key", ["shape", "spec", "params_shape", "n_groups", "sections"])
+    def test_missing_header_key(self, valid, key):
+        header = dict(valid[1])
+        del header[key]
+        assert "header keys" in self.rewrite(valid, header).message
+
+    def test_extra_header_key(self, valid):
+        assert "header keys" in self.rewrite(valid, {**valid[1], "dtype": "f8"}).message
+
+    @pytest.mark.parametrize("key", ["bits", "axis", "mode", "group_size", "clip", "sparse_fraction"])
+    def test_missing_spec_key(self, valid, key):
+        header = json.loads(json.dumps(valid[1]))
+        del header["spec"][key]
+        assert "spec keys" in self.rewrite(valid, header).message
+
+    def test_extra_spec_key(self, valid):
+        header = json.loads(json.dumps(valid[1]))
+        header["spec"]["symmetric"] = False
+        assert "spec keys" in self.rewrite(valid, header).message
+
+    @pytest.mark.parametrize("count", [6, 8])
+    def test_section_count(self, valid, count):
+        sections = valid[1]["sections"]
+        header = {**valid[1], "sections": (sections + [0])[:count]}
+        assert "sections must be 7" in self.rewrite(valid, header).message
+
+    def test_n_groups_against_layout(self, tmp_path):
+        # The file is self-consistent (8 groups written, 8 declared) but the
+        # per-token layout of a (5, 6) tensor at group size 3 has 10 groups.
+        qt = quantize_tensor(np.ones((4, 6)) * np.arange(6), QuantSpec(2, "per_token", group_size=3))
+        wrong = dataclasses.replace(qt, shape=(5, 6), params=dataclasses.replace(qt.params, shape=(5, 6)))
+        path = str(tmp_path / "q.kvsq")
+        write_quantized(path, wrong)
+        with pytest.raises(FormatError, match="n_groups"):
+            read_quantized(path)
+
+    def test_params_shape_against_layout(self, tmp_path):
+        qt = quantize_tensor(np.ones((4, 6)) * np.arange(6), QuantSpec(2, "per_token", group_size=3))
+        wrong = dataclasses.replace(qt, params=dataclasses.replace(qt.params, shape=(5, 6)))
+        path = str(tmp_path / "q.kvsq")
+        write_quantized(path, wrong)
+        with pytest.raises(FormatError, match="parameters do not fit"):
+            read_quantized(path)
+
+    def test_outlier_index_outside_shape(self, tmp_path):
+        qt = sparse_tensor()
+        indices = qt.outlier_indices.copy()
+        indices[-1] = qt.shape[0] * qt.shape[1]
+        path = str(tmp_path / "q.kvsq")
+        write_quantized(path, dataclasses.replace(qt, outlier_indices=indices))
+        with pytest.raises(FormatError, match="outlier index"):
+            read_quantized(path)
+
+    def test_non_finite_json_is_refused(self, tmp_path):
+        with pytest.raises(NumericError):
+            write_json(str(tmp_path / "x.json"), {"ratio": float("inf")})
+        assert not (tmp_path / "x.json").exists()
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated_headers(draw, header):
+    """One mutation of a valid header: a key dropped or added, or a value replaced or nudged."""
+    header = json.loads(json.dumps(header))
+    target = draw(st.sampled_from([header, header["spec"]]))
+    key = draw(st.sampled_from(sorted(target)))
+    action = draw(st.sampled_from(["drop", "add", "replace", "nudge"]))
+    if action == "drop":
+        del target[key]
+    elif action == "add":
+        target[draw(st.text(min_size=1, max_size=8))] = draw(JSON_VALUES)
+    elif action == "replace":
+        target[key] = draw(JSON_VALUES)
+    else:
+        value = target[key]
+        step = draw(st.integers(-20, 20))
+        if isinstance(value, list) and value:
+            i = draw(st.integers(0, len(value) - 1))
+            value[i] = value[i] + step
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            target[key] = value + step
+        else:
+            target[key] = draw(st.sampled_from(["per_token", "per_channel", "per_tensor", "static"]))
+    return header
+
+
+BASE_TENSORS = {
+    "sparse": sparse_tensor,
+    "static": lambda: quantize_tensor(np.arange(40.0).reshape(5, 8), QuantSpec(4, "per_token", "static", 3)),
+}
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), kind=st.sampled_from(sorted(BASE_TENSORS)))
+def test_mutated_headers_fail_typed(tmp_path, data, kind):
+    path = tmp_path / "q.kvsq"
+    write_quantized(str(path), BASE_TENSORS[kind]())
+    header, body = split_kvsq(path.read_bytes())
+    path.write_bytes(join_kvsq(data.draw(mutated_headers(header)), body))
+    try:
+        back = read_quantized(str(path))
+    except SinkQuantError:
+        return
+    # A header the reader accepts describes a tensor that decodes.
+    assert dequantize(back).shape == back.shape == back.codes().shape
 
 
 def test_json_helpers(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sinkquant.errors import (
     BoundsError,
@@ -20,6 +22,7 @@ from sinkquant.quant import (
     quantize_tensor,
     scheme_specs,
 )
+from sinkquant.packing import pack_group_bytes
 
 
 def roundtrip(x, spec, **kw):
@@ -90,6 +93,73 @@ class TestComputeParams:
             QuantSpec(4, clip=0.5)
         with pytest.raises(ConfigError):
             QuantSpec(4, sparse_fraction=1.5)
+
+
+LAYOUTS = [
+    ("per_token", "dynamic"),
+    ("per_token", "static"),
+    ("per_channel", "dynamic"),
+    ("per_channel", "static"),
+    ("per_tensor", "dynamic"),
+]
+
+
+def dense_reference(shape, axis, mode, gs):
+    """(n_groups, group-id map) as dense int64 formulas, one case per layout."""
+    n, d = shape
+    if axis == "per_tensor":
+        return (1 if n * d else 0), np.zeros((n, d), dtype=np.int64)
+    if axis == "per_token":
+        s = -(-d // gs)
+        seg = np.arange(d, dtype=np.int64) // gs
+        if mode == "static":
+            return s, np.broadcast_to(seg, (n, d))
+        return n * s, np.arange(n, dtype=np.int64)[:, None] * s + seg
+    if mode == "static":
+        return d, np.broadcast_to(np.arange(d, dtype=np.int64), (n, d))
+    t = -(-n // gs)
+    tseg = np.arange(n, dtype=np.int64) // gs
+    return d * t, np.arange(d, dtype=np.int64)[None, :] * t + tseg[:, None]
+
+
+class TestGroupLayout:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        layout=st.sampled_from(LAYOUTS),
+        n=st.integers(0, 40),
+        d=st.integers(1, 40),
+        gs=st.integers(1, 12),
+    )
+    def test_segment_table_matches_dense_reference(self, layout, n, d, gs):
+        axis, mode = layout
+        if axis == "per_tensor":
+            n = max(n, 1)  # an empty per-tensor layout keeps one group; the reference has none
+        n_groups, gid = dense_reference((n, d), axis, mode, gs)
+        order = np.argsort(gid.ravel(), kind="stable")
+        got = GroupLayout((n, d), axis, mode, gs)
+        assert got.n_groups == n_groups
+        sizes = np.bincount(gid.ravel(), minlength=n_groups)
+        np.testing.assert_array_equal(got.group_sizes(), sizes)
+        np.testing.assert_array_equal(got.to_group_major(np.arange(n * d).reshape(n, d)), order)
+        inverse = got.from_group_major(np.arange(n * d)).ravel()
+        np.testing.assert_array_equal(inverse, np.argsort(order))
+        np.testing.assert_array_equal(got.group_ids(), gid)
+        x = np.random.default_rng(n * 1000 + d).normal(size=(n, d))
+        np.testing.assert_array_equal(got.to_group_major(x), x.ravel()[order])
+        np.testing.assert_array_equal(got.expand(np.arange(n_groups)), np.sort(gid.ravel()))
+        for bits in (2, 3, 8):
+            assert got.packed_nbytes(bits) == int(pack_group_bytes(sizes, bits).sum())
+
+    @pytest.mark.parametrize("axis", ["per_token", "per_channel"])
+    def test_zero_rows_under_static_layouts(self, axis):
+        rng = np.random.default_rng(17)
+        spec = QuantSpec(3, axis, "static", group_size=4)
+        params = calibrate([rng.normal(size=(9, 10))], spec)
+        qt = quantize(np.zeros((0, 10)), params, spec)
+        layout = qt.layout()
+        assert layout.n_groups == params.n_groups == (10 if axis == "per_channel" else 3)
+        assert qt.packed == b"" and layout.packed_nbytes(spec.bits) == 0
+        assert dequantize(qt).shape == (0, 10) and qt.codes().shape == (0, 10)
 
 
 class TestQuantizeDequantize:
