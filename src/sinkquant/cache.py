@@ -2,15 +2,13 @@
 
 Non-sink tokens are stored quantized under a named scheme preset; sink tokens
 live verbatim in a position-indexed full-precision side table, which keeps
-quantization groups sink-free by construction. Rows are appended in token
-order and reconstruction re-splices every region back into the original
-order.
-
-Per-channel key schemes group across tokens, so incoming rows are buffered at
-full precision until ``group_size`` of them accumulate and the completed
-token block is quantized; a trailing partial block simply stays in the
-buffer. ``bulk_load`` is defined as the corresponding sequence of appends and
-reconstructs identically to it.
+quantization groups sink-free by construction. Each layer side holds its
+non-sink rows in token order, as quantized runs followed by full-precision
+``pending`` rows; the sink set alone fixes the positions they fill. Rows
+enter only through ``_Side.extend`` (one row from ``append``, all non-sink
+rows from ``bulk_load``), so a bulk-loaded layer reconstructs identically to
+the corresponding appends. Per-channel sides group across tokens, so rows
+stay pending until ``group_size`` of them complete a block.
 
 Byte accounting (``footprint_bytes``, behind every footprint report):
 
@@ -19,11 +17,15 @@ Byte accounting (``footprint_bytes``, behind every footprint report):
 * parameters: 8 bytes per group (float32 scale + int32 zero); static
   parameters are shared and counted once per layer side,
 * sparse outliers: 6 bytes each (uint32 flat index + 16-bit value).
+
+``predict_footprint`` is exact for append-built caches. A bulk-loaded
+per-token static side packs its rows as one shared-layout tensor, which pads
+less unless every segment packs to whole bytes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
 
 import numpy as np
 
@@ -55,49 +57,32 @@ def footprint_bytes(packed: int, full_precision: int, groups: int, outliers: int
     }
 
 
-@dataclass
 class _Side:
-    spec: QuantSpec
-    params: QuantParams | None = None
-    blocks: list[QuantizedTensor] = field(default_factory=list)
-    block_tokens: list[np.ndarray] = field(default_factory=list)
-    pending_tokens: list[int] = field(default_factory=list)
-    pending_rows: list[np.ndarray] = field(default_factory=list)
+    """One layer side's non-sink rows in token order: quantized runs, then ``pending``."""
 
-    def buffered(self) -> bool:
-        return self.spec.axis == "per_channel"
+    def __init__(self, spec: QuantSpec, width: int):
+        self.spec = spec
+        self.params: QuantParams | None = None
+        self.runs: list[QuantizedTensor] = []
+        self.pending = np.zeros((0, width))
+        self.height = GroupLayout.block(spec, width).shape[0]
 
-    def push(self, token: int, row: np.ndarray) -> None:
-        if self.spec.mode == "static" and self.params is None:
-            raise ConfigError("static scheme has no calibrated parameters for this layer")
-        if self.buffered():
-            self.pending_tokens.append(token)
-            self.pending_rows.append(row)
-            if len(self.pending_rows) == self.spec.group_size:
-                self.flush()
-        else:
-            self._quantize_block(np.asarray([row]), np.asarray([token]))
+    def extend(self, rows: np.ndarray) -> None:
+        """Quantize the complete blocks of ``pending`` + ``rows`` (one run per
+        per-token call, one per per-channel block); the rest stays pending."""
+        if len(self.pending):
+            rows = np.concatenate((self.pending, rows))
+        full = len(rows) - len(rows) % self.height
+        if full:
+            step = self.height if self.spec.axis == "per_channel" else full
+            for start in range(0, full, step):
+                self.runs.append(quantize_tensor(rows[start : start + step], self.spec, params=self.params))
+        self.pending = rows[full:].copy()
 
-    def flush(self) -> None:
-        if self.pending_rows:
-            block = np.stack(self.pending_rows)
-            tokens = np.asarray(self.pending_tokens, dtype=np.int64)
-            self.pending_tokens = []
-            self.pending_rows = []
-            self._quantize_block(block, tokens)
-
-    def _quantize_block(self, block: np.ndarray, tokens: np.ndarray) -> None:
-        self.blocks.append(quantize_tensor(block, self.spec, params=self.params))
-        self.block_tokens.append(tokens)
-
-    def scatter(self, out: np.ndarray) -> None:
-        for qt, tokens in zip(self.blocks, self.block_tokens):
-            out[tokens] = dequantize(qt)
-        for token, row in zip(self.pending_tokens, self.pending_rows):
-            out[token] = row
-
-    def quantized_token_count(self) -> int:
-        return int(sum(t.size for t in self.block_tokens))
+    def rows(self) -> np.ndarray:
+        """Every row in token order; one ``dequantize`` per stretch of same-shape runs."""
+        groups = itertools.groupby(self.runs, key=lambda qt: qt.shape)
+        return np.concatenate([dequantize(*group) for _, group in groups] + [self.pending])
 
 
 class KVCache:
@@ -121,8 +106,8 @@ class KVCache:
         key_spec, value_spec = scheme_specs(scheme, bits, group_size, sparse_fraction, clip)
         self.key_spec = key_spec
         self.value_spec = value_spec
-        self._keys = [_Side(key_spec) for _ in range(num_layers)]
-        self._values = [_Side(value_spec) for _ in range(num_layers)]
+        self._keys = [_Side(key_spec, self.width) for _ in range(num_layers)]
+        self._values = [_Side(value_spec, self.width) for _ in range(num_layers)]
         self._sinks: list[dict[int, tuple[np.ndarray, np.ndarray]]] = [dict() for _ in range(num_layers)]
         self._counts = [0] * num_layers
         self._loaded = [False] * num_layers
@@ -145,15 +130,15 @@ class KVCache:
 
     def pending_tokens(self, layer: int) -> int:
         self._check_layer(layer)
-        return max(len(self._keys[layer].pending_rows), len(self._values[layer].pending_rows))
+        return max(len(self._keys[layer].pending), len(self._values[layer].pending))
 
     def region_counts(self, layer: int) -> dict:
         """Token counts per storage region of the key side (partition of n)."""
         self._check_layer(layer)
         side = self._keys[layer]
         return {
-            "quantized": side.quantized_token_count(),
-            "pending": len(side.pending_rows),
+            "quantized": sum(qt.shape[0] for qt in side.runs),
+            "pending": len(side.pending),
             "sink": len(self._sinks[layer]),
         }
 
@@ -178,11 +163,14 @@ class KVCache:
         k = self._coerce_row(k_row, "key row")
         v = self._coerce_row(v_row, "value row")
         token = self._counts[layer]
+        sides = (self._keys[layer], self._values[layer])
         if is_sink:
             self._sinks[layer][token] = (k, v)
+        elif any(side.spec.mode == "static" and side.params is None for side in sides):
+            raise ConfigError("static scheme has no calibrated parameters for this layer")
         else:
-            self._keys[layer].push(token, k)
-            self._values[layer].push(token, v)
+            sides[0].extend(k[None])
+            sides[1].extend(v[None])
         self._counts[layer] = token + 1
         self._loaded[layer] = True
         return token
@@ -210,21 +198,10 @@ class KVCache:
         keep = np.ones(n, dtype=bool)
         keep[sink_rows] = False
         for side, data in ((self._keys[layer], k_arr), (self._values[layer], v_arr)):
+            rows = data[keep]
             if side.spec.mode == "static" and side.params is None:
-                side.params = calibrate([data[keep]], side.spec)
-
-        nonsink = np.flatnonzero(keep)
-        for side, data in ((self._keys[layer], k_arr), (self._values[layer], v_arr)):
-            if side.buffered():
-                gs = side.spec.group_size
-                full = nonsink.size - nonsink.size % gs
-                for start in range(0, full, gs):
-                    tokens = nonsink[start : start + gs]
-                    side._quantize_block(data[tokens], tokens.astype(np.int64))
-                side.pending_tokens = [int(t) for t in nonsink[full:]]
-                side.pending_rows = [data[t].copy() for t in nonsink[full:]]
-            elif nonsink.size:
-                side._quantize_block(data[nonsink], nonsink.astype(np.int64))
+                side.params = calibrate([rows], side.spec)
+            side.extend(rows)
         for t in sink_rows:
             self._sinks[layer][t] = (k_arr[t].copy(), v_arr[t].copy())
         self._counts[layer] = n
@@ -240,10 +217,12 @@ class KVCache:
         if not self._loaded[layer]:
             raise StateError("layer was never populated", layer=layer)
         n = self._counts[layer]
-        k_out = np.zeros((n, self.width))
-        v_out = np.zeros((n, self.width))
-        self._keys[layer].scatter(k_out)
-        self._values[layer].scatter(v_out)
+        nonsink = np.ones(n, dtype=bool)
+        nonsink[list(self._sinks[layer])] = False
+        k_out = np.empty((n, self.width))
+        v_out = np.empty((n, self.width))
+        k_out[nonsink] = self._keys[layer].rows()
+        v_out[nonsink] = self._values[layer].rows()
         for token, (k, v) in self._sinks[layer].items():
             k_out[token] = k
             v_out[token] = v
@@ -255,11 +234,11 @@ class KVCache:
         for layer in range(self.num_layers):
             fp_rows += 2 * len(self._sinks[layer])
             for side in (self._keys[layer], self._values[layer]):
-                fp_rows += len(side.pending_rows)
-                packed += sum(len(qt.packed) for qt in side.blocks)
-                outliers += sum(qt.outlier_indices.size for qt in side.blocks)
+                fp_rows += len(side.pending)
+                packed += sum(len(qt.packed) for qt in side.runs)
+                outliers += sum(qt.outlier_indices.size for qt in side.runs)
                 if side.spec.mode == "dynamic":
-                    groups += sum(qt.params.n_groups for qt in side.blocks)
+                    groups += sum(qt.params.n_groups for qt in side.runs)
                 elif side.params is not None:
                     groups += side.params.n_groups
         return footprint_bytes(packed, fp_rows * self.width, groups, outliers)
@@ -277,7 +256,10 @@ def predict_footprint(
 ) -> dict:
     """Closed-form footprint of a fully loaded cache (no tensors needed).
 
-    Each side holds whole ``GroupLayout.block`` blocks plus a full-precision remainder.
+    Each side holds whole ``GroupLayout.block`` blocks plus a full-precision
+    remainder. Exact for a cache built by appends, and for a bulk-loaded one
+    when every per-token static segment (``len * bits``) packs to whole bytes;
+    otherwise the bulk-loaded cache holds fewer quantized bytes.
 
     ``sink_tokens`` is charged to every one of the ``num_layers`` layers. A
     ``prefill_with_kvsink`` cache in kvsink mode holds no sinks at or below

@@ -203,31 +203,37 @@ def _cmd_analyze_stages(args) -> dict:
     return report.to_json_dict()
 
 
+def _load_plant(path: str) -> tuple[list, int, int]:
+    """Planted outliers: (token, channel, magnitude) targets, emergence and dissipation layers."""
+    plant = dumpio.read_json(path)
+    try:
+        targets = [(int(t), int(c), float(m)) for t, c, m in plant["targets"]]
+        return targets, int(plant["emerge_layer"]), int(plant["dissipate_layer"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError("malformed plant file", path=path, reason=repr(exc)) from None
+
+
 def _cmd_simulate(args) -> dict:
     cfg = decoder.DecoderConfig.from_json_dict(dumpio.read_json(args.config))
     hooks = ()
-    plant_channels: list[int] = []
-    plant_meta = None
+    plant = None
     if args.plant:
-        plant_meta = dumpio.read_json(args.plant)
-        targets = [tuple(t) for t in plant_meta["targets"]]
-        weights, hooks = decoder.synthesize_sink_model(
-            cfg, targets, int(plant_meta["emerge_layer"]), int(plant_meta["dissipate_layer"])
-        )
-        plant_channels = sorted({int(c) for _, c, _ in targets})
+        plant = _load_plant(args.plant)
+        weights, hooks = decoder.synthesize_sink_model(cfg, *plant)
     else:
         weights = decoder.init_weights(cfg)
 
     profile = None
     if args.profile:
         profile = _load_profile_arg(args.profile)
-    elif plant_meta is not None:
+    elif plant is not None:
+        targets, emerge_layer, _ = plant
         profile = SinkProfile(
             model_name="synthetic",
             total_layers=cfg.num_layers,
-            emergence_layer=int(plant_meta["emerge_layer"]),
+            emergence_layer=emerge_layer,
             hidden_size=cfg.hidden,
-            outlier_channels=tuple(plant_channels),
+            outlier_channels=tuple(sorted({c for _, c, _ in targets})),
         )
     if args.mode == "kvsink" and profile is None:
         raise ConfigError("kvsink mode needs --profile or --plant")

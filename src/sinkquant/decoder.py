@@ -26,7 +26,7 @@ Instrumentation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 from scipy.special import erf, expit
@@ -59,6 +59,8 @@ class DecoderConfig:
             object.__setattr__(self, "kv_heads", self.heads)
         if self.num_layers < 1:
             raise ConfigError(f"need at least one layer, got {self.num_layers}")
+        if min(self.hidden, self.heads, self.kv_heads, self.ffn_hidden) < 1:
+            raise ConfigError("hidden, heads, kv_heads and ffn_hidden must be positive")
         if self.hidden % self.heads != 0:
             raise ConfigError("hidden size must split across heads", hidden=self.hidden, heads=self.heads)
         if self.heads % self.kv_heads != 0:
@@ -93,11 +95,27 @@ class DecoderConfig:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "DecoderConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = sorted(set(obj) - known)
+        """Config from parsed JSON; unknown, missing or wrongly typed fields are a ``ConfigError``."""
+        if not isinstance(obj, dict):
+            raise ConfigError("decoder config must be a JSON object", actual=type(obj).__name__)
+        declared = {f.name: f for f in fields(cls)}
+        unknown = sorted(set(obj) - set(declared))
         if unknown:
             raise ConfigError("unknown decoder config fields", fields=unknown)
+        missing = sorted(k for k, f in declared.items() if f.default is MISSING and k not in obj)
+        wrong = sorted(k for k, v in obj.items() if not _json_fits(v, declared[k].type))
+        if missing or wrong:
+            raise ConfigError("missing or wrongly typed decoder config fields", missing=missing, wrong=wrong)
         return cls(**obj)
+
+
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool, "None": type(None)}
+
+
+def _json_fits(value, annotation: str) -> bool:
+    """Whether a parsed JSON value fits a field annotation such as ``int`` or ``int | None``."""
+    kinds = annotation.split(" | ")
+    return "bool" in kinds if isinstance(value, bool) else any(isinstance(value, _JSON_TYPES[k]) for k in kinds)
 
 
 @dataclass

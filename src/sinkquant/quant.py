@@ -173,17 +173,20 @@ class GroupLayout:
         return np.concatenate((head, vec[:, cut:].ravel())) if self.tail else head
 
     def from_group_major(self, stream: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`to_group_major`: a C-ordered [n, d] array."""
+        """Inverse of :meth:`to_group_major`: C-ordered [..., n, d] from [..., stream]."""
+        lead = stream.shape[:-1]
         if not self.shared:
-            return np.ascontiguousarray(self.vectors(stream.reshape(self.n_vectors, self.length)))
+            vec = stream.reshape(*lead, self.n_vectors, self.length)
+            return np.ascontiguousarray(vec if self.by_rows else vec.swapaxes(-1, -2))
         cut = self.full * self.segment
-        head = stream[: self.n_vectors * cut].reshape(self.full, self.n_vectors, self.segment).swapaxes(0, 1)
-        tail = stream[self.n_vectors * cut :].reshape(self.n_vectors, self.tail)
-        return np.hstack((head.reshape(self.n_vectors, cut), tail))
+        split = self.n_vectors * cut
+        head = stream[..., :split].reshape(*lead, self.full, self.n_vectors, self.segment).swapaxes(-3, -2)
+        tail = stream[..., split:].reshape(*lead, self.n_vectors, self.tail)
+        return np.concatenate((head.reshape(*lead, self.n_vectors, cut), tail), axis=-1)
 
     def expand(self, per_group: np.ndarray) -> np.ndarray:
-        """Per-group values repeated onto every element of the group-major stream."""
-        return np.repeat(per_group, self.group_sizes())
+        """Per-group values [..., n_groups] repeated onto every element of the group-major stream."""
+        return np.repeat(per_group, self.group_sizes(), axis=-1)
 
     def group_ids(self) -> np.ndarray:
         """Dense [n, d] map of group ids (for analyses; quantization never builds it)."""
@@ -388,16 +391,26 @@ def quantize_tensor(x, spec: QuantSpec, params: QuantParams | None = None, exclu
     return _encode(arr, params, spec, mask)
 
 
-def dequantize(qt: QuantizedTensor) -> np.ndarray:
-    """Reconstruct ``x' = scale * (code - zero)`` with outliers restored exactly."""
-    layout = qt.layout()
-    p = qt.params
-    codes = unpack_codes(qt.packed, layout.group_sizes(), qt.spec.bits).astype(np.float64)
-    stream = layout.expand(p.scale) * (codes - layout.expand(p.zero))
-    if p.degenerate.any():
-        stream = np.where(layout.expand(p.degenerate), layout.expand(p.constant), stream)
-    out = layout.from_group_major(stream)
-    out.flat[qt.outlier_indices] = qt.outlier_values
+def dequantize(qt: QuantizedTensor, *more: QuantizedTensor) -> np.ndarray:
+    """Reconstruct ``x' = scale * (code - zero)`` with outliers restored exactly.
+
+    Tensors in ``more`` must share ``qt``'s shape and spec; all are decoded in
+    one pass and returned row-stacked in argument order.
+    """
+    tensors = (qt, *more)
+    if any(t.shape != qt.shape or t.spec != qt.spec for t in more):
+        raise LayoutError("stacked tensors must share one shape and spec", shape=list(qt.shape))
+    layout, *_ = [t.layout() for t in tensors]  # each tensor's params must fit
+    p = {k: np.stack([getattr(t.params, k) for t in tensors]) for k in ("scale", "zero", "degenerate", "constant")}
+    sizes = np.tile(layout.group_sizes(), len(tensors))
+    codes = unpack_codes(b"".join(t.packed for t in tensors), sizes, qt.spec.bits).astype(np.float64)
+    stream = layout.expand(p["scale"]) * (codes.reshape(len(tensors), -1) - layout.expand(p["zero"]))
+    if p["degenerate"].any():
+        stream = np.where(layout.expand(p["degenerate"]), layout.expand(p["constant"]), stream)
+    n, d = qt.shape
+    out = layout.from_group_major(stream).reshape(len(tensors) * n, d)
+    offsets = [t.outlier_indices + i * n * d for i, t in enumerate(tensors)]
+    out.flat[np.concatenate(offsets)] = np.concatenate([t.outlier_values for t in tensors])
     return out
 
 

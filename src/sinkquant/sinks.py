@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoundsError, ConfigError, DiscoveryError, ShapeError
+from .errors import BoundsError, ConfigError, DiscoveryError, FormatError, ShapeError
 from .tensors import as_tensor
 
 STAGES = ("initial", "emergence", "stabilization", "dissipation", "final")
@@ -81,7 +81,13 @@ class SinkSet:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SinkSet":
-        return cls(tuple(obj["indices"]), int(obj["k_requested"]))
+        """Inverse of :meth:`to_json_dict`; a malformed payload is a ``FormatError``."""
+        if not isinstance(obj, dict) or not {"indices", "k_requested"} <= set(obj):
+            raise FormatError("sink set must be an object with 'indices' and 'k_requested'")
+        indices, k_requested = obj["indices"], obj["k_requested"]
+        if not isinstance(indices, list) or any(type(i) is not int for i in [*indices, k_requested]):
+            raise FormatError("sink indices and k_requested must be integers")
+        return cls(tuple(indices), k_requested)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from sinkquant.cache import (
     save_snapshot,
 )
 from sinkquant.errors import BoundsError, ConfigError, ShapeError, StateError
-from sinkquant.quant import QuantSpec, calibrate, dequantize, quantize_scheme
+from sinkquant.quant import SCHEME_PRESETS, QuantSpec, calibrate, dequantize, quantize_scheme
 
 
 def rand_kv(n, d, seed=0, scale=1.0):
@@ -31,7 +31,7 @@ class TestAppend:
         k, v = rand_kv(1, 16, seed=3)
         cache.append(0, k[0], v[0])
         rk, _ = cache.reconstruct(0)
-        qt = cache._keys[0].blocks[0]
+        qt = cache._keys[0].runs[0]
         scale = qt.params.scale.max()
         assert np.all(np.abs(rk[0] - k[0]) <= scale / 2 + 1e-9)
 
@@ -50,6 +50,17 @@ class TestAppend:
             cache.append(0, k[0], v[0])
         # sink rows never touch the quantizer, so they are fine
         cache.append(0, k[0], v[0], is_sink=True)
+
+    def test_failed_append_leaves_layer_unchanged(self):
+        # only the key side has parameters, so the value side refuses the row
+        cache = KVCache(1, 8, scheme="pc_key_pt_value_static", bits=4, group_size=4)
+        sample = np.random.default_rng(2).normal(size=(8, 8))
+        cache.set_static_params(0, key_params=calibrate([sample], cache.key_spec))
+        k, v = rand_kv(1, 8)
+        with pytest.raises(ConfigError):
+            cache.append(0, k[0], v[0])
+        assert cache.layer_tokens(0) == 0 and cache.pending_tokens(0) == 0
+        assert cache.region_counts(0) == {"quantized": 0, "pending": 0, "sink": 0}
 
     def test_static_append_with_params(self):
         spec = QuantSpec(4, "per_token", "static", group_size=8)
@@ -110,27 +121,34 @@ class TestBulkLoad:
         np.testing.assert_array_equal(rk[[0, 14]], k[[0, 14]])
         np.testing.assert_array_equal(rv[[0, 14]], v[[0, 14]])
         others = np.setdiff1d(np.arange(32), [0, 14])
-        qt = cache._keys[0].blocks[0]
+        qt = cache._keys[0].runs[0]
         gid = qt.layout().group_ids()
         bound = qt.params.scale[gid] / 2 + 1e-9
         assert np.all(np.abs(rk[others] - k[others]) <= bound)
 
     def test_bulk_equals_append_sequence(self):
-        for scheme in ("pt_kv_dynamic", "kvquant_like"):
-            k, v = rand_kv(11, 8, seed=17)
-            sinks = {2, 7}
-            bulk = KVCache(1, 8, scheme=scheme, bits=4, group_size=4, sparse_fraction=0.0)
-            bulk.bulk_load(0, k, v, sinks=sinks)
-            seq = KVCache(1, 8, scheme=scheme, bits=4, group_size=4, sparse_fraction=0.0)
-            if scheme == "kvquant_like":
-                params = bulk._keys[0].params
-                seq.set_static_params(0, key_params=params)
-            for i in range(11):
-                seq.append(0, k[i], v[i], is_sink=i in sinks)
-            bk, bv = bulk.reconstruct(0)
-            sk, sv = seq.reconstruct(0)
-            np.testing.assert_array_equal(bk, sk)
-            np.testing.assert_array_equal(bv, sv)
+        k, v = rand_kv(11, 8, seed=17)
+        sinks = {2, 7}
+        for scheme in sorted(SCHEME_PRESETS):
+            for bits, group_size in ((4, 4), (3, 5)):
+                bulk = KVCache(1, 8, scheme=scheme, bits=bits, group_size=group_size, sparse_fraction=0.0)
+                bulk.bulk_load(0, k, v, sinks=sinks)
+                seq = KVCache(1, 8, scheme=scheme, bits=bits, group_size=group_size, sparse_fraction=0.0)
+                seq.set_static_params(0, key_params=bulk._keys[0].params, value_params=bulk._values[0].params)
+                for i in range(11):
+                    seq.append(0, k[i], v[i], is_sink=i in sinks)
+                for got, want in zip(bulk.reconstruct(0), seq.reconstruct(0)):
+                    np.testing.assert_array_equal(got, want)
+                assert bulk.region_counts(0) == seq.region_counts(0)
+                assert bulk.pending_tokens(0) == seq.pending_tokens(0)
+                # A bulk-loaded per-token static side packs its rows as one tensor,
+                # so its padding matches the append sequence only for whole-byte
+                # segments (width 8 has no tail segment at group size 4).
+                per_token_static = any(
+                    spec.axis == "per_token" and spec.mode == "static" for spec in (bulk.key_spec, bulk.value_spec)
+                )
+                if not per_token_static or bits * group_size % 8 == 0:
+                    assert bulk.memory_footprint() == seq.memory_footprint()
 
     def test_requires_empty_layer(self):
         k, v = rand_kv(4, 8)
@@ -212,6 +230,27 @@ class TestFootprint:
                 3, 40, 32, scheme=scheme, bits=3, group_size=8, sink_tokens=2, sparse_fraction=fs
             )
             assert cache.memory_footprint() == predicted
+
+    @pytest.mark.parametrize("scheme, bulk_bytes, append_bytes", [
+        ("pt_kv_static", 922, 988),
+        ("pc_key_pt_value_static", 909, 942),
+    ])
+    def test_bulk_per_token_static_packs_tighter(self, scheme, bulk_bytes, append_bytes):
+        # 38 non-sink rows share each per-token static segment: 38 * 5 * 3 bits is
+        # not whole bytes, so one shared tensor pads less than 38 one-row tensors.
+        k, v = rand_kv(40, 32, seed=29)
+        bulk = KVCache(1, 32, scheme=scheme, bits=3, group_size=5)
+        bulk.bulk_load(0, k, v, sinks=[0, 9])
+        seq = KVCache(1, 32, scheme=scheme, bits=3, group_size=5)
+        seq.set_static_params(0, key_params=bulk._keys[0].params, value_params=bulk._values[0].params)
+        for i in range(40):
+            seq.append(0, k[i], v[i], is_sink=i in (0, 9))
+        predicted = predict_footprint(1, 40, 32, scheme=scheme, bits=3, group_size=5, sink_tokens=2)
+        assert bulk.memory_footprint()["quantized_bytes"] == bulk_bytes
+        assert seq.memory_footprint()["quantized_bytes"] == predicted["quantized_bytes"] == append_bytes
+        assert seq.memory_footprint() == predicted
+        for got, want in zip(bulk.reconstruct(0), seq.reconstruct(0)):
+            np.testing.assert_array_equal(got, want)
 
     def test_additivity_over_layers(self):
         k, v = rand_kv(12, 16, seed=31)

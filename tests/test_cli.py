@@ -174,6 +174,24 @@ class TestQuantize:
         )
         assert code == 2 and err["code"] == "usage"
 
+    @pytest.mark.parametrize(
+        "payload",
+        [{"indices": [0]}, [1, 2], {"indices": [0], "k_requested": "a"}],
+        ids=["missing-k", "list", "non-integer"],
+    )
+    def test_malformed_sinks_file_is_format_error(self, workspace, capsys, payload):
+        write_json(str(workspace / "bad_sinks.json"), payload)
+        code, _, err = run_cli(
+            capsys,
+            "quantize",
+            "--keys", str(workspace / "keys.kvsd"),
+            "--values", str(workspace / "values.kvsd"),
+            "--scheme", "pt_kv_dynamic",
+            "--sinks", str(workspace / "bad_sinks.json"),
+            "--out", str(workspace / "out_bad"),
+        )
+        assert code == 3 and err["code"] == "format"
+
     def test_unknown_scheme_rejected_by_parser(self, workspace, capsys):
         code, _, err = run_cli(
             capsys,
@@ -375,6 +393,37 @@ class TestSimulate:
         )
         assert code == 2 and err["code"] == "config"
 
+    @pytest.mark.parametrize(
+        "config",
+        [{"num_layers": 4, "hidden": 32}, {"num_layers": "2", "hidden": 32, "heads": 2, "ffn_hidden": 48}, [4, 32]],
+        ids=["missing-fields", "string-layers", "list"],
+    )
+    def test_malformed_config_is_config_error(self, workspace, capsys, config):
+        write_json(str(workspace / "bad_config.json"), config)
+        code, _, err = run_cli(
+            capsys,
+            "simulate",
+            "--config", str(workspace / "bad_config.json"),
+            "--mode", "none",
+            "--out", str(workspace / "sim_e"),
+        )
+        assert code == 2 and err["code"] == "config"
+
+    @pytest.mark.parametrize("dropped", ["targets", "emerge_layer", "dissipate_layer"])
+    def test_plant_missing_field_is_config_error(self, workspace, capsys, dropped):
+        plant = {"targets": [[0, 11, 2000.0]], "emerge_layer": 1, "dissipate_layer": 3}
+        del plant[dropped]
+        write_json(str(workspace / "bad_plant.json"), plant)
+        code, _, err = run_cli(
+            capsys,
+            "simulate",
+            "--config", str(workspace / "config.json"),
+            "--plant", str(workspace / "bad_plant.json"),
+            "--mode", "none",
+            "--out", str(workspace / "sim_f"),
+        )
+        assert code == 2 and err["code"] == "config"
+
     def test_numeric_failure_exit_code(self, workspace, capsys):
         # write_json refuses non-finite numbers, so the plant is written as lenient JSON text
         (workspace / "inf_plant.json").write_text(
@@ -416,3 +465,15 @@ class TestBench:
         )
         assert code == 0
         assert out["config"]["num_layers"] == 4
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"num_layers": 4, "hidden": 32, "heads": 2}, {"num_layers": 2, "hidden": 32, "heads": 2, "ffn_hidden": 4.5}],
+        ids=["missing-field", "float-ffn"],
+    )
+    def test_malformed_config_is_config_error(self, workspace, capsys, config):
+        write_json(str(workspace / "bad_config.json"), config)
+        code, _, err = run_cli(
+            capsys, "bench", "--config", str(workspace / "bad_config.json"), "--tokens", "64", "--repeat", "1"
+        )
+        assert code == 2 and err["code"] == "config"

@@ -150,6 +150,52 @@ class TestGroupLayout:
         for bits in (2, 3, 8):
             assert got.packed_nbytes(bits) == int(pack_group_bytes(sizes, bits).sum())
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        layout=st.sampled_from(LAYOUTS),
+        n=st.integers(1, 12),
+        d=st.integers(1, 12),
+        gs=st.integers(1, 6),
+        bits=st.integers(2, 8),
+        sparse=st.sampled_from([0.0, 0.2]),
+        constant=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_stacked_dequantize_matches_single_calls(self, layout, n, d, gs, bits, sparse, constant, seed):
+        axis, mode = layout
+        spec = QuantSpec(bits, axis, mode, gs, sparse_fraction=sparse)
+        rng = np.random.default_rng(seed)
+        blocks = [rng.normal(size=(n, d)) for _ in range(3)]
+        if constant:  # degenerate groups: one constant channel everywhere, one constant block
+            for block in blocks:
+                block[:, 0] = 1.5
+            blocks[1][:] = -0.25
+        params = calibrate(blocks, spec) if mode == "static" else None  # shared by every block
+        tensors = [quantize_tensor(block, spec, params=params) for block in blocks]
+        stacked = dequantize(*tensors)
+        np.testing.assert_array_equal(stacked, np.vstack([dequantize(t) for t in tensors]))
+        assert stacked.flags.c_contiguous
+        got = GroupLayout((n, d), axis, mode, gs)
+        streams = rng.normal(size=(3, n * d))
+        np.testing.assert_array_equal(
+            got.from_group_major(streams), np.stack([got.from_group_major(row) for row in streams])
+        )
+        per_group = rng.normal(size=(3, got.n_groups))
+        np.testing.assert_array_equal(got.expand(per_group), np.stack([got.expand(row) for row in per_group]))
+
+    def test_stacked_dequantize_rejects_mixed_tensors(self):
+        rng = np.random.default_rng(21)
+        spec = QuantSpec(3, "per_token", group_size=4)
+        a = quantize_tensor(rng.normal(size=(2, 8)), spec)
+        with pytest.raises(LayoutError):
+            dequantize(a, quantize_tensor(rng.normal(size=(3, 8)), spec))
+        with pytest.raises(LayoutError):
+            dequantize(a, quantize_tensor(rng.normal(size=(2, 8)), QuantSpec(4, "per_token", group_size=4)))
+        misfit = quantize_tensor(rng.normal(size=(2, 8)), spec)
+        misfit.params = quantize_tensor(rng.normal(size=(2, 12)), spec).params
+        with pytest.raises(LayoutError):
+            dequantize(a, misfit)
+
     @pytest.mark.parametrize("axis", ["per_token", "per_channel"])
     def test_zero_rows_under_static_layouts(self, axis):
         rng = np.random.default_rng(17)
