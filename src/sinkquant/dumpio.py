@@ -24,6 +24,7 @@ partial file.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -108,7 +109,7 @@ def read_dump(path: str) -> np.ndarray:
     for i, d in enumerate(dims):
         if d == 0:
             raise FormatError("zero-sized dimension", path=path, offset=16 + 8 * i, actual=0)
-    count = int(np.prod(dims, dtype=np.uint64))
+    count = math.prod(dims)
     dtype = _DTYPES[code]
     expected = dims_end + count * dtype.itemsize
     if len(blob) != expected:

@@ -7,11 +7,21 @@ Layout (stable; golden-file tested):
   positions ``[j*bits, (j+1)*bits)``, bit 0 of a byte is the LSB);
 * each group is padded up to a byte boundary, so group ``g`` starts at byte
   ``sum(ceil(len_i*bits/8) for i < g)``.
+
+Because every group starts on a byte, groups of one size pack alike. The
+codec runs one kernel per distinct group size (a ``GroupLayout`` has at most
+two: the segment and the tail). That size's groups form a ``[groups, size]``
+matrix, a reshape of the stream when they abut and one gather by group start
+otherwise, which packs to a ``[groups, ceil(size*bits/8)]`` byte matrix:
+by shifting ``8/bits`` codes into each byte when ``bits`` divides 8, else by
+``np.packbits`` along each group's row of bits (``[groups, size*bits]``,
+zero-padded to whole bytes). Unpacking is the inverse.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FormatError
 
@@ -24,6 +34,82 @@ def packed_nbytes(count: int, bits: int) -> int:
 def pack_group_bytes(group_sizes: np.ndarray, bits: int) -> np.ndarray:
     """Per-group packed byte counts."""
     return (np.asarray(group_sizes, dtype=np.int64) * bits + 7) // 8
+
+
+def _uniform_runs(sizes: np.ndarray, bits: int):
+    """Per distinct non-zero group size: (size, packed bytes per group, its codes, its bytes).
+
+    Codes and bytes are each located by a slice when that size's groups are
+    consecutive, else by the start offset of every such group.
+    """
+    if sizes.size and (sizes == sizes[0]).all():  # the usual case needs no per-group offsets
+        size = int(sizes[0])
+        width = packed_nbytes(size, bits)
+        if size:
+            yield size, width, slice(0, sizes.size * size), slice(0, sizes.size * width)
+        return
+    nbytes = pack_group_bytes(sizes, bits)
+    code_starts = np.cumsum(sizes) - sizes
+    byte_starts = np.cumsum(nbytes) - nbytes
+    for size in np.unique(sizes[sizes > 0]).tolist():
+        groups = np.flatnonzero(sizes == size)
+        codes, packed = code_starts[groups], byte_starts[groups]
+        width = packed_nbytes(size, bits)
+        if groups[-1] - groups[0] == groups.size - 1:
+            codes = slice(codes[0], codes[0] + groups.size * size)
+            packed = slice(packed[0], packed[0] + groups.size * width)
+        yield size, width, codes, packed
+
+
+def _rows(flat: np.ndarray, where, width: int) -> np.ndarray:
+    """The ``[groups, width]`` rows of ``flat`` located by ``where``: a reshape or one gather."""
+    if isinstance(where, slice):
+        return flat[where].reshape(-1, width)
+    return sliding_window_view(flat, width)[where]
+
+
+def _put_rows(flat: np.ndarray, where, rows: np.ndarray) -> None:
+    """Write ``rows`` into ``flat`` at ``where`` (inverse of :func:`_rows`)."""
+    if isinstance(where, slice):
+        flat[where].reshape(rows.shape)[...] = rows
+    else:
+        sliding_window_view(flat, rows.shape[1], writeable=True)[where] = rows
+
+
+def _pack_uniform(codes: np.ndarray, bits: int) -> np.ndarray:
+    """``[groups, size]`` codes to ``[groups, ceil(size*bits/8)]`` bytes."""
+    groups, size = codes.shape
+    if 8 % bits == 0:
+        per = 8 // bits
+        pad = -size % per
+        if pad:
+            codes = np.concatenate((codes, np.zeros((groups, pad), dtype=np.uint8)), axis=1)
+        lanes = codes.reshape(groups, -1, per)
+        out = lanes[:, :, 0].copy()
+        for j in range(1, per):
+            out |= lanes[:, :, j] << (j * bits)
+        return out
+    bit_matrix = np.empty((groups, size, bits), dtype=np.uint8)
+    for j in range(bits):
+        np.bitwise_and(codes >> j, 1, out=bit_matrix[:, :, j])
+    return np.packbits(bit_matrix.reshape(groups, size * bits), axis=1, bitorder="little")
+
+
+def _unpack_uniform(packed: np.ndarray, size: int, bits: int) -> np.ndarray:
+    """``[groups, ceil(size*bits/8)]`` bytes to ``[groups, size]`` codes."""
+    groups = packed.shape[0]
+    if 8 % bits == 0:
+        per = 8 // bits
+        lanes = np.empty((groups, packed.shape[1], per), dtype=np.uint8)
+        for j in range(per):
+            np.right_shift(packed, j * bits, out=lanes[:, :, j])
+        lanes &= np.uint8((1 << bits) - 1)
+        return lanes.reshape(groups, -1)[:, :size]
+    bit_matrix = np.unpackbits(packed, axis=1, count=size * bits, bitorder="little").reshape(groups, size, bits)
+    codes = bit_matrix[:, :, 0].copy()
+    for j in range(1, bits):
+        codes |= bit_matrix[:, :, j] << j
+    return codes
 
 
 def pack_codes(codes: np.ndarray, group_sizes, bits: int) -> bytes:
@@ -40,27 +126,15 @@ def pack_codes(codes: np.ndarray, group_sizes, bits: int) -> bytes:
             expected=int(sizes.sum()),
             actual=int(codes.size),
         )
-    nbytes = pack_group_bytes(sizes, bits)
-    total_bytes = int(nbytes.sum())
-    if codes.size == 0:
-        return b""
-    # Global bit position of each code: group byte offset * 8 + in-group offset.
-    group_byte_start = np.concatenate(([0], np.cumsum(nbytes)[:-1]))
-    code_group = np.repeat(np.arange(sizes.size), sizes)
-    in_group = np.arange(codes.size) - np.repeat(np.concatenate(([0], np.cumsum(sizes)[:-1])), sizes)
-    code_bitpos = group_byte_start[code_group] * 8 + in_group * bits
-
-    bit_matrix = ((codes[:, None] >> np.arange(bits, dtype=np.uint8)) & 1).astype(np.uint8)
-    bitstream = np.zeros(total_bytes * 8, dtype=np.uint8)
-    positions = code_bitpos[:, None] + np.arange(bits)
-    bitstream[positions.ravel()] = bit_matrix.ravel()
-    return np.packbits(bitstream, bitorder="little").tobytes()
+    out = np.empty(int(pack_group_bytes(sizes, bits).sum()), dtype=np.uint8)
+    for size, _, at_codes, at_bytes in _uniform_runs(sizes, bits):
+        _put_rows(out, at_bytes, _pack_uniform(_rows(codes, at_codes, size), bits))
+    return out.tobytes()
 
 
 def unpack_codes(buf: bytes, group_sizes, bits: int) -> np.ndarray:
     """Inverse of :func:`pack_codes`; returns a uint8 code stream."""
     sizes = np.asarray(group_sizes, dtype=np.int64)
-    total = int(sizes.sum())
     nbytes = pack_group_bytes(sizes, bits)
     expected = int(nbytes.sum())
     if len(buf) != expected:
@@ -69,14 +143,8 @@ def unpack_codes(buf: bytes, group_sizes, bits: int) -> np.ndarray:
             expected=expected,
             actual=len(buf),
         )
-    if total == 0:
-        return np.zeros(0, dtype=np.uint8)
-    bitstream = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), bitorder="little")
-    group_byte_start = np.concatenate(([0], np.cumsum(nbytes)[:-1]))
-    code_group = np.repeat(np.arange(sizes.size), sizes)
-    in_group = np.arange(total) - np.repeat(np.concatenate(([0], np.cumsum(sizes)[:-1])), sizes)
-    code_bitpos = group_byte_start[code_group] * 8 + in_group * bits
-    positions = code_bitpos[:, None] + np.arange(bits)
-    bits_taken = bitstream[positions]
-    weights = (1 << np.arange(bits)).astype(np.uint16)
-    return (bits_taken.astype(np.uint16) @ weights).astype(np.uint8)
+    packed = np.frombuffer(buf, dtype=np.uint8)
+    out = np.empty(int(sizes.sum()), dtype=np.uint8)
+    for size, width, at_codes, at_bytes in _uniform_runs(sizes, bits):
+        _put_rows(out, at_codes, _unpack_uniform(_rows(packed, at_bytes, width), size, bits))
+    return out

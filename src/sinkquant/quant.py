@@ -50,7 +50,7 @@ from .errors import (
     ShapeError,
 )
 from .packing import pack_codes, packed_nbytes, unpack_codes
-from .tensors import as_tensor
+from .tensors import as_tensor, top_k_mask
 
 AXES = ("per_token", "per_channel", "per_tensor")
 MODES = ("dynamic", "static")
@@ -212,6 +212,19 @@ class QuantParams:
 
     def layout_for(self, shape: tuple[int, int]) -> GroupLayout:
         """Layout of ``shape`` under these parameters; raises on mismatch."""
+        layout = GroupLayout(shape, self.axis, self.mode, self.group_size)
+        self.check_fits(layout)
+        return layout
+
+    def check_fits(self, layout: GroupLayout) -> None:
+        """Raise ``LayoutError`` unless these parameters describe ``layout``."""
+        shape = layout.shape
+        if (layout.axis, layout.mode, layout.group_size) != (self.axis, self.mode, self.group_size):
+            raise LayoutError(
+                "parameters were computed under a different grouping",
+                params=(self.axis, self.mode, self.group_size),
+                layout=(layout.axis, layout.mode, layout.group_size),
+            )
         if self.mode == "dynamic":
             if tuple(shape) != tuple(self.shape):
                 raise LayoutError(
@@ -225,14 +238,12 @@ class QuantParams:
                 params_width=int(self.shape[1]),
                 tensor_width=int(shape[1]),
             )
-        layout = GroupLayout(shape, self.axis, self.mode, self.group_size)
         if layout.n_groups != self.n_groups:
             raise LayoutError(
                 "group count mismatch",
                 params_groups=int(self.n_groups),
                 layout_groups=int(layout.n_groups),
             )
-        return layout
 
 
 @dataclass
@@ -267,12 +278,8 @@ def _coerce_exclude(exclude, n: int) -> np.ndarray:
 def _outlier_mask(x: np.ndarray, spec: QuantSpec) -> np.ndarray:
     """Mask of the per-vector top-|.| entries that dense-and-sparse isolation removes."""
     layout = GroupLayout.for_spec(x.shape, spec)
-    mask = np.zeros(x.shape, dtype=bool)
     k = layout.outliers_per_vector(spec.sparse_fraction)
-    if k and x.size:
-        picked = np.argsort(-np.abs(layout.vectors(x)), axis=1, kind="stable")[:, :k]
-        np.put_along_axis(layout.vectors(mask), picked, True, axis=1)
-    return mask
+    return layout.vectors(top_k_mask(np.abs(layout.vectors(x)), k))
 
 
 def _group_minmax(x, layout: GroupLayout, valid: np.ndarray, clip: float | None):
@@ -351,8 +358,10 @@ def compute_params(x, spec: QuantSpec, exclude=None, outlier_mask=None) -> Quant
 
 def _encode(arr: np.ndarray, params: QuantParams, spec: QuantSpec, outliers) -> QuantizedTensor:
     layout = params.layout_for(arr.shape)
-    codes = np.rint(layout.to_group_major(arr) / layout.expand(params.scale)) + layout.expand(params.zero)
-    codes = np.clip(codes, 0, spec.levels).astype(np.uint8)
+    codes = layout.to_group_major(arr) / layout.expand(params.scale)
+    np.rint(codes, out=codes)
+    codes += layout.expand(params.zero)
+    codes = np.clip(codes, 0, spec.levels, out=codes).astype(np.uint8)
     if params.degenerate.any():
         codes[layout.expand(params.degenerate)] = 0
     idx = np.flatnonzero(outliers)
@@ -398,13 +407,22 @@ def dequantize(qt: QuantizedTensor, *more: QuantizedTensor) -> np.ndarray:
     one pass and returned row-stacked in argument order.
     """
     tensors = (qt, *more)
-    if any(t.shape != qt.shape or t.spec != qt.spec for t in more):
-        raise LayoutError("stacked tensors must share one shape and spec", shape=list(qt.shape))
-    layout, *_ = [t.layout() for t in tensors]  # each tensor's params must fit
-    p = {k: np.stack([getattr(t.params, k) for t in tensors]) for k in ("scale", "zero", "degenerate", "constant")}
+    layout = qt.layout()
+    for t in more:
+        if t.shape != qt.shape or t.spec != qt.spec:
+            raise LayoutError("stacked tensors must share one shape and spec", shape=list(qt.shape))
+        if t.params is not qt.params:
+            t.params.check_fits(layout)
+    fields = ("scale", "zero", "degenerate", "constant")
+    if all(t.params is qt.params for t in more):  # shared static parameters broadcast
+        p = {k: getattr(qt.params, k)[None] for k in fields}
+    else:
+        p = {k: np.concatenate([getattr(t.params, k) for t in tensors]).reshape(len(tensors), -1) for k in fields}
     sizes = np.tile(layout.group_sizes(), len(tensors))
-    codes = unpack_codes(b"".join(t.packed for t in tensors), sizes, qt.spec.bits).astype(np.float64)
-    stream = layout.expand(p["scale"]) * (codes.reshape(len(tensors), -1) - layout.expand(p["zero"]))
+    codes = unpack_codes(b"".join(t.packed for t in tensors), sizes, qt.spec.bits)
+    stream = codes.astype(np.float64).reshape(len(tensors), -1)
+    stream -= layout.expand(p["zero"])
+    stream *= layout.expand(p["scale"])
     if p["degenerate"].any():
         stream = np.where(layout.expand(p["degenerate"]), layout.expand(p["constant"]), stream)
     n, d = qt.shape

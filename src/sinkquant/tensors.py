@@ -50,6 +50,27 @@ def cosine_similarity(a, b) -> float:
     return float(np.clip(np.dot(va, vb) / (na * nb), -1.0, 1.0))
 
 
+def top_k_mask(scores: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the ``k`` largest entries in each row of a 2-D array.
+
+    Ties at the k-th largest value go to the lowest indices, so the mask
+    marks the first ``k`` entries of a stable descending sort. One partition
+    finds the k-th value; only rows with more ties than places count them.
+    """
+    n = scores.shape[1]
+    if k <= 0 or k >= n:
+        return np.full(scores.shape, k > 0)
+    kth = np.partition(scores, n - k, axis=1)[:, [n - k]]  # a copy: the partitioned array is freed
+    mask = scores > kth
+    ties = scores == kth
+    room = k - np.count_nonzero(mask, axis=1)
+    crowded = np.flatnonzero(np.count_nonzero(ties, axis=1) > room)
+    if crowded.size:
+        ties[crowded] &= np.cumsum(ties[crowded], axis=1) <= room[crowded, None]
+    mask |= ties
+    return mask
+
+
 def top_k_abs(values, k: int) -> list[tuple[int, float]]:
     """Indices and values of the k largest-magnitude entries.
 
@@ -59,10 +80,7 @@ def top_k_abs(values, k: int) -> list[tuple[int, float]]:
     if k < 0:
         raise ShapeError(f"k must be >= 0, got {k}")
     vec = np.asarray(values, dtype=np.float64).ravel()
-    if k == 0 or vec.size == 0:
-        return []
-    order = np.argsort(-np.abs(vec), kind="stable")[: min(k, vec.size)]
-    picked = np.sort(order)
+    picked = np.flatnonzero(top_k_mask(np.abs(vec)[None], k))
     return [(int(i), float(vec[i])) for i in picked]
 
 

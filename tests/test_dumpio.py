@@ -98,6 +98,16 @@ class TestDumpErrors:
             read_dump(str(path))
         assert err.value.context["offset"] == 16
 
+    @pytest.mark.parametrize("dims", [(2**63, 2), (2**32, 2**32, 1)])
+    def test_dims_whose_product_wraps_uint64_rejected(self, tmp_path, dims):
+        # Counted in uint64, these dims hold 0 elements and match the empty payload.
+        path = tmp_path / "w.kvsd"
+        head = b"KVSD" + struct.pack("<III", 1, 2, len(dims)) + struct.pack(f"<{len(dims)}Q", *dims)
+        path.write_bytes(head)
+        with pytest.raises(FormatError) as err:
+            read_dump(str(path))
+        assert err.value.context["actual"] == len(head)
+
     def test_zero_dim_rejected_on_write(self, tmp_path):
         with pytest.raises(ShapeError):
             write_dump(str(tmp_path / "z.kvsd"), np.zeros((0, 3)))

@@ -19,6 +19,7 @@ from sinkquant.quant import (
     dequantize,
     quantize,
     quantize_scheme,
+    _outlier_mask,
     quantize_tensor,
     scheme_specs,
 )
@@ -120,6 +121,41 @@ def dense_reference(shape, axis, mode, gs):
     t = -(-n // gs)
     tseg = np.arange(n, dtype=np.int64) // gs
     return d * t, np.arange(d, dtype=np.int64)[None, :] * t + tseg[:, None]
+
+
+def argsort_outlier_mask(x, spec):
+    """Reference selection: the first k entries of a stable descending sort of |x| per vector."""
+    layout = GroupLayout.for_spec(x.shape, spec)
+    mask = np.zeros(x.shape, dtype=bool)
+    k = layout.outliers_per_vector(spec.sparse_fraction)
+    if k and x.size:
+        picked = np.argsort(-np.abs(layout.vectors(x)), axis=1, kind="stable")[:, :k]
+        np.put_along_axis(layout.vectors(mask), picked, True, axis=1)
+    return mask
+
+
+class TestOutlierMask:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        layout=st.sampled_from(LAYOUTS),
+        n=st.integers(0, 30),
+        d=st.integers(1, 30),
+        k=st.sampled_from(["zero", "one", "len", "any"]),
+        fraction=st.floats(0.0, 1.0),
+        spread=st.integers(0, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_stable_argsort(self, layout, n, d, k, fraction, spread, seed):
+        # Integer values in [-spread, spread] make ties at the k-th magnitude common.
+        axis, mode = layout
+        x = np.random.default_rng(seed).integers(-spread, spread + 1, size=(n, d)).astype(float)
+        grouping = GroupLayout((n, d), axis, mode, 4)
+        fraction = {"zero": 0.0, "one": 1.0 / max(grouping.length, 1), "len": 1.0, "any": fraction}[k]
+        spec = QuantSpec(3, axis, mode, group_size=4, sparse_fraction=fraction)
+        got = _outlier_mask(x, spec)
+        assert got.shape == x.shape
+        np.testing.assert_array_equal(got, argsort_outlier_mask(x, spec))
+        assert got.sum() == grouping.outliers_per_vector(fraction) * grouping.n_vectors
 
 
 class TestGroupLayout:
