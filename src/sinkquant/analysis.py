@@ -106,17 +106,21 @@ def error_decomposition(
     Dynamic specs report the overall MSE plus the split between groups that
     contain sink tokens and groups that do not. Static specs need ``cal``
     (ConfigError otherwise) and additionally report the non-sink-token error
-    with sinks excluded from calibration and quantization.
+    with sinks excluded from calibration and quantization. The rows excluded
+    from calibration are ``cal_sinks`` (one collection per sample) or, when
+    it is ``None``, the calibration set's own ``cal.sinks``.
     """
     arr = as_tensor(x, ndim=2, name="input")
     n = arr.shape[0]
     sink_mask = sinks.mask(n)
+    if cal is not None and not isinstance(cal, CalibrationSet):
+        cal = CalibrationSet(cal)  # a plain sample list carries no sinks
     rows = []
     for spec in specs:
         if spec.mode == "static":
             if cal is None:
                 raise ConfigError("static specs require a calibration set", spec=spec.axis)
-            params_in = calibrate(cal, spec, exclude_sinks=False)
+            params_in = calibrate(cal, spec)
             recon = dequantize(quantize_tensor(arr, spec, params=params_in))
             err2 = (arr - recon) ** 2
             row = ErrorRow(
@@ -130,7 +134,7 @@ def error_decomposition(
                 elements=int(arr.size),
             )
             if len(sinks):
-                params_ex = calibrate(cal, spec, exclude_sinks=True, sinks_per_sample=cal_sinks)
+                params_ex = calibrate(cal, spec, exclude=cal.sinks if cal_sinks is None else cal_sinks)
                 sub = arr[~sink_mask]
                 recon_ex = dequantize(quantize_tensor(sub, spec, params=params_ex))
                 row.excluded = mse(sub, recon_ex)
@@ -288,12 +292,16 @@ def bias_disruption(
 
     q_heads = split_heads(q_arr, num_heads)
     scale = np.sqrt(q_heads.shape[-1])
+    # Attending to one-hot rows (a 1 at each sink row) returns exactly the
+    # sink columns of the attention weights, [heads, n, |S|].
+    one_hot = np.zeros((q_heads.shape[0], n, len(idx)))
+    one_hot[:, idx, np.arange(len(idx))] = 1.0
 
     def sink_terms(k_heads, v_heads):
         """Sink-column logits [heads, n, |S|] and per-token sink biases."""
         logits = q_heads @ k_heads[:, idx, :].transpose(0, 2, 1) / scale
-        _, attn = causal_attention(q_heads, k_heads, v_heads, keep_weights=True)
-        return logits, attn[:, first:, idx] @ v_heads[:, idx, :]
+        sink_attn, _ = causal_attention(q_heads, k_heads, one_hot)
+        return logits, sink_attn[:, first:] @ v_heads[:, idx, :]
 
     logits_fp, bias_fp = sink_terms(split_heads(k_arr, num_heads), split_heads(v_arr, num_heads))
     sink_cols = np.arange(n)[:, None] >= np.asarray(idx)  # [n, |S|] — positions where t >= s

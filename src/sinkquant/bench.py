@@ -68,7 +68,6 @@ def run_bench(
     bits: int = 2,
     group_size: int = 16,
     k: int = 5,
-    profile: SinkProfile | None = None,
     seed: int = 0,
 ) -> BenchReport:
     """Median prefill and detection times over ``repeats`` runs.
@@ -81,7 +80,7 @@ def run_bench(
     if tokens < 1:
         raise UsageError(f"token count must be >= 1, got {tokens}")
     cfg = cfg or reference_config()
-    profile = profile or reference_profile(cfg)
+    profile = reference_profile(cfg)
     weights = init_weights(cfg)
     rng = np.random.default_rng(seed)
     h0 = rng.normal(size=(tokens, cfg.hidden))

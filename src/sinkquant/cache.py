@@ -29,7 +29,7 @@ import itertools
 
 import numpy as np
 
-from .errors import BoundsError, ConfigError, ShapeError, StateError
+from .errors import BoundsError, ConfigError, FormatError, ShapeError, StateError
 from .quant import (
     GroupLayout,
     QuantizedTensor,
@@ -96,14 +96,13 @@ class KVCache:
         bits: int = 4,
         group_size: int = 16,
         sparse_fraction: float | None = None,
-        clip: float | None = None,
     ):
         if num_layers < 1:
             raise ConfigError(f"need at least one layer, got {num_layers}")
         self.num_layers = num_layers
         self.width = int(width)
         self.scheme = scheme
-        key_spec, value_spec = scheme_specs(scheme, bits, group_size, sparse_fraction, clip)
+        key_spec, value_spec = scheme_specs(scheme, bits, group_size, sparse_fraction)
         self.key_spec = key_spec
         self.value_spec = value_spec
         self._keys = [_Side(key_spec, self.width) for _ in range(num_layers)]
@@ -324,9 +323,17 @@ def load_snapshot(directory: str) -> dict:
 
     from . import dumpio
 
-    meta = dumpio.read_json(os.path.join(directory, "snapshot.json"))
-    for entry in meta["layers"]:
-        if entry.get("keys_file"):
-            entry["keys"] = dumpio.read_dump(os.path.join(directory, entry["keys_file"]))
-            entry["values"] = dumpio.read_dump(os.path.join(directory, entry["values_file"]))
+    path = os.path.join(directory, "snapshot.json")
+    meta = dumpio.read_json(path)
+    try:
+        files = [
+            (entry, os.path.join(directory, entry["keys_file"]), os.path.join(directory, entry["values_file"]))
+            for entry in meta["layers"]
+            if entry.get("keys_file")
+        ]
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise FormatError(f"malformed snapshot sidecar: {exc!r}", path=path) from exc
+    for entry, keys_file, values_file in files:
+        entry["keys"] = dumpio.read_dump(keys_file)
+        entry["values"] = dumpio.read_dump(values_file)
     return meta

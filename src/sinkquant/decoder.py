@@ -12,8 +12,8 @@ deterministic given (config, weights, input).
 
 Instrumentation:
 
-* any subset of {H, H_prime, X_d_in, X_d_out, Q, K, V, A} can be captured
-  per layer;
+* ``decoder_forward`` captures any subset of {H, H_prime, X_d_in, X_d_out,
+  Q, K, V, A} per layer;
 * injection hooks edit the down-projection output before the FFN residual
   add, either adding a planted magnitude at (token, channel) positions or
   cancelling the incoming residual there — the two edits that synthesize the
@@ -33,7 +33,7 @@ from scipy.special import erf, expit
 
 from . import dumpio
 from .cache import KVCache
-from .errors import BoundsError, ConfigError, NumericError, ShapeError
+from .errors import BoundsError, ConfigError, FormatError, NumericError, ShapeError
 from .sinks import SinkProfile, SinkSet, detect_sinks, preserve_first_n
 from .tensors import as_tensor, causal_attention, merge_heads, split_heads
 
@@ -319,7 +319,6 @@ def prefill_with_kvsink(
     pfn_n: int | None = None,
     magnitude_ratio: float | None = 100.0,
     hooks=(),
-    capture=(),
 ):
     """Prefill pass with an in-line quantized KV cache.
 
@@ -365,8 +364,7 @@ def prefill_with_kvsink(
         return cache.reconstruct(layer)
 
     h = h_arr
-    dumps = {}
-    for l, h, dumps in _run_stack(h_arr, weights, cfg, hooks, capture, kv_stage=kv_stage):
+    for l, h, _ in _run_stack(h_arr, weights, cfg, hooks, (), kv_stage=kv_stage):
         if mode == "kvsink" and l == profile.emergence_layer:
             preserved = detect_sinks(h, profile, k, magnitude_ratio)
     return h, cache, preserved
@@ -433,13 +431,19 @@ def save_weights(directory: str, weights: DecoderWeights, cfg: DecoderConfig) ->
 def load_weights(directory: str) -> tuple[DecoderWeights, DecoderConfig]:
     import os
 
-    manifest = dumpio.read_json(os.path.join(directory, "weights.json"))
-    cfg = DecoderConfig.from_json_dict(manifest["config"])
-    layers = []
-    for entry in manifest["layers"]:
-        fields = {
-            role: np.asarray(dumpio.read_dump(os.path.join(directory, entry[role])), dtype=np.float64)
-            for role in LayerWeights.MATRIX_ROLES
-        }
-        layers.append(LayerWeights(**fields))
+    path = os.path.join(directory, "weights.json")
+    manifest = dumpio.read_json(path)
+    try:
+        config = manifest["config"]
+        files = [
+            {role: os.path.join(directory, entry[role]) for role in LayerWeights.MATRIX_ROLES}
+            for entry in manifest["layers"]
+        ]
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"malformed weights manifest: {exc!r}", path=path) from exc
+    cfg = DecoderConfig.from_json_dict(config)
+    layers = [
+        LayerWeights(**{role: np.asarray(dumpio.read_dump(f), dtype=np.float64) for role, f in entry.items()})
+        for entry in files
+    ]
     return DecoderWeights(layers=layers), cfg

@@ -152,7 +152,7 @@ def write_manifest(entries, path: str) -> None:
     _atomic_write(path, data + b"\n")
 
 
-def load_manifest(path: str, validate_files: bool = True) -> list[ManifestEntry]:
+def load_manifest(path: str) -> list[ManifestEntry]:
     """Load and validate a manifest; referenced files must exist and shape-match."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -163,7 +163,6 @@ def load_manifest(path: str, validate_files: bool = True) -> list[ManifestEntry]
         raise FormatError(f"manifest is not valid JSON: {exc}", path=path) from exc
     if not isinstance(raw, list):
         raise FormatError("manifest must be a JSON list", path=path)
-    base = os.path.dirname(os.path.abspath(path))
     entries = []
     for i, obj in enumerate(raw):
         try:
@@ -181,17 +180,16 @@ def load_manifest(path: str, validate_files: bool = True) -> list[ManifestEntry]
             raise FormatError(
                 "unknown capture kind", path=path, entry=i, kind=entry.kind, allowed=list(CAPTURE_KINDS)
             )
-        if validate_files:
-            file_path = entry.file if os.path.isabs(entry.file) else os.path.join(base, entry.file)
-            arr = read_dump(file_path)
-            if arr.ndim == 2 and arr.shape != (entry.tokens, entry.hidden):
-                raise FormatError(
-                    "dump shape does not match manifest",
-                    path=file_path,
-                    entry=i,
-                    expected=[entry.tokens, entry.hidden],
-                    actual=list(arr.shape),
-                )
+        file_path = manifest_file_path(entry, path)
+        arr = read_dump(file_path)
+        if arr.ndim == 2 and arr.shape != (entry.tokens, entry.hidden):
+            raise FormatError(
+                "dump shape does not match manifest",
+                path=file_path,
+                entry=i,
+                expected=[entry.tokens, entry.hidden],
+                actual=list(arr.shape),
+            )
         entries.append(entry)
     return entries
 

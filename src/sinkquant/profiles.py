@@ -72,8 +72,13 @@ def _parse(text: str, source: str) -> SinkProfile:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"profile is not valid JSON: {exc}", path=source) from exc
+    if not isinstance(obj, dict):
+        raise FormatError("profile must be a JSON object", path=source)
     required = {"model_name", "total_layers", "emergence_layer", "hidden_size", "outlier_channels"}
     missing = sorted(required - set(obj))
     if missing:
         raise FormatError("profile missing required fields", path=source, missing=missing)
-    return SinkProfile.from_json_dict(obj)
+    try:
+        return SinkProfile.from_json_dict(obj)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"profile field of the wrong type: {exc}", path=source) from exc

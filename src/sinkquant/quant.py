@@ -34,6 +34,12 @@ Dense-and-sparse isolation (``sparse_fraction`` > 0) removes the top
 for per-token and per-tensor layouts, channel columns for per-channel),
 stores them at full precision, and computes parameters on the remainder.
 Token rows listed in an exclusion set contribute to no group statistics.
+
+``quantize_tensor`` is the one encode path (``quantize`` is the same call
+with parameters required): one ``GroupLayout`` and one outlier selection per
+call, then a parameter fit or one ``QuantParams.check_fits`` of given
+parameters, then the encode. ``compute_params`` and ``calibrate`` share its
+fit step.
 """
 
 from __future__ import annotations
@@ -275,11 +281,17 @@ def _coerce_exclude(exclude, n: int) -> np.ndarray:
     return rows
 
 
-def _outlier_mask(x: np.ndarray, spec: QuantSpec) -> np.ndarray:
+def _outlier_mask(x: np.ndarray, layout: GroupLayout, fraction: float) -> np.ndarray:
     """Mask of the per-vector top-|.| entries that dense-and-sparse isolation removes."""
-    layout = GroupLayout.for_spec(x.shape, spec)
-    k = layout.outliers_per_vector(spec.sparse_fraction)
+    k = layout.outliers_per_vector(fraction)
     return layout.vectors(top_k_mask(np.abs(layout.vectors(x)), k))
+
+
+def _valid_entries(x: np.ndarray, layout: GroupLayout, spec: QuantSpec, exclude) -> np.ndarray:
+    """Entries that enter group statistics: neither isolated outliers nor in an excluded row."""
+    valid = ~_outlier_mask(x, layout, spec.sparse_fraction)
+    valid[_coerce_exclude(exclude, x.shape[0])] = False
+    return valid
 
 
 def _group_minmax(x, layout: GroupLayout, valid: np.ndarray, clip: float | None):
@@ -318,7 +330,9 @@ def _group_minmax(x, layout: GroupLayout, valid: np.ndarray, clip: float | None)
     return cmin, cmax, counts
 
 
-def _params_from_minmax(spec: QuantSpec, shape, cmin, cmax, counts) -> QuantParams:
+def _fit(x: np.ndarray, layout: GroupLayout, spec: QuantSpec, valid: np.ndarray) -> QuantParams:
+    """Min-max (scale, zero) per group of ``layout`` over the valid entries of ``x``."""
+    cmin, cmax, counts = _group_minmax(x, layout, valid, spec.clip)
     rng = cmax - cmin
     degenerate = (counts == 0) | (rng <= 0.0)
     scale = np.where(degenerate, 1.0, rng / spec.levels)
@@ -328,7 +342,7 @@ def _params_from_minmax(spec: QuantSpec, shape, cmin, cmax, counts) -> QuantPara
         axis=spec.axis,
         mode=spec.mode,
         group_size=spec.group_size,
-        shape=tuple(int(s) for s in shape),
+        shape=layout.shape,
         scale=scale,
         zero=zero,
         degenerate=degenerate,
@@ -336,28 +350,31 @@ def _params_from_minmax(spec: QuantSpec, shape, cmin, cmax, counts) -> QuantPara
     )
 
 
-def compute_params(x, spec: QuantSpec, exclude=None, outlier_mask=None) -> QuantParams:
+def compute_params(x, spec: QuantSpec, exclude=None) -> QuantParams:
     """Per-group (scale, zero) for ``x`` under ``spec``.
 
-    Token rows in ``exclude`` contribute to no group statistics. When the
-    spec isolates outliers and no explicit ``outlier_mask`` is given, the
-    per-vector selection is applied first so parameters cover the remainder.
+    Token rows in ``exclude`` contribute to no group statistics, and neither
+    do the entries that the spec's dense-and-sparse isolation removes.
     """
     arr = _canonical(x)
     layout = GroupLayout.for_spec(arr.shape, spec)
-    valid = np.ones(arr.shape, dtype=bool)
-    rows = _coerce_exclude(exclude, arr.shape[0])
-    if rows.size:
-        valid[rows, :] = False
-    if outlier_mask is None:
-        outlier_mask = _outlier_mask(arr, spec)
-    valid &= ~outlier_mask
-    cmin, cmax, counts = _group_minmax(arr, layout, valid, spec.clip)
-    return _params_from_minmax(spec, arr.shape, cmin, cmax, counts)
+    return _fit(arr, layout, spec, _valid_entries(arr, layout, spec, exclude))
 
 
-def _encode(arr: np.ndarray, params: QuantParams, spec: QuantSpec, outliers) -> QuantizedTensor:
-    layout = params.layout_for(arr.shape)
+def quantize_tensor(x, spec: QuantSpec, params: QuantParams | None = None) -> QuantizedTensor:
+    """The quantize pipeline: one layout, one outlier pass, then fit or check parameters and encode.
+
+    Given ``params`` must describe the layout of ``x`` under ``spec`` (else
+    ``LayoutError``); without them the parameters are fitted to the entries
+    left after outlier isolation.
+    """
+    arr = _canonical(x)
+    layout = GroupLayout.for_spec(arr.shape, spec)
+    outliers = _outlier_mask(arr, layout, spec.sparse_fraction)
+    if params is None:
+        params = _fit(arr, layout, spec, ~outliers)
+    else:
+        params.check_fits(layout)
     codes = layout.to_group_major(arr) / layout.expand(params.scale)
     np.rint(codes, out=codes)
     codes += layout.expand(params.zero)
@@ -366,7 +383,7 @@ def _encode(arr: np.ndarray, params: QuantParams, spec: QuantSpec, outliers) -> 
         codes[layout.expand(params.degenerate)] = 0
     idx = np.flatnonzero(outliers)
     return QuantizedTensor(
-        shape=tuple(int(s) for s in arr.shape),
+        shape=layout.shape,
         spec=spec,
         params=params,
         packed=pack_codes(codes, layout.group_sizes(), spec.bits),
@@ -376,28 +393,8 @@ def _encode(arr: np.ndarray, params: QuantParams, spec: QuantSpec, outliers) -> 
 
 
 def quantize(x, params: QuantParams, spec: QuantSpec) -> QuantizedTensor:
-    """Encode ``x`` with pre-computed parameters.
-
-    With ``sparse_fraction`` > 0 the per-vector outliers are pulled out of the
-    tensor first (the parameters should have been computed on the remainder).
-    """
-    arr = _canonical(x)
-    if (params.axis, params.group_size) != (spec.axis, spec.group_size) or params.mode != spec.mode:
-        raise LayoutError(
-            "parameters were computed under a different spec",
-            params=(params.axis, params.mode, params.group_size),
-            spec=(spec.axis, spec.mode, spec.group_size),
-        )
-    return _encode(arr, params, spec, _outlier_mask(arr, spec))
-
-
-def quantize_tensor(x, spec: QuantSpec, params: QuantParams | None = None, exclude=None) -> QuantizedTensor:
-    """One-call pipeline: isolate outliers, derive parameters, encode."""
-    arr = _canonical(x)
-    mask = _outlier_mask(arr, spec)
-    if params is None:
-        params = compute_params(arr, spec, exclude=exclude, outlier_mask=mask)
-    return _encode(arr, params, spec, mask)
+    """Encode ``x`` with pre-computed parameters: ``quantize_tensor(x, spec, params=params)``."""
+    return quantize_tensor(x, spec, params=params)
 
 
 def dequantize(qt: QuantizedTensor, *more: QuantizedTensor) -> np.ndarray:
@@ -460,12 +457,12 @@ class CalibrationSet:
         return len(self.samples)
 
 
-def calibrate(cal, spec: QuantSpec, exclude_sinks: bool = False, sinks_per_sample=None) -> QuantParams:
+def calibrate(cal, spec: QuantSpec, exclude=None) -> QuantParams:
     """Global min-max calibration across samples, frozen for reuse.
 
-    With ``exclude_sinks`` the given sink-token rows are dropped from the
-    statistics of every sample. Dense-and-sparse specs strip each sample's
-    per-vector outliers before accumulating extrema.
+    ``exclude`` holds one collection of token rows per sample (``None`` for
+    none), dropped from that sample's statistics; ``None`` drops nothing.
+    Each sample's own dense-and-sparse outliers are left out as well.
     """
     if spec.mode != "static":
         raise ConfigError("calibration applies to static mode only", mode=spec.mode)
@@ -473,26 +470,15 @@ def calibrate(cal, spec: QuantSpec, exclude_sinks: bool = False, sinks_per_sampl
         cal = CalibrationSet(cal)
     if len(cal) == 0:
         raise CalibrationError("empty calibration set")
-    if sinks_per_sample is None:
-        sinks_per_sample = cal.sinks
-    if len(sinks_per_sample) != len(cal):
-        raise CalibrationError("one sink set per calibration sample expected")
-
-    blocks = []
-    masks = []
-    excludes = []
-    offset = 0
-    for sample, sinks in zip(cal.samples, sinks_per_sample):
-        blocks.append(sample)
-        masks.append(_outlier_mask(sample, spec))
-        if exclude_sinks and sinks is not None:
-            rows = _coerce_exclude(sinks, sample.shape[0])
-            excludes.extend(int(r) + offset for r in rows)
-        offset += sample.shape[0]
-    combined = np.vstack(blocks)
-    mask = np.vstack(masks)
-    params = compute_params(combined, spec, exclude=excludes, outlier_mask=mask)
-    return params
+    exclude = [None] * len(cal) if exclude is None else list(exclude)
+    if len(exclude) != len(cal):
+        raise CalibrationError("one exclusion set per calibration sample expected")
+    valid = [
+        _valid_entries(sample, GroupLayout.for_spec(sample.shape, spec), spec, rows)
+        for sample, rows in zip(cal.samples, exclude)
+    ]
+    combined = np.vstack(cal.samples)
+    return _fit(combined, GroupLayout.for_spec(combined.shape, spec), spec, np.vstack(valid))
 
 
 @dataclass(frozen=True)
@@ -520,15 +506,15 @@ SCHEME_PRESETS = {
 
 
 def scheme_specs(
-    scheme: str, bits: int, group_size: int, sparse_fraction: float | None = None, clip: float | None = None
+    scheme: str, bits: int, group_size: int, sparse_fraction: float | None = None
 ) -> tuple[QuantSpec, QuantSpec]:
     """(key spec, value spec) for a named preset."""
     preset = SCHEME_PRESETS.get(scheme)
     if preset is None:
         raise ConfigError(f"unknown scheme preset {scheme!r}", allowed=sorted(SCHEME_PRESETS))
     fs = preset.default_sparse if sparse_fraction is None else sparse_fraction
-    key = QuantSpec(bits, preset.key_axis, preset.key_mode, group_size, clip, fs)
-    value = QuantSpec(bits, preset.value_axis, preset.value_mode, group_size, clip, fs)
+    key = QuantSpec(bits, preset.key_axis, preset.key_mode, group_size, sparse_fraction=fs)
+    value = QuantSpec(bits, preset.value_axis, preset.value_mode, group_size, sparse_fraction=fs)
     return key, value
 
 
@@ -541,18 +527,16 @@ def quantize_scheme(
     bits: int = 4,
     group_size: int = 16,
     sparse_fraction: float | None = None,
-    clip: float | None = None,
     key_params: QuantParams | None = None,
-    value_params: QuantParams | None = None,
     key_calibration=None,
     value_calibration=None,
 ) -> tuple[QuantizedTensor, QuantizedTensor]:
     """Quantize a (K, V) pair under a named preset, skipping sink rows.
 
     Sink-token rows never enter the quantized tensors; the caller keeps them
-    at full precision (normally in the cache's sink region). Static sides use
-    ``*_params`` when given, otherwise calibrate on the supplied calibration
-    set, otherwise self-calibrate on the non-sink rows of the input.
+    at full precision (normally in the cache's sink region). A static key side
+    uses ``key_params`` when given; otherwise static sides calibrate on the
+    supplied calibration set, or else on the non-sink rows of the input.
     """
     k_arr = _canonical(keys, name="keys")
     v_arr = _canonical(values, name="values")
@@ -562,7 +546,7 @@ def quantize_scheme(
             keys=list(k_arr.shape),
             values=list(v_arr.shape),
         )
-    key_spec, value_spec = scheme_specs(scheme, bits, group_size, sparse_fraction, clip)
+    key_spec, value_spec = scheme_specs(scheme, bits, group_size, sparse_fraction)
     rows = _coerce_exclude(sinks, k_arr.shape[0])
     keep = np.ones(k_arr.shape[0], dtype=bool)
     keep[rows] = False
@@ -576,5 +560,5 @@ def quantize_scheme(
 
     return (
         _side(k_arr, key_spec, key_params, key_calibration),
-        _side(v_arr, value_spec, value_params, value_calibration),
+        _side(v_arr, value_spec, None, value_calibration),
     )

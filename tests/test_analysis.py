@@ -13,8 +13,9 @@ from sinkquant.analysis import (
     rows_to_csv_text,
 )
 from sinkquant.errors import ConfigError, ShapeError
-from sinkquant.quant import CalibrationSet, QuantSpec
+from sinkquant.quant import CalibrationSet, QuantSpec, dequantize, quantize_tensor
 from sinkquant.sinks import SinkSet
+from sinkquant.tensors import causal_attention, split_heads
 
 
 def planted_tensor(n=64, d=64, sinks=(3, 17), factor=1000.0, seed=0):
@@ -195,6 +196,27 @@ class TestBiasDisruption:
         k, v, q, _ = self.fixture()
         with pytest.raises(ConfigError):
             bias_disruption(k, v, q, SinkSet.empty(), [QuantSpec(4)])
+
+    def test_matches_full_attention_weights(self):
+        # Reference: sink columns read from the full [heads, n, n] weights. 300 tokens span two tiles.
+        k, v, q, _ = self.fixture(n=300, seed=13)
+        sinks = SinkSet.of([4, 9, 270])
+        idx, heads = list(sinks), 2
+        specs = [QuantSpec(2, "per_token", group_size=8), QuantSpec(3, "per_channel", group_size=8)]
+        q_heads = split_heads(q, heads)
+
+        def sink_terms(k_flat, v_flat):
+            k_heads, v_heads = split_heads(k_flat, heads), split_heads(v_flat, heads)
+            logits = q_heads @ k_heads[:, idx, :].transpose(0, 2, 1) / np.sqrt(q_heads.shape[-1])
+            _, attn = causal_attention(q_heads, k_heads, v_heads, keep_weights=True)
+            return logits, attn[:, idx[0]:, idx] @ v_heads[:, idx, :]
+
+        logits_fp, bias_fp = sink_terms(k, v)
+        visible = np.arange(300)[:, None] >= np.asarray(idx)
+        for spec, row in zip(specs, bias_disruption(k, v, q, sinks, specs, num_heads=heads)):
+            logits, bias = sink_terms(dequantize(quantize_tensor(k, spec)), dequantize(quantize_tensor(v, spec)))
+            assert row["attention_score_delta"] == float(np.abs(logits - logits_fp)[:, visible].max())
+            assert row["bias_l2_delta"] == float(np.linalg.norm(bias - bias_fp, axis=2).mean())
 
 
 class TestQKDiagnostics:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from sinkquant.cache import (
     predict_footprint,
     save_snapshot,
 )
-from sinkquant.errors import BoundsError, ConfigError, ShapeError, StateError
+from sinkquant.errors import BoundsError, ConfigError, FormatError, ShapeError, StateError
 from sinkquant.quant import SCHEME_PRESETS, QuantSpec, calibrate, dequantize, quantize_scheme
 
 
@@ -294,3 +296,12 @@ class TestSnapshot:
         np.testing.assert_array_equal(layer0["keys"], rk)
         np.testing.assert_array_equal(layer0["values"], rv)
         assert meta["layers"][1]["tokens"] == 0
+
+    @pytest.mark.parametrize(
+        "sidecar",
+        [[], {"scheme": "pt_kv_dynamic"}, {"layers": 3}, {"layers": [7]}, {"layers": [{"keys_file": "k.kvsd"}]}],
+    )
+    def test_malformed_sidecar_fails_typed(self, tmp_path, sidecar):
+        (tmp_path / "snapshot.json").write_text(json.dumps(sidecar))
+        with pytest.raises(FormatError):
+            load_snapshot(str(tmp_path))

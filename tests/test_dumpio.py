@@ -21,6 +21,7 @@ from sinkquant.dumpio import (
     write_manifest,
     write_quantized,
 )
+from sinkquant.decoder import load_weights
 from sinkquant.errors import FormatError, NumericError, ShapeError, SinkQuantError
 from sinkquant.quant import QuantSpec, dequantize, quantize_tensor
 
@@ -169,6 +170,15 @@ class TestManifest:
         json.dump(raw, open(path, "w"))
         with pytest.raises(FormatError):
             load_manifest(path)
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [[], {"config": {}}, {"layers": []}, {"config": {}, "layers": [{"wq": "wq.kvsd"}]}, {"config": {}, "layers": 2}],
+    )
+    def test_malformed_weights_manifest_fails_typed(self, tmp_path, manifest):
+        (tmp_path / "weights.json").write_text(json.dumps(manifest))
+        with pytest.raises(FormatError):
+            load_weights(str(tmp_path))
 
     def test_capture_kind_names(self):
         assert CAPTURE_KINDS == ("H", "H_prime", "X_d_in", "X_d_out", "Q", "K", "V", "A")

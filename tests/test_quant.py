@@ -152,7 +152,7 @@ class TestOutlierMask:
         grouping = GroupLayout((n, d), axis, mode, 4)
         fraction = {"zero": 0.0, "one": 1.0 / max(grouping.length, 1), "len": 1.0, "any": fraction}[k]
         spec = QuantSpec(3, axis, mode, group_size=4, sparse_fraction=fraction)
-        got = _outlier_mask(x, spec)
+        got = _outlier_mask(x, grouping, fraction)
         assert got.shape == x.shape
         np.testing.assert_array_equal(got, argsort_outlier_mask(x, spec))
         assert got.sum() == grouping.outliers_per_vector(fraction) * grouping.n_vectors
@@ -297,6 +297,41 @@ class TestQuantizeDequantize:
         with pytest.raises(LayoutError):
             quantize(np.zeros((3, 8)), p, QuantSpec(4, "per_channel", group_size=4))
 
+    def test_params_from_another_grouping_rejected(self):
+        # 16x8 at group size 4: per-token and per-channel dynamic layouts both have 32 groups.
+        x = np.random.default_rng(13).normal(size=(16, 8))
+        per_token = compute_params(x, QuantSpec(4, "per_token", group_size=4))
+        per_channel = QuantSpec(4, "per_channel", group_size=4)
+        assert per_token.n_groups == GroupLayout.for_spec(x.shape, per_channel).n_groups
+        with pytest.raises(LayoutError):
+            quantize_tensor(x, per_channel, params=per_token)
+        # kvquant_like keys are per-channel static: one group per column, as per-token static at group size 1.
+        keys = np.random.default_rng(14).normal(size=(20, 8))
+        per_token_static = calibrate([keys], QuantSpec(2, "per_token", "static", group_size=1))
+        assert per_token_static.n_groups == 8
+        with pytest.raises(LayoutError):
+            quantize_scheme(keys, keys, "kvquant_like", bits=2, group_size=16, key_params=per_token_static)
+
+    @pytest.mark.parametrize("mode", ["dynamic", "static"])
+    def test_one_layout_per_quantize_call(self, monkeypatch, mode):
+        rng = np.random.default_rng(15)
+        spec = QuantSpec(3, "per_channel", mode, group_size=4, sparse_fraction=0.25)
+        params = calibrate([rng.normal(size=(8, 6))], spec) if mode == "static" else None
+        built = []
+        init = GroupLayout.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GroupLayout, "__init__", counting_init)
+        quantize_tensor(rng.normal(size=(8, 6)), spec)
+        assert len(built) == 1
+        given = params if params is not None else compute_params(rng.normal(size=(8, 6)), spec)
+        built.clear()
+        quantize_tensor(rng.normal(size=(8, 6)), spec, params=given)
+        assert len(built) == 1
+
     def test_static_params_reusable_across_token_counts(self):
         rng = np.random.default_rng(11)
         spec = QuantSpec(4, "per_channel", "static", group_size=4)
@@ -359,7 +394,7 @@ class TestRoundTripProperties:
         keep = np.arange(32) != 7
         full_params = calibrate([x], spec)
         err_incl = np.mean((x[keep] - dequantize(quantize(x, full_params, spec))[keep]) ** 2)
-        excl_params = calibrate([x], spec, exclude_sinks=True, sinks_per_sample=[[7]])
+        excl_params = calibrate([x], spec, exclude=[[7]])
         err_excl = np.mean((x[keep] - dequantize(quantize(x[keep], excl_params, spec))) ** 2)
         assert err_excl < err_incl
 
@@ -390,7 +425,7 @@ class TestCalibration:
         planted = clean.copy()
         planted[5] = 1000.0
         spec = QuantSpec(4, "per_token", "static", group_size=8)
-        a = calibrate([planted], spec, exclude_sinks=True, sinks_per_sample=[[5]])
+        a = calibrate([planted], spec, exclude=[[5]])
         b = calibrate([np.delete(clean, 5, axis=0)], spec)
         np.testing.assert_array_equal(a.scale, b.scale)
 

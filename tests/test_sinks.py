@@ -296,6 +296,21 @@ class TestProfileRegistry:
         with pytest.raises(FormatError):
             load_profile(str(path2))
 
+    @pytest.mark.parametrize(
+        "field, value", [("total_layers", "a"), ("outlier_channels", 5), ("outlier_channels", ["x"])]
+    )
+    def test_wrongly_typed_profile_field(self, tmp_path, field, value):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps({**plain_profile().to_json_dict(), field: value}))
+        with pytest.raises(FormatError):
+            load_profile(str(path))
+
+    def test_profile_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps(sorted(plain_profile().to_json_dict())))
+        with pytest.raises(FormatError):
+            load_profile(str(path))
+
     def test_profile_validation(self):
         with pytest.raises(ConfigError):
             SinkProfile("x", 4, 4, 64, (1,))
