@@ -89,7 +89,7 @@ def read_dump(path: str) -> np.ndarray:
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in a path read from a sidecar
         raise FormatError(f"cannot read dump: {exc}", path=path) from exc
     if len(blob) < 16:
         raise FormatError("dump shorter than the fixed header", path=path, offset=0, actual=len(blob))
@@ -154,13 +154,7 @@ def write_manifest(entries, path: str) -> None:
 
 def load_manifest(path: str) -> list[ManifestEntry]:
     """Load and validate a manifest; referenced files must exist and shape-match."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise FormatError(f"cannot read manifest: {exc}", path=path) from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"manifest is not valid JSON: {exc}", path=path) from exc
+    raw = read_json(path)
     if not isinstance(raw, list):
         raise FormatError("manifest must be a JSON list", path=path)
     entries = []
@@ -174,7 +168,7 @@ def load_manifest(path: str) -> list[ManifestEntry]:
                 hidden=int(obj["hidden"]),
                 file=str(obj["file"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"manifest entry {i} malformed: {exc}", path=path, entry=i) from exc
         if entry.kind not in CAPTURE_KINDS:
             raise FormatError(
@@ -245,7 +239,7 @@ def read_quantized(path: str) -> QuantizedTensor:
         raise FormatError("unsupported format version", path=path, offset=4, actual=version)
     try:
         header = json.loads(blob[12 : 12 + head_len])
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"corrupt header: {exc}", path=path, offset=12) from exc
     spec, shape, params_shape, sections = _parse_qheader(header, path)
     layout = GroupLayout.for_spec(shape, spec)
@@ -345,5 +339,5 @@ def read_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise FormatError(f"cannot read JSON file: {exc}", path=path) from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise FormatError(f"invalid JSON: {exc}", path=path) from exc

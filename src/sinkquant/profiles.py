@@ -62,7 +62,7 @@ def load_profile_file(path: str) -> SinkProfile:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read profile file: {exc}", path=path) from exc
     return _parse(text, source=path)
 
@@ -70,7 +70,7 @@ def load_profile_file(path: str) -> SinkProfile:
 def _parse(text: str, source: str) -> SinkProfile:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"profile is not valid JSON: {exc}", path=source) from exc
     if not isinstance(obj, dict):
         raise FormatError("profile must be a JSON object", path=source)
@@ -80,5 +80,5 @@ def _parse(text: str, source: str) -> SinkProfile:
         raise FormatError("profile missing required fields", path=source, missing=missing)
     try:
         return SinkProfile.from_json_dict(obj)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"profile field of the wrong type: {exc}", path=source) from exc

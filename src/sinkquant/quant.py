@@ -40,6 +40,12 @@ with parameters required): one ``GroupLayout`` and one outlier selection per
 call, then a parameter fit or one ``QuantParams.check_fits`` of given
 parameters, then the encode. ``compute_params`` and ``calibrate`` share its
 fit step.
+
+All float arithmetic (the fit's min-max, the encode and the decode) runs in
+the tensor's own memory order, on the segment views of
+``GroupLayout.segments`` with per-group parameters broadcast over them. Only
+the uint8 codes are reordered to and from the group-major packed stream. The
+``clip`` quantile fit is the exception: it sorts the group-major stream.
 """
 
 from __future__ import annotations
@@ -116,8 +122,9 @@ class GroupLayout:
     ``s`` of every vector is one shared group (per-token static, per-tensor),
     or else every (vector, segment) pair is a group, numbered vector-major.
     The group-major stream (the packed-code order) lists groups by id, each
-    row-major. Group sizes, the stream, its inverse and per-element expansion
-    of per-group values all follow from the table by reshapes and transposes.
+    row-major. Group sizes, the stream, its inverse, per-element expansion of
+    per-group values and the segment views of :meth:`segments` all follow
+    from the table by reshapes and transposes.
     """
 
     def __init__(self, shape: tuple[int, int], axis: str, mode: str, group_size: int):
@@ -137,6 +144,13 @@ class GroupLayout:
         # Vectors stacked in one group, and groups per segment position.
         self.stack, self.copies = (self.n_vectors, 1) if self.shared else (1, self.n_vectors)
         self.n_groups = self.copies * (self.full + (self.tail > 0))
+        # Segment views (see ``segments``): segment positions, span of the grouped axis, segments, size.
+        cut = self.full * self.segment
+        self._parts = [(slice(0, self.full), slice(0, cut), self.full, self.segment)] if self.full else []
+        if self.tail:
+            self._parts.append((slice(self.full, None), slice(cut, None), 1, self.tail))
+        # Axes of a segment view that one group spans.
+        self.group_axes = (-2,) if not self.by_rows else (-3, -1) if self.shared else (-1,)
         self._sizes = None
 
     @classmethod
@@ -193,6 +207,42 @@ class GroupLayout:
     def expand(self, per_group: np.ndarray) -> np.ndarray:
         """Per-group values [..., n_groups] repeated onto every element of the group-major stream."""
         return np.repeat(per_group, self.group_sizes(), axis=-1)
+
+    def segments(self, x, *per_group: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+        """Views of an [..., n, d] array by segment length, each with its per-group values.
+
+        Token-row layouts split the channel axis into [..., n, segs, size],
+        channel layouts the token axis into [..., segs, size, d]: one view for
+        the full segments and one of size ``tail`` for a shorter last segment.
+        ``x`` may be a tuple of same-shape arrays; each entry then holds one
+        view of every array. Each [..., n_groups] array in ``per_group`` comes
+        back as the view's slice of it, shaped [..., copies, segs, 1] (rows)
+        or [..., segs, 1, d] (channels) to broadcast against it. Channel
+        slices are contiguous copies: broadcasting a transposed one is ~5x
+        slower. A reduction of the view over ``group_axes`` with ``keepdims``
+        has the same shape, and :meth:`from_segments` maps such per-view
+        arrays back to groups.
+        """
+        arrays = x if isinstance(x, tuple) else (x,)
+        lead = arrays[0].shape[:-2]
+        n, d = self.shape
+        grid = (self.copies, self.full + (self.tail > 0))
+        grids = [p.reshape(p.shape[:-1] + grid) for p in per_group]
+        out = []
+        for which, span, segs, size in self._parts:
+            if self.by_rows:
+                views = [a[..., span].reshape(lead + (n, segs, size)) for a in arrays]
+                params = [g[..., which, None] for g in grids]
+            else:
+                views = [a[..., span, :].reshape(lead + (segs, size, d)) for a in arrays]
+                params = [np.ascontiguousarray(g[..., which].swapaxes(-1, -2))[..., None, :] for g in grids]
+            out.append((*views, *params))
+        return out
+
+    def from_segments(self, parts: list[np.ndarray]) -> np.ndarray:
+        """Per-group [n_groups] values from one parameter-shaped array per :meth:`segments` view."""
+        joined = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-2 if self.by_rows else -3)
+        return (joined[..., 0] if self.by_rows else joined[..., 0, :].T).ravel()
 
     def group_ids(self) -> np.ndarray:
         """Dense [n, d] map of group ids (for analyses; quantization never builds it)."""
@@ -284,7 +334,10 @@ def _coerce_exclude(exclude, n: int) -> np.ndarray:
 def _outlier_mask(x: np.ndarray, layout: GroupLayout, fraction: float) -> np.ndarray:
     """Mask of the per-vector top-|.| entries that dense-and-sparse isolation removes."""
     k = layout.outliers_per_vector(fraction)
-    return layout.vectors(top_k_mask(np.abs(layout.vectors(x)), k))
+    if k in (0, layout.length):  # nothing to rank: skip the magnitude copy
+        return np.full(x.shape, k > 0)
+    # Rank each vector in a row-contiguous copy; partitioning rows of a transposed view is ~7x slower.
+    return np.ascontiguousarray(layout.vectors(top_k_mask(np.abs(layout.vectors(x), order="C"), k)))
 
 
 def _valid_entries(x: np.ndarray, layout: GroupLayout, spec: QuantSpec, exclude) -> np.ndarray:
@@ -295,49 +348,52 @@ def _valid_entries(x: np.ndarray, layout: GroupLayout, spec: QuantSpec, exclude)
 
 
 def _group_minmax(x, layout: GroupLayout, valid: np.ndarray, clip: float | None):
-    """Per-group (cmin, cmax, count) over positions marked valid."""
-    cmin = np.zeros(layout.n_groups)
-    cmax = np.zeros(layout.n_groups)
-    if not valid.any():
-        return cmin, cmax, np.zeros(layout.n_groups, dtype=np.int64)
-    # A layout has empty groups only when the whole tensor is empty.
-    sizes = layout.group_sizes()
-    starts = np.cumsum(sizes) - sizes
-    vals = layout.to_group_major(x)
-    keep = layout.to_group_major(valid)
-    counts = np.add.reduceat(keep, starts, dtype=np.int64)
+    """Per-group (cmin, cmax) over positions marked valid; both 0 for a group without any."""
+    if not layout.n_groups:
+        return np.zeros(0), np.zeros(0)
+    axes = layout.group_axes
+    views = layout.segments((x, valid))
+    counts = layout.from_segments(
+        [np.add.reduce(keep, axis=axes, dtype=np.int64, keepdims=True) for _, keep in views]
+    )
     present = counts > 0
-    if clip:
-        # Linear-interpolated quantiles at clip and 1-clip per group.
-        kept = vals[keep]
-        sorted_vals = kept[np.lexsort((kept, np.repeat(np.arange(layout.n_groups), counts)))]
-        kept_starts = np.cumsum(counts) - counts
-        pos_lo = clip * (counts - 1)
-        pos_hi = (1.0 - clip) * (counts - 1)
-        for target, pos in ((cmin, pos_lo), (cmax, pos_hi)):
-            base = np.floor(pos).astype(np.int64)
-            frac = pos - base
-            idx0 = kept_starts + np.where(present, base, 0)
-            idx1 = np.minimum(idx0 + 1, kept_starts + np.maximum(counts - 1, 0))
-            lo = sorted_vals[np.minimum(idx0, sorted_vals.size - 1)]
-            hi = sorted_vals[np.minimum(idx1, sorted_vals.size - 1)]
-            target[:] = lo * (1.0 - frac) + hi * frac
+    if not clip:
+        cmin, cmax = (
+            layout.from_segments(
+                [ufunc.reduce(vals, axis=axes, where=keep, initial=start, keepdims=True) for vals, keep in views]
+            )
+            for ufunc, start in ((np.minimum, np.inf), (np.maximum, -np.inf))
+        )
     else:
-        cmin[:] = np.minimum.reduceat(np.where(keep, vals, np.inf), starts)
-        cmax[:] = np.maximum.reduceat(np.where(keep, vals, -np.inf), starts)
-    cmin[~present] = 0.0
-    cmax[~present] = 0.0
-    return cmin, cmax, counts
+        # Linear-interpolated quantiles at clip and 1-clip per group, over the group-major stream.
+        cmin, cmax = np.zeros(layout.n_groups), np.zeros(layout.n_groups)
+        if present.any():
+            kept = layout.to_group_major(x)[layout.to_group_major(valid)]
+            sorted_vals = kept[np.lexsort((kept, np.repeat(np.arange(layout.n_groups), counts)))]
+            kept_starts = np.cumsum(counts) - counts
+            pos_lo = clip * (counts - 1)
+            pos_hi = (1.0 - clip) * (counts - 1)
+            for target, pos in ((cmin, pos_lo), (cmax, pos_hi)):
+                base = np.floor(pos).astype(np.int64)
+                frac = pos - base
+                idx0 = kept_starts + np.where(present, base, 0)
+                idx1 = np.minimum(idx0 + 1, kept_starts + np.maximum(counts - 1, 0))
+                lo = sorted_vals[np.minimum(idx0, sorted_vals.size - 1)]
+                hi = sorted_vals[np.minimum(idx1, sorted_vals.size - 1)]
+                target[:] = lo * (1.0 - frac) + hi * frac
+    absent = ~present
+    cmin[absent] = 0.0
+    cmax[absent] = 0.0
+    return cmin, cmax
 
 
 def _fit(x: np.ndarray, layout: GroupLayout, spec: QuantSpec, valid: np.ndarray) -> QuantParams:
     """Min-max (scale, zero) per group of ``layout`` over the valid entries of ``x``."""
-    cmin, cmax, counts = _group_minmax(x, layout, valid, spec.clip)
+    cmin, cmax = _group_minmax(x, layout, valid, spec.clip)
     rng = cmax - cmin
-    degenerate = (counts == 0) | (rng <= 0.0)
+    degenerate = rng <= 0.0  # groups without valid entries have cmin = cmax = 0
     scale = np.where(degenerate, 1.0, rng / spec.levels)
     zero = np.where(degenerate, 0, -np.rint(cmin / scale)).astype(np.int64)
-    constant = np.where(counts == 0, 0.0, cmin)
     return QuantParams(
         axis=spec.axis,
         mode=spec.mode,
@@ -346,7 +402,7 @@ def _fit(x: np.ndarray, layout: GroupLayout, spec: QuantSpec, valid: np.ndarray)
         scale=scale,
         zero=zero,
         degenerate=degenerate,
-        constant=constant,
+        constant=cmin,
     )
 
 
@@ -375,18 +431,22 @@ def quantize_tensor(x, spec: QuantSpec, params: QuantParams | None = None) -> Qu
         params = _fit(arr, layout, spec, ~outliers)
     else:
         params.check_fits(layout)
-    codes = layout.to_group_major(arr) / layout.expand(params.scale)
-    np.rint(codes, out=codes)
-    codes += layout.expand(params.zero)
+    # Float arithmetic runs in the tensor's own order; only the uint8 codes are reordered for packing.
+    codes = np.empty(arr.shape)
+    for vals, out, scale, zero in layout.segments((arr, codes), params.scale, params.zero):
+        np.divide(vals, scale, out=out)
+        np.rint(out, out=out)
+        out += zero
     codes = np.clip(codes, 0, spec.levels, out=codes).astype(np.uint8)
     if params.degenerate.any():
-        codes[layout.expand(params.degenerate)] = 0
+        for out, degenerate in layout.segments(codes, params.degenerate):
+            np.copyto(out, 0, where=degenerate)
     idx = np.flatnonzero(outliers)
     return QuantizedTensor(
         shape=layout.shape,
         spec=spec,
         params=params,
-        packed=pack_codes(codes, layout.group_sizes(), spec.bits),
+        packed=pack_codes(layout.to_group_major(codes), layout.group_sizes(), spec.bits),
         outlier_indices=idx,
         outlier_values=arr.ravel()[idx],
     )
@@ -410,20 +470,22 @@ def dequantize(qt: QuantizedTensor, *more: QuantizedTensor) -> np.ndarray:
             raise LayoutError("stacked tensors must share one shape and spec", shape=list(qt.shape))
         if t.params is not qt.params:
             t.params.check_fits(layout)
-    fields = ("scale", "zero", "degenerate", "constant")
+    fields = ("zero", "scale", "degenerate", "constant")
     if all(t.params is qt.params for t in more):  # shared static parameters broadcast
         p = {k: getattr(qt.params, k)[None] for k in fields}
     else:
         p = {k: np.concatenate([getattr(t.params, k) for t in tensors]).reshape(len(tensors), -1) for k in fields}
     sizes = np.tile(layout.group_sizes(), len(tensors))
     codes = unpack_codes(b"".join(t.packed for t in tensors), sizes, qt.spec.bits)
-    stream = codes.astype(np.float64).reshape(len(tensors), -1)
-    stream -= layout.expand(p["zero"])
-    stream *= layout.expand(p["scale"])
-    if p["degenerate"].any():
-        stream = np.where(layout.expand(p["degenerate"]), layout.expand(p["constant"]), stream)
+    stack = layout.from_group_major(codes.reshape(len(tensors), -1)).astype(np.float64)
+    degenerate = p["degenerate"].any()
+    for view, zero, scale, flags, constant in layout.segments(stack, *(p[k] for k in fields)):
+        view -= zero
+        view *= scale
+        if degenerate:
+            np.copyto(view, constant, where=flags)
     n, d = qt.shape
-    out = layout.from_group_major(stream).reshape(len(tensors) * n, d)
+    out = stack.reshape(len(tensors) * n, d)
     offsets = [t.outlier_indices + i * n * d for i, t in enumerate(tensors)]
     out.flat[np.concatenate(offsets)] = np.concatenate([t.outlier_values for t in tensors])
     return out

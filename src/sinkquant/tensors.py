@@ -55,19 +55,20 @@ def top_k_mask(scores: np.ndarray, k: int) -> np.ndarray:
 
     Ties at the k-th largest value go to the lowest indices, so the mask
     marks the first ``k`` entries of a stable descending sort. One partition
-    finds the k-th value; only rows with more ties than places count them.
+    finds the k-th value and one comparison marks every entry at or above it;
+    only rows that mark more than ``k`` drop their surplus ties.
     """
     n = scores.shape[1]
     if k <= 0 or k >= n:
         return np.full(scores.shape, k > 0)
-    kth = np.partition(scores, n - k, axis=1)[:, [n - k]]  # a copy: the partitioned array is freed
-    mask = scores > kth
-    ties = scores == kth
-    room = k - np.count_nonzero(mask, axis=1)
-    crowded = np.flatnonzero(np.count_nonzero(ties, axis=1) > room)
-    if crowded.size:
-        ties[crowded] &= np.cumsum(ties[crowded], axis=1) <= room[crowded, None]
-    mask |= ties
+    kth = np.partition(scores, n - k, axis=1)[:, n - k : n - k + 1].copy()  # frees the partitioned array
+    mask = scores >= kth
+    crowded = np.add.reduce(mask, axis=1) > k
+    if crowded.any():
+        rows, kth = scores[crowded], kth[crowded]
+        above, ties = rows > kth, rows == kth
+        room = k - np.count_nonzero(above, axis=1)
+        mask[crowded] = above | (ties & (np.cumsum(ties, axis=1) <= room[:, None]))
     return mask
 
 

@@ -2,7 +2,9 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import struct
+import tempfile
 
 import numpy as np
 import pytest
@@ -21,8 +23,10 @@ from sinkquant.dumpio import (
     write_manifest,
     write_quantized,
 )
-from sinkquant.decoder import load_weights
+from sinkquant.cache import KVCache, load_snapshot, save_snapshot
+from sinkquant.decoder import DecoderConfig, init_weights, load_weights, save_weights
 from sinkquant.errors import FormatError, NumericError, ShapeError, SinkQuantError
+from sinkquant.profiles import available_profiles, load_profile, load_profile_file
 from sinkquant.quant import QuantSpec, dequantize, quantize_tensor
 
 
@@ -384,3 +388,117 @@ def test_json_helpers(tmp_path):
     bad.write_text("{")
     with pytest.raises(FormatError):
         read_json(str(bad))
+
+
+# Arbitrary JSON values; no "/" in strings, so a mutated file name never leaves the file's directory.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(st.characters(blacklist_characters="/")),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def mutated_bytes(data, blob):
+    """``blob`` with one byte flipped, cut short, or a short run inserted or overwritten."""
+    pos = data.draw(st.integers(0, len(blob)))
+    kind = data.draw(st.sampled_from(["flip", "cut", "insert", "overwrite"]))
+    if kind == "flip" and pos < len(blob):
+        return blob[:pos] + bytes([blob[pos] ^ data.draw(st.integers(1, 255))]) + blob[pos + 1 :]
+    if kind in ("flip", "cut"):
+        return blob[:pos]
+    chunk = data.draw(st.binary(min_size=1, max_size=16))
+    return blob[:pos] + chunk + blob[pos + (len(chunk) if kind == "overwrite" else 0) :]
+
+
+def mutated_json(data, blob):
+    """A JSON document with one node, up to four levels down, replaced or dropped; or its bytes mutated."""
+    if data.draw(st.booleans()):
+        return mutated_bytes(data, blob)
+    doc = json.loads(blob)
+    parent, key, node = None, None, doc
+    for _ in range(data.draw(st.integers(0, 4))):
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        parent = node
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        node = node[key]
+    if parent is None:
+        doc = data.draw(JSON_VALUES)
+    elif data.draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = data.draw(JSON_VALUES)
+    return json.dumps(doc).encode()
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """One valid file set per reader: a dump, a capture manifest, a profile, a snapshot and a weights directory."""
+    root = tmp_path_factory.mktemp("valid")
+    write_dump(str(root / "x.kvsd"), np.random.default_rng(3).normal(size=(3, 4)))
+    profile = load_profile(available_profiles()[0])
+    write_json(str(root / "profile.json"), dataclasses.asdict(profile))
+    rng = np.random.default_rng(4)
+    cache = KVCache(2, 8, scheme="pt_kv_dynamic", bits=4, group_size=4)
+    cache.bulk_load(0, rng.normal(size=(6, 8)), rng.normal(size=(6, 8)), sinks=[0])
+    save_snapshot(cache, str(root / "snapshot"))
+    cfg = DecoderConfig(num_layers=1, hidden=8, heads=2, ffn_hidden=8, seed=1)
+    save_weights(str(root / "weights"), init_weights(cfg), cfg)
+    entry = ManifestEntry(model="toy", layer=0, kind="H", tokens=3, hidden=4, file="x.kvsd")
+    write_manifest([entry], str(root / "manifest.json"))
+    return root
+
+
+# Reader, and the files under the valid set it may find mutated.
+MUTATION_TARGETS = {
+    "dump": (lambda root: read_dump(os.path.join(root, "x.kvsd")), ["x.kvsd"]),
+    "manifest": (lambda root: load_manifest(os.path.join(root, "manifest.json")), ["manifest.json"]),
+    "profile": (lambda root: load_profile_file(os.path.join(root, "profile.json")), ["profile.json"]),
+    "snapshot": (
+        lambda root: load_snapshot(os.path.join(root, "snapshot")),
+        ["snapshot/snapshot.json", "snapshot/layer000_keys.kvsd"],
+    ),
+    "weights": (lambda root: load_weights(os.path.join(root, "weights")), ["weights/weights.json"]),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), target=st.sampled_from(sorted(MUTATION_TARGETS)))
+def test_mutated_files_fail_typed(valid_files, data, target):
+    reader, names = MUTATION_TARGETS[target]
+    name = data.draw(st.sampled_from(names))
+    with tempfile.TemporaryDirectory() as root:
+        shutil.copytree(valid_files, root, dirs_exist_ok=True)
+        path = os.path.join(root, name)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        mutate = mutated_json if name.endswith(".json") else mutated_bytes
+        with open(path, "wb") as fh:
+            fh.write(mutate(data, blob))
+        try:
+            reader(root)
+        except SinkQuantError:
+            pass
+
+
+@pytest.mark.parametrize(
+    "target, name, content",
+    [
+        ("profile", "profile.json", b'{"model_name": "m", "total_layers": 1e999, "emergence_layer": 0,'
+         b' "hidden_size": 8, "outlier_channels": [1]}'),
+        ("profile", "profile.json", b'{"model_name": "\xff"}'),
+        ("profile", "profile.json", b"[" * 100_000),
+        ("manifest", "manifest.json", b'[{"model": "m", "layer": Infinity, "kind": "H", "tokens": 3,'
+         b' "hidden": 4, "file": "x.kvsd"}]'),
+        ("snapshot", "snapshot/snapshot.json", b'{"layers": [{"keys_file": "k\\u0000", "values_file": "v"}]}'),
+        ("weights", "weights/weights.json", b"\xfe\xff"),
+    ],
+    ids=["profile-overflow", "profile-not-utf8", "profile-deep-nesting", "manifest-infinity", "snapshot-nul-path",
+         "weights-not-utf8"],
+)
+def test_readers_fail_typed_on_found_inputs(valid_files, tmp_path, target, name, content):
+    # Inputs that once escaped as OverflowError, UnicodeDecodeError, RecursionError or ValueError.
+    shutil.copytree(valid_files, tmp_path, dirs_exist_ok=True)
+    (tmp_path / name).write_bytes(content)
+    with pytest.raises(FormatError):
+        MUTATION_TARGETS[target][0](str(tmp_path))

@@ -23,7 +23,7 @@ from sinkquant.quant import (
     quantize_tensor,
     scheme_specs,
 )
-from sinkquant.packing import pack_group_bytes
+from sinkquant.packing import pack_codes, pack_group_bytes, unpack_codes
 
 
 def roundtrip(x, spec, **kw):
@@ -242,6 +242,127 @@ class TestGroupLayout:
         assert layout.n_groups == params.n_groups == (10 if axis == "per_channel" else 3)
         assert qt.packed == b"" and layout.packed_nbytes(spec.bits) == 0
         assert dequantize(qt).shape == (0, 10) and qt.codes().shape == (0, 10)
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def group_major_params(x, spec, valid):
+    """Reference fit: min-max (or clip quantiles) of each group's valid entries, group by group."""
+    layout = GroupLayout.for_spec(x.shape, spec)
+    vals, keep = layout.to_group_major(x), layout.to_group_major(valid)
+    sizes = layout.group_sizes()
+    cmin, cmax = np.zeros(layout.n_groups), np.zeros(layout.n_groups)
+    counts = np.zeros(layout.n_groups, dtype=np.int64)
+    for g, stop in enumerate(np.cumsum(sizes)):
+        kept = np.sort(vals[stop - sizes[g] : stop][keep[stop - sizes[g] : stop]], kind="stable")
+        counts[g] = kept.size
+        if kept.size and spec.clip:
+            for target, q in ((cmin, spec.clip), (cmax, 1.0 - spec.clip)):
+                pos = q * (kept.size - 1)
+                base = int(np.floor(pos))
+                frac = pos - base
+                target[g] = kept[base] * (1.0 - frac) + kept[min(base + 1, kept.size - 1)] * frac
+        elif kept.size:
+            cmin[g], cmax[g] = kept[0], kept[-1]
+    rng = cmax - cmin
+    degenerate = (counts == 0) | (rng <= 0.0)
+    scale = np.where(degenerate, 1.0, rng / spec.levels)
+    zero = np.where(degenerate, 0, -np.rint(cmin / scale)).astype(np.int64)
+    return scale, zero, degenerate, np.where(counts == 0, 0.0, cmin)
+
+
+def group_major_encode(x, spec, params):
+    """Reference encode: the code formula on the group-major stream with per-element expanded parameters."""
+    layout = GroupLayout.for_spec(x.shape, spec)
+    codes = layout.to_group_major(x) / layout.expand(params.scale)
+    np.rint(codes, out=codes)
+    codes += layout.expand(params.zero)
+    codes = np.clip(codes, 0, spec.levels).astype(np.uint8)
+    codes[layout.expand(params.degenerate)] = 0
+    return pack_codes(codes, layout.group_sizes(), spec.bits)
+
+
+def group_major_decode(tensors):
+    """Reference decode: each tensor's float stream in group-major order, reordered, outliers restored."""
+    blocks = []
+    for t in tensors:
+        layout = t.layout()
+        stream = unpack_codes(t.packed, layout.group_sizes(), t.spec.bits).astype(np.float64)
+        stream -= layout.expand(t.params.zero)
+        stream *= layout.expand(t.params.scale)
+        stream = np.where(layout.expand(t.params.degenerate), layout.expand(t.params.constant), stream)
+        block = layout.from_group_major(stream)
+        block.flat[t.outlier_indices] = t.outlier_values
+        blocks.append(block)
+    return np.vstack(blocks)
+
+
+def assert_matches_group_major(blocks, spec, params=None):
+    """Codes, parameters, outliers and single and stacked reconstructions equal the references bitwise."""
+    tensors = [quantize_tensor(block, spec, params=params) for block in blocks]
+    for block, qt in zip(blocks, tensors):
+        outliers = argsort_outlier_mask(block, spec)
+        idx = np.flatnonzero(outliers)
+        assert_bitwise(qt.outlier_indices, idx)
+        assert_bitwise(qt.outlier_values, block.ravel()[idx])
+        if params is None:
+            fields = ("scale", "zero", "degenerate", "constant")
+            for name, want in zip(fields, group_major_params(block, spec, ~outliers)):
+                assert_bitwise(getattr(qt.params, name), want)
+        assert qt.packed == group_major_encode(block, spec, qt.params)
+        assert_bitwise(dequantize(qt), group_major_decode([qt]))
+    assert_bitwise(dequantize(*tensors), group_major_decode(tensors))
+
+
+class TestTensorOrderMatchesGroupMajor:
+    """Quantize and dequantize run in tensor order; the group-major formulas they replaced are the reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        layout=st.sampled_from(LAYOUTS),
+        n=st.integers(0, 20),
+        d=st.integers(1, 20),
+        gs=st.integers(1, 8),
+        bits=st.integers(2, 8),
+        sparse=st.sampled_from([0.0, 0.05, 1.0]),
+        clip=st.sampled_from([None, 0.1]),
+        integer=st.booleans(),
+        constant=st.booleans(),
+        shared=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_group_major_formulas(self, layout, n, d, gs, bits, sparse, clip, integer, constant, shared, seed):
+        axis, mode = layout
+        spec = QuantSpec(bits, axis, mode, gs, clip=clip, sparse_fraction=sparse)
+        rng = np.random.default_rng(seed)
+        # Integer values in [-3, 3] make ties at the k-th magnitude and constant groups common.
+        if integer:
+            blocks = [rng.integers(-3, 4, size=(n, d)).astype(float) for _ in range(3)]
+        else:
+            blocks = [rng.normal(size=(n, d)) for _ in range(3)]
+        if constant:
+            for block in blocks:
+                block[:, 0] = 1.5
+            blocks[1][:] = -0.25
+        params = None
+        if mode == "static" and shared:  # one calibrated set for every block: the broadcast dequantize path
+            params = calibrate([rng.normal(size=(4, d)), *blocks], spec)
+        assert_matches_group_major(blocks, spec, params)
+
+    @pytest.mark.parametrize("mode", ["dynamic", "static"])
+    def test_wide_per_channel_outliers(self, mode):
+        # 96-row columns: outliers are ranked along rows of the contiguous |x.T|, five per column.
+        rng = np.random.default_rng(23)
+        spec = QuantSpec(2, "per_channel", mode, 16, sparse_fraction=0.05)
+        blocks = [rng.integers(-4, 5, size=(96, 70)).astype(float), rng.normal(size=(96, 70))]
+        assert GroupLayout.for_spec(blocks[0].shape, spec).outliers_per_vector(spec.sparse_fraction) == 5
+        assert_matches_group_major(blocks, spec)
+        if mode == "static":
+            assert_matches_group_major(blocks, spec, calibrate(blocks, spec))
 
 
 class TestQuantizeDequantize:
