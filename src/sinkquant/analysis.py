@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dumpio import record_to_json
 from .errors import ConfigError, ShapeError
 from .quant import (
     CalibrationSet,
@@ -33,6 +34,10 @@ def mse(a, b) -> float:
     if x.size == 0:
         return 0.0
     return float(np.mean((x - y) ** 2))
+
+
+#: ``ErrorRow`` fields that ``display_scale`` multiplies.
+_SCALED_ERRORS = ("overall", "wo_sink_groups", "w_sink_groups", "excluded", "nonsink_elements")
 
 
 @dataclass
@@ -60,25 +65,11 @@ class ErrorRow:
     sink_group_elements: int = 0
 
     def to_json_dict(self, display_scale: float | None = None) -> dict:
-        s = display_scale or 1.0
-
-        def fmt(v):
-            return None if v is None else v * s
-
-        return {
-            "bits": self.bits,
-            "axis": self.axis,
-            "mode": self.mode,
-            "group_size": self.group_size,
-            "sparse_fraction": self.sparse_fraction,
-            "overall": fmt(self.overall),
-            "wo_sink_groups": fmt(self.wo_sink_groups),
-            "w_sink_groups": fmt(self.w_sink_groups),
-            "excluded": fmt(self.excluded),
-            "nonsink_elements": fmt(self.nonsink_elements),
-            "elements": self.elements,
-            "sink_group_elements": self.sink_group_elements,
-        }
+        out = record_to_json(self)
+        for key in _SCALED_ERRORS:
+            if out[key] is not None:
+                out[key] *= display_scale or 1.0
+        return out
 
 
 @dataclass
@@ -89,13 +80,8 @@ class ErrorReport:
     sink_tokens: tuple[int, ...]
 
     def to_json_dict(self, display_scale: float | None = None) -> dict:
-        return {
-            "tokens": self.tokens,
-            "hidden": self.hidden,
-            "sink_tokens": list(self.sink_tokens),
-            "display_scale": display_scale,
-            "rows": [r.to_json_dict(display_scale) for r in self.rows],
-        }
+        rows = [r.to_json_dict(display_scale) for r in self.rows]
+        return {**record_to_json(self), "display_scale": display_scale, "rows": rows}
 
 
 def error_decomposition(

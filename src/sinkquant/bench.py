@@ -16,6 +16,7 @@ import numpy as np
 
 from .cache import footprint_megabytes
 from .decoder import DecoderConfig, decoder_forward, init_weights, prefill_with_kvsink
+from .dumpio import record_to_json
 from .errors import UsageError
 from .sinks import SinkProfile, detect_sinks
 
@@ -47,17 +48,7 @@ class BenchReport:
     config: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "tokens": self.tokens,
-            "repeats": self.repeats,
-            "prefill_ms": self.prefill_ms,
-            "detect_ms": self.detect_ms,
-            "detect_to_prefill_ratio": self.detect_to_prefill_ratio,
-            "footprint": self.footprint,
-            "footprint_mb": footprint_megabytes(self.footprint),
-            "sinks_kept": self.sinks_kept,
-            "config": self.config,
-        }
+        return {**record_to_json(self), "footprint_mb": footprint_megabytes(self.footprint)}
 
 
 def run_bench(

@@ -44,10 +44,6 @@ def _load_sinks(args, tokens: int) -> SinkSet:
     return SinkSet.empty(0)
 
 
-def _load_profile_arg(name: str) -> SinkProfile:
-    return profiles.load_profile(name)
-
-
 def _int_list(text: str, flag: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part != ""]
@@ -71,7 +67,7 @@ def _calibration_from_dir(path: str, sub: str) -> CalibrationSet:
 
 def _cmd_detect(args) -> dict:
     arr = _read_matrix(args.dump, "hidden-state dump")
-    profile = _load_profile_arg(args.profile)
+    profile = profiles.load_profile(args.profile)
     found = detect_sinks(arr, profile, args.k, args.ratio)
     return {"sinks": found.to_json_dict(), "count": len(found), "model": profile.model_name}
 
@@ -163,10 +159,7 @@ def _cmd_analyze_disruption(args) -> dict:
     values = _read_matrix(args.values, "values")
     queries = _read_matrix(args.queries, "queries")
     sinks = _load_sinks(args, keys.shape[0])
-    specs = [
-        QuantSpec(b, args.axis, args.mode, args.group, args.clip, args.sparse or 0.0)
-        for b in _int_list(args.bits, "--bits")
-    ]
+    specs = _specs_from_flags(args)
     rows = analysis.bias_disruption(
         keys, values, queries, sinks, specs, num_heads=args.heads, preserve_sinks=args.preserve_sinks
     )
@@ -189,7 +182,7 @@ def _cmd_analyze_qk(args) -> dict:
 
 def _cmd_analyze_stages(args) -> dict:
     entries = dumpio.load_manifest(args.manifest)
-    profile = _load_profile_arg(args.profile)
+    profile = profiles.load_profile(args.profile)
     per_layer: dict[int, dict] = {}
     for entry in entries:
         if entry.kind in ("X_d_in", "X_d_out", "H_prime", "H"):
@@ -207,10 +200,15 @@ def _load_plant(path: str) -> tuple[list, int, int]:
     """Planted outliers: (token, channel, magnitude) targets, emergence and dissipation layers."""
     plant = dumpio.read_json(path)
     try:
-        targets = [(int(t), int(c), float(m)) for t, c, m in plant["targets"]]
-        return targets, int(plant["emerge_layer"]), int(plant["dissipate_layer"])
+        targets = [(t, c, m) for t, c, m in plant["targets"]]
+        layers = plant["emerge_layer"], plant["dissipate_layer"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError("malformed plant file", path=path, reason=repr(exc)) from None
+    typed = [(v, kind) for target in targets for v, kind in zip(target, ("int", "int", "float"))]
+    typed += [(layer, "int") for layer in layers]
+    if not all(dumpio.json_fits(v, kind) for v, kind in typed):
+        raise ConfigError("plant tokens, channels and layers must be integers, magnitudes numbers", path=path)
+    return targets, *layers
 
 
 def _cmd_simulate(args) -> dict:
@@ -225,7 +223,7 @@ def _cmd_simulate(args) -> dict:
 
     profile = None
     if args.profile:
-        profile = _load_profile_arg(args.profile)
+        profile = profiles.load_profile(args.profile)
     elif plant is not None:
         targets, emerge_layer, _ = plant
         profile = SinkProfile(
@@ -252,7 +250,6 @@ def _cmd_simulate(args) -> dict:
         sparse_fraction=args.sparse,
         k=args.k,
         mode=args.mode,
-        pfn_n=args.pfn_n,
         magnitude_ratio=args.ratio,
         hooks=hooks,
     )
@@ -385,7 +382,6 @@ def build_parser() -> _Parser:
     p.add_argument("--group", type=int, default=16)
     p.add_argument("--sparse", type=float, default=None)
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--pfn-n", type=int, default=None)
     p.add_argument("--ratio", type=float, default=100.0)
     p.add_argument("--tokens", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)

@@ -26,7 +26,7 @@ Instrumentation:
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf, expit
@@ -81,41 +81,12 @@ class DecoderConfig:
         return self.kv_heads * self.head_dim
 
     def to_json_dict(self) -> dict:
-        return {
-            "num_layers": self.num_layers,
-            "hidden": self.hidden,
-            "heads": self.heads,
-            "ffn_hidden": self.ffn_hidden,
-            "kv_heads": self.kv_heads,
-            "activation": self.activation,
-            "ln_epsilon": self.ln_epsilon,
-            "rope": self.rope,
-            "seed": self.seed,
-        }
+        return dumpio.record_to_json(self)
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "DecoderConfig":
         """Config from parsed JSON; unknown, missing or wrongly typed fields are a ``ConfigError``."""
-        if not isinstance(obj, dict):
-            raise ConfigError("decoder config must be a JSON object", actual=type(obj).__name__)
-        declared = {f.name: f for f in fields(cls)}
-        unknown = sorted(set(obj) - set(declared))
-        if unknown:
-            raise ConfigError("unknown decoder config fields", fields=unknown)
-        missing = sorted(k for k, f in declared.items() if f.default is MISSING and k not in obj)
-        wrong = sorted(k for k, v in obj.items() if not _json_fits(v, declared[k].type))
-        if missing or wrong:
-            raise ConfigError("missing or wrongly typed decoder config fields", missing=missing, wrong=wrong)
-        return cls(**obj)
-
-
-_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool, "None": type(None)}
-
-
-def _json_fits(value, annotation: str) -> bool:
-    """Whether a parsed JSON value fits a field annotation such as ``int`` or ``int | None``."""
-    kinds = annotation.split(" | ")
-    return "bool" in kinds if isinstance(value, bool) else any(isinstance(value, _JSON_TYPES[k]) for k in kinds)
+        return dumpio.record_from_json(cls, obj, ConfigError)
 
 
 @dataclass
@@ -316,7 +287,6 @@ def prefill_with_kvsink(
     sparse_fraction: float | None = None,
     k: int = 5,
     mode: str = "kvsink",
-    pfn_n: int | None = None,
     magnitude_ratio: float | None = 100.0,
     hooks=(),
 ):
@@ -327,7 +297,7 @@ def prefill_with_kvsink(
     final hidden states. Sink prediction runs once, on the output of the
     profile's emergence layer; earlier layers run with nothing preserved.
     ``mode`` selects what is preserved: predicted sinks (``kvsink``), the
-    first N tokens (``pfn``, N defaulting to ``k``), or nothing (``none``).
+    first ``k`` tokens (``pfn``), or nothing (``none``).
 
     Returns (H_last, populated KVCache, preserved SinkSet).
     """
@@ -346,7 +316,7 @@ def prefill_with_kvsink(
             )
         preserved = SinkSet.empty(k)
     elif mode == "pfn":
-        preserved = preserve_first_n(n, pfn_n if pfn_n is not None else k)
+        preserved = preserve_first_n(n, k)
     else:
         preserved = SinkSet.empty(0)
 

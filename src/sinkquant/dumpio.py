@@ -17,6 +17,16 @@ scales (f64), zeros (i64), degenerate flags (u8), constants (f64), outlier
 indices (u64), outlier values (f64), packed codes. A header or section that
 does not fit the layout of ``shape`` under ``spec`` is a ``FormatError``.
 
+JSON records: every dataclass that goes to or from a JSON file (decoder
+configs, sink sets, sink profiles, manifest entries, the ``.kvsq`` spec, and
+the bench, stage and error reports) is written by ``record_to_json``; those
+read back are read by ``record_from_json``. Both are driven by the
+dataclass's field annotations. The reader's one rule: JSON types must match
+exactly (an ``int`` field rejects floats, strings and bools; a ``float``
+field takes ints; a ``tuple[int, ...]`` field takes a list of ints), unknown
+keys are rejected, and so are missing fields without a default. Each caller
+names the typed error to raise.
+
 All writes go through a temp file and ``os.replace`` so readers never see a
 partial file.
 """
@@ -28,7 +38,8 @@ import math
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -46,9 +57,45 @@ _MAX_NDIM = 8
 CAPTURE_KINDS = ("H", "H_prime", "X_d_in", "X_d_out", "Q", "K", "V", "A")
 
 _QHEADER_KEYS = ["n_groups", "params_shape", "sections", "shape", "spec"]
-_QSPEC_TYPES = dict(
-    axis=str, bits=int, clip=(int, float, type(None)), group_size=int, mode=str, sparse_fraction=(int, float)
-)
+_QSPEC_KEYS = sorted(f.name for f in fields(QuantSpec))
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool, "None": type(None)}
+
+
+def json_fits(value, annotation: str) -> bool:
+    """Whether a parsed JSON value fits a field annotation such as ``int``, ``int | None`` or ``tuple[int, ...]``."""
+    if annotation.startswith("tuple[") and annotation.endswith(", ...]"):
+        return isinstance(value, list) and all(json_fits(v, annotation[6:-6]) for v in value)
+    kinds = annotation.split(" | ")
+    return "bool" in kinds if isinstance(value, bool) else any(isinstance(value, _JSON_TYPES[k]) for k in kinds)
+
+
+def record_to_json(record) -> dict:
+    """A dataclass as a JSON object: one key per field, tuples as lists."""
+    out = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        out[f.name] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
+def record_from_json(cls, obj, error=FormatError):
+    """The dataclass ``cls`` from a parsed JSON object, or ``error`` naming the fields that do not fit.
+
+    Every key must be a field, every field without a default must be given,
+    and every value must fit its field's annotation exactly (``json_fits``);
+    lists become tuples.
+    """
+    if not isinstance(obj, dict):
+        raise error(f"{cls.__name__} must be a JSON object", actual=type(obj).__name__)
+    declared = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(obj) - set(declared))
+    missing = sorted(k for k, f in declared.items() if f.default is MISSING and k not in obj)
+    wrong = sorted(k for k, v in obj.items() if k in declared and not json_fits(v, declared[k].type))
+    if unknown or missing or wrong:
+        raise error(
+            f"unknown, missing or wrongly typed {cls.__name__} fields", unknown=unknown, missing=missing, wrong=wrong
+        )
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in obj.items()})
 
 
 def _atomic_write(path: str, data: bytes) -> None:
@@ -136,19 +183,9 @@ class ManifestEntry:
     hidden: int
     file: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "layer": self.layer,
-            "kind": self.kind,
-            "tokens": self.tokens,
-            "hidden": self.hidden,
-            "file": self.file,
-        }
-
 
 def write_manifest(entries, path: str) -> None:
-    data = json.dumps([e.to_json_dict() for e in entries], indent=2).encode()
+    data = json.dumps([record_to_json(e) for e in entries], indent=2).encode()
     _atomic_write(path, data + b"\n")
 
 
@@ -159,17 +196,7 @@ def load_manifest(path: str) -> list[ManifestEntry]:
         raise FormatError("manifest must be a JSON list", path=path)
     entries = []
     for i, obj in enumerate(raw):
-        try:
-            entry = ManifestEntry(
-                model=str(obj["model"]),
-                layer=int(obj["layer"]),
-                kind=str(obj["kind"]),
-                tokens=int(obj["tokens"]),
-                hidden=int(obj["hidden"]),
-                file=str(obj["file"]),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(f"manifest entry {i} malformed: {exc}", path=path, entry=i) from exc
+        entry = record_from_json(ManifestEntry, obj, partial(FormatError, path=path, entry=i))
         if entry.kind not in CAPTURE_KINDS:
             raise FormatError(
                 "unknown capture kind", path=path, entry=i, kind=entry.kind, allowed=list(CAPTURE_KINDS)
@@ -208,14 +235,7 @@ def write_quantized(path: str, qt: QuantizedTensor) -> None:
     ]
     header = {
         "shape": list(qt.shape),
-        "spec": {
-            "bits": qt.spec.bits,
-            "axis": qt.spec.axis,
-            "mode": qt.spec.mode,
-            "group_size": qt.spec.group_size,
-            "clip": qt.spec.clip,
-            "sparse_fraction": qt.spec.sparse_fraction,
-        },
+        "spec": record_to_json(qt.spec),
         "params_shape": list(p.shape),
         "n_groups": p.n_groups,
         "sections": [len(s) for s in sections],
@@ -305,12 +325,10 @@ def _parse_qheader(header, path: str):
     if not isinstance(header, dict) or sorted(header) != _QHEADER_KEYS:
         raise FormatError("header keys differ from the format", path=path, expected=_QHEADER_KEYS)
     raw = header["spec"]
-    if not isinstance(raw, dict) or sorted(raw) != sorted(_QSPEC_TYPES):
-        raise FormatError("spec keys differ from the format", path=path, expected=sorted(_QSPEC_TYPES))
-    if any(type(raw[k]) is bool or not isinstance(raw[k], kind) for k, kind in _QSPEC_TYPES.items()):
-        raise FormatError("spec fields have the wrong type", path=path, spec=raw)
+    if not isinstance(raw, dict) or sorted(raw) != _QSPEC_KEYS:
+        raise FormatError("spec keys differ from the format", path=path, expected=_QSPEC_KEYS)
     try:
-        spec = QuantSpec(**raw)
+        spec = record_from_json(QuantSpec, raw, partial(FormatError, path=path))
     except ConfigError as exc:
         raise FormatError(f"invalid spec: {exc.message}", path=path) from exc
     for key, length, limit in (("shape", 2, 2**32), ("params_shape", 2, 2**32), ("sections", 7, None)):

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import json
 import os
+from functools import partial
 from importlib import resources
 
+from .dumpio import record_from_json
 from .errors import ConfigError, FormatError
 from .sinks import SinkProfile
 
@@ -72,13 +74,4 @@ def _parse(text: str, source: str) -> SinkProfile:
         obj = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"profile is not valid JSON: {exc}", path=source) from exc
-    if not isinstance(obj, dict):
-        raise FormatError("profile must be a JSON object", path=source)
-    required = {"model_name", "total_layers", "emergence_layer", "hidden_size", "outlier_channels"}
-    missing = sorted(required - set(obj))
-    if missing:
-        raise FormatError("profile missing required fields", path=source, missing=missing)
-    try:
-        return SinkProfile.from_json_dict(obj)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"profile field of the wrong type: {exc}", path=source) from exc
+    return record_from_json(SinkProfile, obj, partial(FormatError, path=source))

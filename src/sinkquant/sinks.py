@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoundsError, ConfigError, DiscoveryError, FormatError, ShapeError
+from .dumpio import record_from_json, record_to_json
+from .errors import BoundsError, ConfigError, DiscoveryError, ShapeError
 from .tensors import as_tensor
 
 STAGES = ("initial", "emergence", "stabilization", "dissipation", "final")
@@ -77,17 +78,12 @@ class SinkSet:
         return out
 
     def to_json_dict(self) -> dict:
-        return {"indices": list(self.indices), "k_requested": self.k_requested}
+        return record_to_json(self)
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SinkSet":
         """Inverse of :meth:`to_json_dict`; a malformed payload is a ``FormatError``."""
-        if not isinstance(obj, dict) or not {"indices", "k_requested"} <= set(obj):
-            raise FormatError("sink set must be an object with 'indices' and 'k_requested'")
-        indices, k_requested = obj["indices"], obj["k_requested"]
-        if not isinstance(indices, list) or any(type(i) is not int for i in [*indices, k_requested]):
-            raise FormatError("sink indices and k_requested must be integers")
-        return cls(tuple(indices), k_requested)
+        return record_from_json(cls, obj)
 
 
 @dataclass(frozen=True)
@@ -118,23 +114,7 @@ class SinkProfile:
             )
 
     def to_json_dict(self) -> dict:
-        return {
-            "model_name": self.model_name,
-            "total_layers": self.total_layers,
-            "emergence_layer": self.emergence_layer,
-            "hidden_size": self.hidden_size,
-            "outlier_channels": list(self.outlier_channels),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "SinkProfile":
-        return cls(
-            model_name=str(obj["model_name"]),
-            total_layers=int(obj["total_layers"]),
-            emergence_layer=int(obj["emergence_layer"]),
-            hidden_size=int(obj["hidden_size"]),
-            outlier_channels=tuple(obj["outlier_channels"]),
-        )
+        return record_to_json(self)
 
 
 def detect_sinks(h, profile: SinkProfile, k: int, magnitude_ratio: float | None = None) -> SinkSet:
@@ -263,17 +243,7 @@ class StageReport:
         return {
             "threshold": self.threshold,
             "warnings": list(self.warnings),
-            "layers": [
-                {
-                    "layer": r.layer,
-                    "max_abs_down_in": r.max_abs_down_in,
-                    "max_abs_down_out": r.max_abs_down_out,
-                    "max_abs_post_attn": r.max_abs_post_attn,
-                    "max_abs_hidden": r.max_abs_hidden,
-                    "stage": r.stage,
-                }
-                for r in self.rows
-            ],
+            "layers": [record_to_json(r) for r in self.rows],
         }
 
 

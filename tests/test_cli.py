@@ -409,10 +409,24 @@ class TestSimulate:
         )
         assert code == 2 and err["code"] == "config"
 
-    @pytest.mark.parametrize("dropped", ["targets", "emerge_layer", "dissipate_layer"])
-    def test_plant_missing_field_is_config_error(self, workspace, capsys, dropped):
-        plant = {"targets": [[0, 11, 2000.0]], "emerge_layer": 1, "dissipate_layer": 3}
-        del plant[dropped]
+    @pytest.mark.parametrize(
+        "dropped, changed",
+        [
+            pytest.param("targets", {}, id="targets"),
+            pytest.param("emerge_layer", {}, id="emerge_layer"),
+            pytest.param("dissipate_layer", {}, id="dissipate_layer"),
+            # Wrongly typed fields, once truncated by int() or parsed by float().
+            pytest.param(None, {"targets": [[0.9, 11, 2000.0]]}, id="float-token"),
+            pytest.param(None, {"targets": [[0, 11.7, 2000.0]]}, id="float-channel"),
+            pytest.param(None, {"targets": [[0, 11, "2000"]]}, id="string-magnitude"),
+            pytest.param(None, {"emerge_layer": 1.5}, id="float-emerge-layer"),
+            pytest.param(None, {"dissipate_layer": "3"}, id="string-dissipate-layer"),
+            pytest.param(None, {"emerge_layer": True}, id="bool-emerge-layer"),
+        ],
+    )
+    def test_plant_missing_field_is_config_error(self, workspace, capsys, dropped, changed):
+        plant = {"targets": [[0, 11, 2000.0]], "emerge_layer": 1, "dissipate_layer": 3, **changed}
+        plant.pop(dropped, None)
         write_json(str(workspace / "bad_plant.json"), plant)
         code, _, err = run_cli(
             capsys,

@@ -18,6 +18,8 @@ from sinkquant.dumpio import (
     read_dump,
     read_json,
     read_quantized,
+    record_from_json,
+    record_to_json,
     write_dump,
     write_json,
     write_manifest,
@@ -25,9 +27,10 @@ from sinkquant.dumpio import (
 )
 from sinkquant.cache import KVCache, load_snapshot, save_snapshot
 from sinkquant.decoder import DecoderConfig, init_weights, load_weights, save_weights
-from sinkquant.errors import FormatError, NumericError, ShapeError, SinkQuantError
+from sinkquant.errors import ConfigError, FormatError, NumericError, ShapeError, SinkQuantError
 from sinkquant.profiles import available_profiles, load_profile, load_profile_file
 from sinkquant.quant import QuantSpec, dequantize, quantize_tensor
+from sinkquant.sinks import SinkProfile, SinkSet
 
 
 class TestDumpRoundTrip:
@@ -186,6 +189,31 @@ class TestManifest:
 
     def test_capture_kind_names(self):
         assert CAPTURE_KINDS == ("H", "H_prime", "X_d_in", "X_d_out", "Q", "K", "V", "A")
+
+
+class TestRecordCodec:
+    @pytest.mark.parametrize(
+        "record",
+        [
+            DecoderConfig(num_layers=2, hidden=8, heads=2, ffn_hidden=16, kv_heads=1, activation="gelu", rope=True),
+            SinkSet((0, 3, 9), 5),
+            SinkProfile("toy", 4, 1, 64, (7, 21)),
+            ManifestEntry(model="toy", layer=2, kind="K", tokens=3, hidden=4, file="k.kvsd"),
+            QuantSpec(3, "per_channel", "static", group_size=5, clip=0.01, sparse_fraction=0.02),
+        ],
+        ids=lambda record: type(record).__name__,
+    )
+    def test_roundtrip_through_json_text(self, record):
+        obj = json.loads(json.dumps(record_to_json(record)))
+        assert record_from_json(type(record), obj) == record
+
+    def test_rejection_names_the_fields_and_raises_the_given_error(self):
+        obj = {"indices": [1.0], "extra": 0}
+        with pytest.raises(FormatError) as info:
+            record_from_json(SinkSet, obj)
+        assert info.value.context == {"unknown": ["extra"], "missing": ["k_requested"], "wrong": ["indices"]}
+        with pytest.raises(ConfigError):
+            record_from_json(DecoderConfig, [], ConfigError)
 
 
 class TestQuantizedFile:
@@ -446,6 +474,8 @@ def valid_files(tmp_path_factory):
     save_weights(str(root / "weights"), init_weights(cfg), cfg)
     entry = ManifestEntry(model="toy", layer=0, kind="H", tokens=3, hidden=4, file="x.kvsd")
     write_manifest([entry], str(root / "manifest.json"))
+    # A dump named "5", so that a manifest "file": 5 coerced to a name would load.
+    shutil.copy(root / "x.kvsd", root / "5")
     return root
 
 
@@ -490,14 +520,24 @@ def test_mutated_files_fail_typed(valid_files, data, target):
         ("profile", "profile.json", b"[" * 100_000),
         ("manifest", "manifest.json", b'[{"model": "m", "layer": Infinity, "kind": "H", "tokens": 3,'
          b' "hidden": 4, "file": "x.kvsd"}]'),
+        ("manifest", "manifest.json", b'[{"model": "m", "layer": 1.9, "kind": "H", "tokens": 3,'
+         b' "hidden": 4, "file": "x.kvsd"}]'),
+        ("manifest", "manifest.json", b'[{"model": "m", "layer": "2", "kind": "H", "tokens": 3,'
+         b' "hidden": 4, "file": "x.kvsd"}]'),
+        ("manifest", "manifest.json", b'[{"model": "m", "layer": 0, "kind": "H", "tokens": 3.0,'
+         b' "hidden": 4, "file": "x.kvsd"}]'),
+        ("manifest", "manifest.json", b'[{"model": "m", "layer": 0, "kind": "H", "tokens": 3,'
+         b' "hidden": 4, "file": 5}]'),
         ("snapshot", "snapshot/snapshot.json", b'{"layers": [{"keys_file": "k\\u0000", "values_file": "v"}]}'),
         ("weights", "weights/weights.json", b"\xfe\xff"),
     ],
-    ids=["profile-overflow", "profile-not-utf8", "profile-deep-nesting", "manifest-infinity", "snapshot-nul-path",
+    ids=["profile-overflow", "profile-not-utf8", "profile-deep-nesting", "manifest-infinity", "manifest-float-layer",
+         "manifest-string-layer", "manifest-float-tokens", "manifest-int-file", "snapshot-nul-path",
          "weights-not-utf8"],
 )
 def test_readers_fail_typed_on_found_inputs(valid_files, tmp_path, target, name, content):
-    # Inputs that once escaped as OverflowError, UnicodeDecodeError, RecursionError or ValueError.
+    # Inputs that once escaped as OverflowError, UnicodeDecodeError, RecursionError or ValueError,
+    # or that int() and str() once coerced into a loadable manifest entry.
     shutil.copytree(valid_files, tmp_path, dirs_exist_ok=True)
     (tmp_path / name).write_bytes(content)
     with pytest.raises(FormatError):

@@ -297,7 +297,20 @@ class TestProfileRegistry:
             load_profile(str(path2))
 
     @pytest.mark.parametrize(
-        "field, value", [("total_layers", "a"), ("outlier_channels", 5), ("outlier_channels", ["x"])]
+        "field, value",
+        [
+            ("total_layers", "a"),
+            ("outlier_channels", 5),
+            ("outlier_channels", ["x"]),
+            # Once truncated or coerced by int(), str() and tuple() into a loadable profile.
+            ("emergence_layer", 1.9),
+            ("emergence_layer", "2"),
+            ("outlier_channels", "12"),
+            ("outlier_channels", [3.7]),
+            ("model_name", 5),
+            ("total_layers", True),
+            ("notes", "an unknown key"),
+        ],
     )
     def test_wrongly_typed_profile_field(self, tmp_path, field, value):
         path = tmp_path / "typed.json"
