@@ -26,9 +26,13 @@ less unless every segment packs to whole bytes.
 from __future__ import annotations
 
 import itertools
+import os
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from . import dumpio
 from .errors import BoundsError, ConfigError, FormatError, ShapeError, StateError
 from .quant import (
     GroupLayout,
@@ -40,7 +44,7 @@ from .quant import (
     quantize_tensor,
     scheme_specs,
 )
-from .tensors import as_tensor
+from .tensors import as_tensor, row_mask
 
 PARAM_BYTES_PER_GROUP = 8
 SINK_BYTES_PER_ELEMENT = 2
@@ -144,11 +148,14 @@ class KVCache:
     def set_static_params(
         self, layer: int, key_params: QuantParams | None = None, value_params: QuantParams | None = None
     ) -> None:
+        """Install parameters for a layer's sides; ``LayoutError`` unless they fit the side's spec and block."""
         self._check_layer(layer)
-        if key_params is not None:
-            self._keys[layer].params = key_params
-        if value_params is not None:
-            self._values[layer].params = value_params
+        pairs = ((self._keys[layer], key_params), (self._values[layer], value_params))
+        given = [(side, params) for side, params in pairs if params is not None]
+        for side, params in given:
+            params.check_fits(side.spec, GroupLayout.block(side.spec, self.width))
+        for side, params in given:
+            side.params = params
 
     def _coerce_row(self, row, name: str) -> np.ndarray:
         arr = as_tensor(row, name=name).ravel()
@@ -190,20 +197,16 @@ class KVCache:
             raise ShapeError("keys and values must match", keys=list(k_arr.shape), values=list(v_arr.shape))
         if k_arr.shape[1] != self.width:
             raise ShapeError(f"expected width {self.width}", actual=int(k_arr.shape[1]))
-        n = k_arr.shape[0]
-        sink_rows = sorted(set(int(i) for i in sinks))
-        if sink_rows and (sink_rows[0] < 0 or sink_rows[-1] >= n):
-            raise BoundsError("sink index out of range", tokens=n, indices=sink_rows)
-        keep = np.ones(n, dtype=bool)
-        keep[sink_rows] = False
+        sink_mask = row_mask(sinks, k_arr.shape[0])
+        keep = ~sink_mask
         for side, data in ((self._keys[layer], k_arr), (self._values[layer], v_arr)):
             rows = data[keep]
             if side.spec.mode == "static" and side.params is None:
                 side.params = calibrate([rows], side.spec)
             side.extend(rows)
-        for t in sink_rows:
+        for t in np.flatnonzero(sink_mask).tolist():
             self._sinks[layer][t] = (k_arr[t].copy(), v_arr[t].copy())
-        self._counts[layer] = n
+        self._counts[layer] = k_arr.shape[0]
         self._loaded[layer] = True
 
     def reconstruct(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
@@ -287,53 +290,71 @@ def footprint_megabytes(footprint: dict) -> dict:
     return {k.replace("_bytes", "_mb"): v / (1024.0 * 1024.0) for k, v in footprint.items()}
 
 
+@dataclass(frozen=True)
+class SnapshotLayer:
+    """One layer's entry in a snapshot sidecar; a layer without tokens names no dump files."""
+
+    layer: int
+    tokens: int
+    sinks: tuple[int, ...]
+    keys_file: str | None = None
+    values_file: str | None = None
+
+
+@dataclass(frozen=True)
+class Snapshot:
+    """A snapshot sidecar's top-level fields; ``layers`` holds one ``SnapshotLayer`` object per layer."""
+
+    scheme: str
+    bits: int
+    group_size: int
+    sparse_fraction: float
+    width: int
+    num_layers: int
+    layers: list
+
+
 def save_snapshot(cache: KVCache, directory: str) -> None:
     """Write reconstructed per-layer K/V dumps plus a JSON sidecar."""
-    import os
-
-    from . import dumpio
-
-    os.makedirs(directory, exist_ok=True)
     layers = []
     for layer in range(cache.num_layers):
         tokens = cache.layer_tokens(layer)
-        entry = {"layer": layer, "tokens": tokens, "sinks": list(cache.sink_indices(layer))}
+        names = (f"layer{layer:03d}_keys.kvsd", f"layer{layer:03d}_values.kvsd") if tokens else (None, None)
         if tokens:
-            k_arr, v_arr = cache.reconstruct(layer)
-            entry["keys_file"] = f"layer{layer:03d}_keys.kvsd"
-            entry["values_file"] = f"layer{layer:03d}_values.kvsd"
-            dumpio.write_dump(os.path.join(directory, entry["keys_file"]), k_arr)
-            dumpio.write_dump(os.path.join(directory, entry["values_file"]), v_arr)
-        layers.append(entry)
-    sidecar = {
-        "scheme": cache.scheme,
-        "bits": cache.key_spec.bits,
-        "group_size": cache.key_spec.group_size,
-        "sparse_fraction": cache.key_spec.sparse_fraction,
-        "width": cache.width,
-        "num_layers": cache.num_layers,
-        "layers": layers,
-    }
-    dumpio.write_json(os.path.join(directory, "snapshot.json"), sidecar)
+            for name, arr in zip(names, cache.reconstruct(layer)):
+                dumpio.write_dump(os.path.join(directory, name), arr)
+        entry = SnapshotLayer(layer, tokens, cache.sink_indices(layer), *names)
+        layers.append({k: v for k, v in dumpio.record_to_json(entry).items() if v is not None})
+    spec = cache.key_spec
+    sidecar = Snapshot(
+        cache.scheme, spec.bits, spec.group_size, spec.sparse_fraction, cache.width, cache.num_layers, layers
+    )
+    dumpio.write_json(os.path.join(directory, "snapshot.json"), dumpio.record_to_json(sidecar))
 
 
 def load_snapshot(directory: str) -> dict:
-    """Read a snapshot back; layer entries gain 'keys'/'values' arrays."""
-    import os
+    """Read a snapshot back; layer entries gain 'keys'/'values' arrays.
 
-    from . import dumpio
-
+    A ``Snapshot`` of ``num_layers`` ``SnapshotLayer`` entries in layer order,
+    sinks in ``[0, tokens)`` and dumps of ``(tokens, width)``, or ``FormatError``.
+    """
     path = os.path.join(directory, "snapshot.json")
     meta = dumpio.read_json(path)
-    try:
-        files = [
-            (entry, os.path.join(directory, entry["keys_file"]), os.path.join(directory, entry["values_file"]))
-            for entry in meta["layers"]
-            if entry.get("keys_file")
-        ]
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise FormatError(f"malformed snapshot sidecar: {exc!r}", path=path) from exc
-    for entry, keys_file, values_file in files:
-        entry["keys"] = dumpio.read_dump(keys_file)
-        entry["values"] = dumpio.read_dump(values_file)
+    top = dumpio.record_from_json(Snapshot, meta, partial(FormatError, path=path))
+    if len(top.layers) != top.num_layers:
+        raise FormatError("layer entries differ from num_layers", path=path, entries=len(top.layers))
+    for i, entry in enumerate(top.layers):
+        layer = dumpio.record_from_json(SnapshotLayer, entry, partial(FormatError, path=path, entry=i))
+        names = [name for name in (layer.keys_file, layer.values_file) if name is not None]
+        dumps = [dumpio.read_dump(os.path.join(directory, name)) for name in names]
+        if not (
+            layer.layer == i
+            and all(0 <= t < layer.tokens for t in layer.sinks)
+            and len(dumps) == (2 if layer.tokens else 0)
+            and all(d.shape == (layer.tokens, top.width) for d in dumps)
+        ):
+            raise FormatError(
+                "layer entry out of order, or its sinks or dumps do not fit (tokens, width)", path=path, entry=i
+            )
+        entry.update(zip(("keys", "values"), dumps))
     return meta

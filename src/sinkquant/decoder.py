@@ -26,6 +26,7 @@ Instrumentation:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,7 +137,7 @@ def init_weights(cfg: DecoderConfig, weight_scale: float = 0.5, rng=None) -> Dec
 
 @dataclass(frozen=True)
 class InjectionHook:
-    """Edit applied to the down-projection output before the FFN residual."""
+    """Edit applied to the down-projection output before the FFN residual at (token, channel, magnitude) targets."""
 
     layer: int
     mode: str
@@ -147,9 +148,11 @@ class InjectionHook:
             raise ConfigError(f"unknown hook mode {self.mode!r}", allowed=list(HOOK_MODES))
         if self.layer < 0:
             raise ConfigError(f"hook layer must be >= 0, got {self.layer}")
-        object.__setattr__(
-            self, "targets", tuple((int(t), int(c), float(m)) for t, c, m in self.targets)
-        )
+        try:
+            targets = tuple((operator.index(t), operator.index(c), float(m)) for t, c, m in self.targets)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"hook targets must be (integer token, integer channel, magnitude): {exc}") from exc
+        object.__setattr__(self, "targets", targets)
 
 
 def _apply_hooks(x_d_out, h_prime, hooks, layer):
@@ -363,22 +366,17 @@ def synthesize_sink_model(
             l_dissipate=l_dissipate,
             num_layers=cfg.num_layers,
         )
+    edits = ((l_emerge, "add_to_ffn_output"), (l_dissipate, "negate_channels")) if plant else ()
+    hooks = tuple(InjectionHook(layer, mode, plant) for layer, mode in edits)
+    channels = sorted({c for _, c, _ in hooks[0].targets}) if hooks else []
     rng = np.random.default_rng(cfg.seed)
     weights = init_weights(cfg, weight_scale=weight_scale, rng=rng)
-    channels = sorted({int(c) for _, c, _ in plant})
     if any(not 0 <= c < cfg.hidden for c in channels):
         raise BoundsError("planted channel outside hidden size", hidden=cfg.hidden, channels=channels)
     for lw in weights.layers:
         for c in channels:
             lw.wk[c, :] = rng.normal(0.0, readout_gain, size=cfg.kv_width)
             lw.wv[c, :] = rng.normal(0.0, readout_gain, size=cfg.kv_width)
-    if not plant:
-        return weights, ()
-    targets = tuple((int(t), int(c), float(m)) for t, c, m in plant)
-    hooks = (
-        InjectionHook(l_emerge, "add_to_ffn_output", targets),
-        InjectionHook(l_dissipate, "negate_channels", targets),
-    )
     return weights, hooks
 
 

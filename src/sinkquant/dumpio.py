@@ -14,8 +14,9 @@ Quantized tensor format (``.kvsq``): magic ``KVSQ``, version, a
 length-prefixed JSON header describing the quantization settings, group
 layout, and section byte lengths, then raw little-endian sections in order:
 scales (f64), zeros (i64), degenerate flags (u8), constants (f64), outlier
-indices (u64), outlier values (f64), packed codes. A header or section that
-does not fit the layout of ``shape`` under ``spec`` is a ``FormatError``.
+indices (u64), outlier values (f64), packed codes. ``spec`` is also the
+parameters' spec. A header or section that does not fit the layout of
+``shape`` under ``spec`` is a ``FormatError``.
 
 JSON records: every dataclass that goes to or from a JSON file (decoder
 configs, sink sets, sink profiles, manifest entries, the ``.kvsq`` spec, and
@@ -23,7 +24,8 @@ the bench, stage and error reports) is written by ``record_to_json``; those
 read back are read by ``record_from_json``. Both are driven by the
 dataclass's field annotations. The reader's one rule: JSON types must match
 exactly (an ``int`` field rejects floats, strings and bools; a ``float``
-field takes ints; a ``tuple[int, ...]`` field takes a list of ints), unknown
+field takes ints; a ``tuple[int, ...]`` field takes a list of ints and a
+``list`` field any list), unknown
 keys are rejected, and so are missing fields without a default. Each caller
 names the typed error to raise.
 
@@ -58,7 +60,7 @@ CAPTURE_KINDS = ("H", "H_prime", "X_d_in", "X_d_out", "Q", "K", "V", "A")
 
 _QHEADER_KEYS = ["n_groups", "params_shape", "sections", "shape", "spec"]
 _QSPEC_KEYS = sorted(f.name for f in fields(QuantSpec))
-_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool, "None": type(None)}
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool, "None": type(None), "list": list}
 
 
 def json_fits(value, annotation: str) -> bool:
@@ -287,9 +289,7 @@ def read_quantized(path: str) -> QuantizedTensor:
         return out.astype(out.dtype.newbyteorder("="), copy=True)
 
     params = QuantParams(
-        axis=spec.axis,
-        mode=spec.mode,
-        group_size=spec.group_size,
+        spec=spec,
         shape=params_shape,
         scale=_arr(raw[0], "<f8", n_groups),
         zero=_arr(raw[1], "<i8", n_groups),
@@ -297,7 +297,7 @@ def read_quantized(path: str) -> QuantizedTensor:
         constant=_arr(raw[3], "<f8", n_groups),
     )
     try:
-        params.layout_for(shape)
+        params.check_fits(spec, layout)
     except LayoutError as exc:
         raise FormatError(f"parameters do not fit the tensor: {exc.message}", path=path) from exc
     indices = _arr(raw[4], "<u8", n_out)
@@ -307,7 +307,6 @@ def read_quantized(path: str) -> QuantizedTensor:
         )
     return QuantizedTensor(
         shape=shape,
-        spec=spec,
         params=params,
         packed=raw[6],
         outlier_indices=indices.astype(np.int64),

@@ -10,12 +10,11 @@ over the packaged set.
 
 from __future__ import annotations
 
-import json
 import os
 from functools import partial
 from importlib import resources
 
-from .dumpio import record_from_json
+from .dumpio import read_json, record_from_json
 from .errors import ConfigError, FormatError
 from .sinks import SinkProfile
 
@@ -57,21 +56,10 @@ def load_profile(name: str) -> SinkProfile:
     entry = _packaged_dir() / (key + ".json")
     if not entry.is_file():
         raise ConfigError(f"no profile named {name!r}", available=available_profiles())
-    return _parse(entry.read_text(), source=str(entry))
+    with resources.as_file(entry) as path:
+        return load_profile_file(str(path))
 
 
 def load_profile_file(path: str) -> SinkProfile:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise FormatError(f"cannot read profile file: {exc}", path=path) from exc
-    return _parse(text, source=path)
-
-
-def _parse(text: str, source: str) -> SinkProfile:
-    try:
-        obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise FormatError(f"profile is not valid JSON: {exc}", path=source) from exc
-    return record_from_json(SinkProfile, obj, partial(FormatError, path=source))
+    """A ``SinkProfile`` from a JSON file; an unreadable or malformed file is a ``FormatError``."""
+    return record_from_json(SinkProfile, read_json(path), partial(FormatError, path=path))

@@ -41,6 +41,11 @@ call, then a parameter fit or one ``QuantParams.check_fits`` of given
 parameters, then the encode. ``compute_params`` and ``calibrate`` share its
 fit step.
 
+Parameters carry the one ``QuantSpec`` they were fitted under, which is also
+their ``QuantizedTensor``'s spec; ``check_fits`` refuses (``LayoutError``)
+parameters from any other spec, be it another bit width, clip, sparse
+fraction or grouping.
+
 All float arithmetic (the fit's min-max, the encode and the decode) runs in
 the tensor's own memory order, on the segment views of
 ``GroupLayout.segments`` with per-group parameters broadcast over them. Only
@@ -50,19 +55,18 @@ the uint8 codes are reordered to and from the group-major packed stream. The
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import (
-    BoundsError,
     CalibrationError,
     ConfigError,
     LayoutError,
     ShapeError,
 )
 from .packing import pack_codes, packed_nbytes, unpack_codes
-from .tensors import as_tensor, top_k_mask
+from .tensors import as_tensor, row_mask, top_k_mask
 
 AXES = ("per_token", "per_channel", "per_tensor")
 MODES = ("dynamic", "static")
@@ -131,8 +135,6 @@ class GroupLayout:
         if axis not in AXES:
             raise ConfigError(f"unknown axis {axis!r}")
         self.shape = (int(shape[0]), int(shape[1]))
-        self.axis = axis
-        self.mode = mode
         self.group_size = int(group_size)
         self.by_rows = axis != "per_channel"
         self.shared = axis == "per_tensor" or (axis == "per_token" and mode == "static")
@@ -251,11 +253,9 @@ class GroupLayout:
 
 @dataclass
 class QuantParams:
-    """Frozen per-group (scale, zero) pairs plus degenerate-group constants."""
+    """Frozen per-group (scale, zero) pairs plus degenerate-group constants, fitted under ``spec``."""
 
-    axis: str
-    mode: str
-    group_size: int
+    spec: QuantSpec
     shape: tuple[int, int]
     scale: np.ndarray
     zero: np.ndarray
@@ -266,22 +266,16 @@ class QuantParams:
     def n_groups(self) -> int:
         return self.scale.size
 
-    def layout_for(self, shape: tuple[int, int]) -> GroupLayout:
-        """Layout of ``shape`` under these parameters; raises on mismatch."""
-        layout = GroupLayout(shape, self.axis, self.mode, self.group_size)
-        self.check_fits(layout)
-        return layout
-
-    def check_fits(self, layout: GroupLayout) -> None:
-        """Raise ``LayoutError`` unless these parameters describe ``layout``."""
+    def check_fits(self, spec: QuantSpec, layout: GroupLayout) -> None:
+        """Raise ``LayoutError`` unless these parameters were fitted under ``spec`` and fit ``layout``."""
         shape = layout.shape
-        if (layout.axis, layout.mode, layout.group_size) != (self.axis, self.mode, self.group_size):
+        if spec != self.spec:
             raise LayoutError(
-                "parameters were computed under a different grouping",
-                params=(self.axis, self.mode, self.group_size),
-                layout=(layout.axis, layout.mode, layout.group_size),
+                "parameters were fitted under a different spec",
+                params_spec=asdict(self.spec),
+                spec=asdict(spec),
             )
-        if self.mode == "dynamic":
+        if spec.mode == "dynamic":
             if tuple(shape) != tuple(self.shape):
                 raise LayoutError(
                     "dynamic parameters are bound to the tensor they were computed on",
@@ -307,28 +301,24 @@ class QuantizedTensor:
     """Bit-packed codes plus parameters and optional full-precision outliers."""
 
     shape: tuple[int, int]
-    spec: QuantSpec
     params: QuantParams
     packed: bytes
     outlier_indices: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     outlier_values: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.float64))
 
+    @property
+    def spec(self) -> QuantSpec:
+        return self.params.spec
+
     def layout(self) -> GroupLayout:
-        return self.params.layout_for(self.shape)
+        layout = GroupLayout.for_spec(self.shape, self.spec)
+        self.params.check_fits(self.spec, layout)
+        return layout
 
     def codes(self) -> np.ndarray:
         """Unpacked [n, d] integer codes."""
         layout = self.layout()
         return layout.from_group_major(unpack_codes(self.packed, layout.group_sizes(), self.spec.bits))
-
-
-def _coerce_exclude(exclude, n: int) -> np.ndarray:
-    rows = np.asarray(sorted(set(int(i) for i in (exclude or ()))), dtype=np.int64)
-    if rows.size and (rows[0] < 0 or rows[-1] >= n):
-        raise BoundsError(
-            "excluded token index out of range", tokens=n, index=int(rows[-1] if rows[-1] >= n else rows[0])
-        )
-    return rows
 
 
 def _outlier_mask(x: np.ndarray, layout: GroupLayout, fraction: float) -> np.ndarray:
@@ -343,7 +333,7 @@ def _outlier_mask(x: np.ndarray, layout: GroupLayout, fraction: float) -> np.nda
 def _valid_entries(x: np.ndarray, layout: GroupLayout, spec: QuantSpec, exclude) -> np.ndarray:
     """Entries that enter group statistics: neither isolated outliers nor in an excluded row."""
     valid = ~_outlier_mask(x, layout, spec.sparse_fraction)
-    valid[_coerce_exclude(exclude, x.shape[0])] = False
+    valid[row_mask(exclude, x.shape[0])] = False
     return valid
 
 
@@ -395,9 +385,7 @@ def _fit(x: np.ndarray, layout: GroupLayout, spec: QuantSpec, valid: np.ndarray)
     scale = np.where(degenerate, 1.0, rng / spec.levels)
     zero = np.where(degenerate, 0, -np.rint(cmin / scale)).astype(np.int64)
     return QuantParams(
-        axis=spec.axis,
-        mode=spec.mode,
-        group_size=spec.group_size,
+        spec=spec,
         shape=layout.shape,
         scale=scale,
         zero=zero,
@@ -430,7 +418,7 @@ def quantize_tensor(x, spec: QuantSpec, params: QuantParams | None = None) -> Qu
     if params is None:
         params = _fit(arr, layout, spec, ~outliers)
     else:
-        params.check_fits(layout)
+        params.check_fits(spec, layout)
     # Float arithmetic runs in the tensor's own order; only the uint8 codes are reordered for packing.
     codes = np.empty(arr.shape)
     for vals, out, scale, zero in layout.segments((arr, codes), params.scale, params.zero):
@@ -444,7 +432,6 @@ def quantize_tensor(x, spec: QuantSpec, params: QuantParams | None = None) -> Qu
     idx = np.flatnonzero(outliers)
     return QuantizedTensor(
         shape=layout.shape,
-        spec=spec,
         params=params,
         packed=pack_codes(layout.to_group_major(codes), layout.group_sizes(), spec.bits),
         outlier_indices=idx,
@@ -466,10 +453,10 @@ def dequantize(qt: QuantizedTensor, *more: QuantizedTensor) -> np.ndarray:
     tensors = (qt, *more)
     layout = qt.layout()
     for t in more:
-        if t.shape != qt.shape or t.spec != qt.spec:
-            raise LayoutError("stacked tensors must share one shape and spec", shape=list(qt.shape))
+        if t.shape != qt.shape:
+            raise LayoutError("stacked tensors must share one shape", shape=list(qt.shape))
         if t.params is not qt.params:
-            t.params.check_fits(layout)
+            t.params.check_fits(qt.spec, layout)
     fields = ("zero", "scale", "degenerate", "constant")
     if all(t.params is qt.params for t in more):  # shared static parameters broadcast
         p = {k: getattr(qt.params, k)[None] for k in fields}
@@ -609,9 +596,7 @@ def quantize_scheme(
             values=list(v_arr.shape),
         )
     key_spec, value_spec = scheme_specs(scheme, bits, group_size, sparse_fraction)
-    rows = _coerce_exclude(sinks, k_arr.shape[0])
-    keep = np.ones(k_arr.shape[0], dtype=bool)
-    keep[rows] = False
+    keep = ~row_mask(sinks, k_arr.shape[0])
 
     def _side(arr, spec, params, calibration):
         sub = arr[keep]

@@ -25,7 +25,7 @@ import numpy as np
 
 from .dumpio import record_from_json, record_to_json
 from .errors import BoundsError, ConfigError, DiscoveryError, ShapeError
-from .tensors import as_tensor
+from .tensors import as_tensor, row_mask
 
 STAGES = ("initial", "emergence", "stabilization", "dissipation", "final")
 
@@ -71,11 +71,7 @@ class SinkSet:
 
     def mask(self, n: int) -> np.ndarray:
         """Boolean token mask of length n; indices must be < n."""
-        if self.indices and self.indices[-1] >= n:
-            raise BoundsError("sink index out of range", tokens=n, index=self.indices[-1])
-        out = np.zeros(n, dtype=bool)
-        out[list(self.indices)] = True
-        return out
+        return row_mask(self.indices, n)
 
     def to_json_dict(self) -> dict:
         return record_to_json(self)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import BoundsError, NumericError, ShapeError
 
 # Query rows per tile of ``causal_attention``. At n=4096, dk=64 and one head,
 # 256 rows was fastest of 128-1024 on a 2-vCPU host.
@@ -25,6 +25,16 @@ def as_tensor(x, ndim: int | None = None, name: str = "tensor") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NumericError(f"{name} contains non-finite values")
     return arr
+
+
+def row_mask(indices, n: int) -> np.ndarray:
+    """Mask of ``n`` token rows marking ``indices`` (``None`` for none); each must be an integer in ``[0, n)``."""
+    idx = np.asarray(list(() if indices is None else indices))
+    if idx.size and (idx.ndim != 1 or idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= n):
+        raise BoundsError("token indices must be integers in [0, n)", tokens=n, indices=idx.tolist())
+    mask = np.zeros(n, dtype=bool)
+    mask[idx.astype(np.int64)] = True  # an empty list comes back as float64
+    return mask
 
 
 def l2_norm_per_token(x) -> np.ndarray:

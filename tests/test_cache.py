@@ -164,6 +164,9 @@ class TestBulkLoad:
         cache = KVCache(1, 8)
         with pytest.raises(BoundsError):
             cache.bulk_load(0, k, v, sinks=[4])
+        with pytest.raises(BoundsError):  # once kept row 1 as the sink
+            cache.bulk_load(0, k, v, sinks=[1.7])
+        assert cache.layer_tokens(0) == 0
 
     def test_shape_checks(self):
         cache = KVCache(1, 8)

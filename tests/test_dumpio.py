@@ -511,6 +511,24 @@ def test_mutated_files_fail_typed(valid_files, data, target):
             pass
 
 
+# The sidecar ``valid_files`` writes for its snapshot: layer 0 holds 6 tokens of width 8 with a sink at 0.
+SNAPSHOT_SIDECAR = json.dumps(
+    {
+        "scheme": "pt_kv_dynamic",
+        "bits": 4,
+        "group_size": 4,
+        "sparse_fraction": 0.0,
+        "width": 8,
+        "num_layers": 2,
+        "layers": [
+            {"layer": 0, "tokens": 6, "sinks": [0], "keys_file": "layer000_keys.kvsd",
+             "values_file": "layer000_values.kvsd"},
+            {"layer": 1, "tokens": 0, "sinks": []},
+        ],
+    }
+).encode()
+
+
 @pytest.mark.parametrize(
     "target, name, content",
     [
@@ -529,15 +547,19 @@ def test_mutated_files_fail_typed(valid_files, data, target):
         ("manifest", "manifest.json", b'[{"model": "m", "layer": 0, "kind": "H", "tokens": 3,'
          b' "hidden": 4, "file": 5}]'),
         ("snapshot", "snapshot/snapshot.json", b'{"layers": [{"keys_file": "k\\u0000", "values_file": "v"}]}'),
+        ("snapshot", "snapshot/snapshot.json", SNAPSHOT_SIDECAR.replace(b'"tokens": 6', b'"tokens": 99')),
+        ("snapshot", "snapshot/snapshot.json", SNAPSHOT_SIDECAR.replace(b'"sinks": [0]', b'"sinks": ["x"]')),
+        ("snapshot", "snapshot/snapshot.json", SNAPSHOT_SIDECAR.replace(b'"width": 8', b'"width": 2.5')),
         ("weights", "weights/weights.json", b"\xfe\xff"),
     ],
     ids=["profile-overflow", "profile-not-utf8", "profile-deep-nesting", "manifest-infinity", "manifest-float-layer",
          "manifest-string-layer", "manifest-float-tokens", "manifest-int-file", "snapshot-nul-path",
-         "weights-not-utf8"],
+         "snapshot-tokens-beyond-dump", "snapshot-string-sink", "snapshot-float-width", "weights-not-utf8"],
 )
 def test_readers_fail_typed_on_found_inputs(valid_files, tmp_path, target, name, content):
     # Inputs that once escaped as OverflowError, UnicodeDecodeError, RecursionError or ValueError,
-    # or that int() and str() once coerced into a loadable manifest entry.
+    # that int() and str() once coerced into a loadable manifest entry, or that a snapshot once loaded
+    # next to its (6, 8) dumps unchecked.
     shutil.copytree(valid_files, tmp_path, dirs_exist_ok=True)
     (tmp_path / name).write_bytes(content)
     with pytest.raises(FormatError):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from sinkquant.quant import (
     quantize_tensor,
     scheme_specs,
 )
+from sinkquant.cache import KVCache
 from sinkquant.packing import pack_codes, pack_group_bytes, unpack_codes
 
 
@@ -65,6 +68,12 @@ class TestComputeParams:
     def test_exclude_out_of_range(self):
         with pytest.raises(BoundsError):
             compute_params(np.zeros((4, 4)), QuantSpec(4), exclude=[4])
+        # A float row index once truncated to row 1; a bool one once read as row 1.
+        for exclude in ([1.5], [True]):
+            with pytest.raises(BoundsError):
+                compute_params(np.zeros((4, 4)), QuantSpec(4), exclude=exclude)
+            with pytest.raises(BoundsError):
+                quantize_scheme(np.zeros((4, 4)), np.zeros((4, 4)), "pt_kv_dynamic", sinks=exclude)
 
     def test_clip_shrinks_range(self):
         rng = np.random.default_rng(1)
@@ -432,6 +441,25 @@ class TestQuantizeDequantize:
         assert per_token_static.n_groups == 8
         with pytest.raises(LayoutError):
             quantize_scheme(keys, keys, "kvquant_like", bits=2, group_size=16, key_params=per_token_static)
+        # Same grouping, another bit width, clip or sparse fraction: every entry point refuses the parameters.
+        key_spec, _ = scheme_specs("kvquant_like", 2, 16)
+        for other in (
+            dataclasses.replace(key_spec, bits=4),
+            dataclasses.replace(key_spec, clip=0.01),
+            dataclasses.replace(key_spec, sparse_fraction=0.0),
+        ):
+            params = calibrate([keys], other)
+            assert params.n_groups == GroupLayout.for_spec(keys.shape, key_spec).n_groups
+            cache = KVCache(1, 8, scheme="kvquant_like", bits=2, group_size=16)
+            for call in (
+                lambda: quantize_tensor(keys, key_spec, params=params),
+                lambda: quantize(keys, params, key_spec),
+                lambda: quantize_scheme(keys, keys, "kvquant_like", bits=2, group_size=16, key_params=params),
+                lambda: cache.set_static_params(0, key_params=params),
+            ):
+                with pytest.raises(LayoutError):
+                    call()
+            assert cache._keys[0].params is None
 
     @pytest.mark.parametrize("mode", ["dynamic", "static"])
     def test_one_layout_per_quantize_call(self, monkeypatch, mode):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sinkquant.decoder import DecoderConfig, synthesize_sink_model
 from sinkquant.errors import (
     BoundsError,
     ConfigError,
@@ -244,6 +245,13 @@ class TestStages:
         del dumps[1]["H_prime"]
         with pytest.raises(ConfigError):
             classify_stages(dumps, plain_profile(d=32, channels=(5,), layers=3))
+
+    @pytest.mark.parametrize("target", [(0.9, 11.7, 400.0), (0, 11.7, 400.0), ("0", 11, 400.0)])
+    def test_non_integer_plant_target_rejected(self, target):
+        # (0.9, 11.7, 400.0) once planted at (0, 11) without a word.
+        cfg = DecoderConfig(num_layers=4, hidden=16, heads=2, ffn_hidden=16)
+        with pytest.raises(ConfigError):
+            synthesize_sink_model(cfg, [target], 1, 2)
 
 
 TABLE_PROFILES = {
