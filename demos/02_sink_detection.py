@@ -11,6 +11,7 @@ output predicts the sink positions - no attention scores needed.
 import numpy as np
 
 from sinkquant import available_profiles, detect_sinks, discover_profile, load_profile
+from sinkquant.dumpio import record_to_json
 from sinkquant.sinks import SinkProfile, preserve_first_n
 
 rng = np.random.default_rng(7)
@@ -53,5 +54,5 @@ for layer in range(8):
         d[14, 199] = -1400.0
     dumps.append(d)
 discovered = discover_profile(dumps, ratio=100.0, model_name="demo-model")
-print("\ndiscovered profile:", discovered.to_json_dict())
+print("\ndiscovered profile:", record_to_json(discovered))
 assert isinstance(discovered, SinkProfile)

@@ -16,7 +16,6 @@ from .analysis import (
     error_decomposition,
     mse,
     qk_sink_diagnostics,
-    qkv_norm_profile,
 )
 from .bench import BenchReport, run_bench
 from .cache import KVCache, footprint_megabytes, load_snapshot, predict_footprint, save_snapshot
@@ -69,6 +68,6 @@ from .sinks import (
     discover_profile,
     preserve_first_n,
 )
-from .tensors import cosine_similarity, l2_norm_per_token, softmax_row, split_heads, top_k_abs
+from .tensors import l2_norm_per_token, softmax_row, split_heads
 
 __version__ = "0.1.0"

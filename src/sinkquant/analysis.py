@@ -1,5 +1,5 @@
 """Measurement methodology: error decomposition, attention-bias extraction,
-bias disruption under quantization, and Q/K/V norm diagnostics.
+bias disruption under quantization, and query/key sink diagnostics.
 
 All reports store raw values; the optional x100 display scaling some error
 tables use is applied only at emission time.
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dumpio import record_to_json
+from .dumpio import atomic_write, record_to_json
 from .errors import ConfigError, ShapeError
 from .quant import (
     CalibrationSet,
@@ -55,6 +55,7 @@ class ErrorRow:
     axis: str
     mode: str
     group_size: int
+    clip: float | None
     sparse_fraction: float
     overall: float
     wo_sink_groups: float | None = None
@@ -114,6 +115,7 @@ def error_decomposition(
                 axis=spec.axis,
                 mode=spec.mode,
                 group_size=spec.group_size,
+                clip=spec.clip,
                 sparse_fraction=spec.sparse_fraction,
                 overall=float(err2.mean()),
                 nonsink_elements=float(err2[~sink_mask].mean()) if (~sink_mask).any() else None,
@@ -143,6 +145,7 @@ def error_decomposition(
                     axis=spec.axis,
                     mode=spec.mode,
                     group_size=spec.group_size,
+                    clip=spec.clip,
                     sparse_fraction=spec.sparse_fraction,
                     overall=float(err2.mean()),
                     wo_sink_groups=float(wo.mean()) if wo.size else None,
@@ -165,31 +168,27 @@ class BiasResult:
     pairs: int
 
 
-def _pairwise_mean_cosine(vectors: np.ndarray) -> tuple[float, int, int]:
-    m = vectors.shape[0]
-    total = m * (m - 1) // 2
-    norms = np.linalg.norm(vectors, axis=1)
-    good = norms > 0.0
-    unit = vectors[good] / norms[good, None]
-    g = unit.shape[0]
-    if g < 2:
-        return 0.0, total, total
-    gram = unit @ unit.T
-    iu = np.triu_indices(g, k=1)
-    vals = np.clip(gram[iu], -1.0, 1.0)
-    return float(vals.mean()), total - vals.size, total
+def _cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosines between the rows of ``a`` and of ``b`` with non-zero norm, ``[a_good, b_good]``.
+
+    Rows are normalised before the one product, so no division runs over the product.
+    """
+    units = []
+    for x in (a, b):
+        norms = np.linalg.norm(x, axis=1)
+        good = norms > 0.0
+        units.append(x[good] / norms[good, None])
+    return np.clip(units[0] @ units[1].T, -1.0, 1.0)
 
 
-def _centroid_mean_cosine(vectors: np.ndarray) -> tuple[float, int, int]:
-    norms = np.linalg.norm(vectors, axis=1)
-    good = norms > 0.0
-    total = vectors.shape[0]
-    centroid = vectors.mean(axis=0)
-    cn = np.linalg.norm(centroid)
-    if cn == 0.0 or not good.any():
-        return 0.0, total, total
-    cos = np.clip((vectors[good] @ centroid) / (norms[good] * cn), -1.0, 1.0)
-    return float(cos.mean()), total - int(good.sum()), total
+def _as_heads(x, name: str) -> np.ndarray:
+    """``x`` as ``[heads, tokens, d]``; a 2-D tensor is one head."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim == 2:
+        arr = arr[None, :, :]
+    if arr.ndim != 3:
+        raise ShapeError(f"{name} must be [tokens, d] or [heads, tokens, d]", shape=list(arr.shape))
+    return arr
 
 
 def attention_bias(A, V, sinks: SinkSet, method: str = "pairwise") -> BiasResult:
@@ -220,19 +219,24 @@ def attention_bias(A, V, sinks: SinkSet, method: str = "pairwise") -> BiasResult
     idx = list(sinks)
     first = idx[0]
     bias = attn[first:, idx] @ vals[idx]
-    scorer = _pairwise_mean_cosine if method == "pairwise" else _centroid_mean_cosine
-    avg, degenerate, pairs = scorer(bias)
+    m = bias.shape[0]
+    if method == "pairwise":
+        pairs = m * (m - 1) // 2
+        cos = _cosines(bias, bias)
+        cos = cos[np.triu_indices(cos.shape[0], k=1)]
+    else:
+        pairs = m
+        cos = _cosines(bias, bias.mean(axis=0)[None]).ravel()  # empty for a zero centroid
+    avg = float(cos.mean()) if cos.size else 0.0
     return BiasResult(
-        bias=bias, first_token=first, avg_cosine=avg, degenerate_pairs=degenerate, pairs=pairs
+        bias=bias, first_token=first, avg_cosine=avg, degenerate_pairs=pairs - cos.size, pairs=pairs
     )
 
 
 def bias_report_from_heads(A_heads, V_heads, sinks: SinkSet, layer: int = 0, method: str = "pairwise"):
-    """Per-head bias-consistency rows from captured attention/value heads."""
-    a = np.asarray(A_heads, dtype=np.float64)
-    v = np.asarray(V_heads, dtype=np.float64)
-    if a.ndim != 3 or v.ndim != 3:
-        raise ShapeError("expected [heads, n, n] attention and [kv_heads, n, head_dim] values")
+    """Per-head bias-consistency rows from captured attention/value heads (2-D for one head)."""
+    a = _as_heads(A_heads, "attention")
+    v = _as_heads(V_heads, "values")
     heads, kv_heads = a.shape[0], v.shape[0]
     if heads % kv_heads != 0:
         raise ShapeError("query heads must group evenly over kv heads", heads=heads, kv_heads=kv_heads)
@@ -314,6 +318,7 @@ def bias_disruption(
                 "axis": spec.axis,
                 "mode": spec.mode,
                 "group_size": spec.group_size,
+                "clip": spec.clip,
                 "sparse_fraction": spec.sparse_fraction,
                 "bias_l2_delta": bias_delta,
                 "attention_score_delta": score_delta,
@@ -330,15 +335,6 @@ def qk_sink_diagnostics(Q, K, sinks: SinkSet, V=None):
     query, sink key) pairs; norm ratios divide the mean sink-row norm by the
     mean non-sink-row norm, and are ``None`` when every non-sink row is zero.
     """
-
-    def _as_heads(x, name):
-        arr = np.asarray(x, dtype=np.float64)
-        if arr.ndim == 2:
-            arr = arr[None, :, :]
-        if arr.ndim != 3:
-            raise ShapeError(f"{name} must be [tokens, head_dim] or [heads, tokens, head_dim]")
-        return arr
-
     q = _as_heads(Q, "queries")
     k = _as_heads(K, "keys")
     v = _as_heads(V, "values") if V is not None else None
@@ -360,15 +356,8 @@ def qk_sink_diagnostics(Q, K, sinks: SinkSet, V=None):
 
     rows = []
     for h in range(q.shape[0]):
-        qn = np.linalg.norm(q[h], axis=1)
-        kn = np.linalg.norm(k[h], axis=1)
-        q_good = (~sink_mask) & (qn > 0)
-        cos_vals = []
-        for s in idx:
-            if kn[s] == 0 or not q_good.any():
-                continue
-            cos_vals.append((q[h][q_good] @ k[h][s]) / (qn[q_good] * kn[s]))
-        mean_cos = float(np.clip(np.concatenate(cos_vals), -1, 1).mean()) if cos_vals else 0.0
+        cos = _cosines(q[h][~sink_mask], k[h][idx])
+        mean_cos = float(cos.mean()) if cos.size else 0.0
         row = {
             "head": h,
             "mean_qk_cosine": mean_cos,
@@ -381,45 +370,15 @@ def qk_sink_diagnostics(Q, K, sinks: SinkSet, V=None):
     return rows
 
 
-def qkv_norm_profile(q_heads, k_heads, v_heads) -> dict:
-    """L2 norms per (head, token) for captured Q/K/V head tensors."""
-    out = {}
-    for kind, arr in (("Q", q_heads), ("K", k_heads), ("V", v_heads)):
-        a = np.asarray(arr, dtype=np.float64)
-        if a.ndim != 3:
-            raise ShapeError(f"{kind} must be [heads, tokens, head_dim]", actual=list(a.shape))
-        out[kind] = np.linalg.norm(a, axis=2)
-    return out
-
-
-def norm_profile_rows(profile: dict, layer: int = 0) -> list[dict]:
-    """Tidy rows (one per head/token/kind) for plotting or CSV export."""
-    rows = []
-    for kind, mat in profile.items():
-        for h in range(mat.shape[0]):
-            for t in range(mat.shape[1]):
-                rows.append({"layer": layer, "kind": kind, "head": h, "token": t, "l2_norm": float(mat[h, t])})
-    return rows
-
-
-def write_rows_csv(rows: list[dict], path_or_file) -> None:
-    """Write homogeneous dict rows as CSV (tidy, plot-tool friendly)."""
-    if not rows:
-        fields = []
-    else:
-        fields = list(rows[0].keys())
-    own = isinstance(path_or_file, (str, bytes))
-    fh = open(path_or_file, "w", newline="") if own else path_or_file
-    try:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if own:
-            fh.close()
-
-
 def rows_to_csv_text(rows: list[dict]) -> str:
+    """Homogeneous dict rows as CSV text (tidy, plot-tool friendly)."""
     buf = io.StringIO()
-    write_rows_csv(rows, buf)
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]) if rows else [])
+    writer.writeheader()
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def write_rows_csv(rows: list[dict], path: str) -> None:
+    """:func:`rows_to_csv_text` of ``rows``, written atomically to ``path``."""
+    atomic_write(path, rows_to_csv_text(rows).encode())

@@ -120,11 +120,6 @@ class KVCache:
             raise BoundsError("layer index out of range", layer=layer, num_layers=self.num_layers)
         return layer
 
-    @property
-    def tokens(self) -> int:
-        """Sequence length as tracked by layer 0."""
-        return self._counts[0]
-
     def layer_tokens(self, layer: int) -> int:
         return self._counts[self._check_layer(layer)]
 

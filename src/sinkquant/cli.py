@@ -35,11 +35,11 @@ def _read_matrix(path: str, name: str) -> np.ndarray:
 
 
 def _load_sinks(args, tokens: int) -> SinkSet:
-    if getattr(args, "sinks", None) and getattr(args, "pfn", None) is not None:
+    if args.sinks and args.pfn is not None:
         raise UsageError("--sinks and --pfn are mutually exclusive")
-    if getattr(args, "sinks", None):
-        return SinkSet.from_json_dict(dumpio.read_json(args.sinks))
-    if getattr(args, "pfn", None) is not None:
+    if args.sinks:
+        return dumpio.record_from_json(SinkSet, dumpio.read_json(args.sinks))
+    if args.pfn is not None:
         return preserve_first_n(tokens, args.pfn)
     return SinkSet.empty(0)
 
@@ -69,7 +69,7 @@ def _cmd_detect(args) -> dict:
     arr = _read_matrix(args.dump, "hidden-state dump")
     profile = profiles.load_profile(args.profile)
     found = detect_sinks(arr, profile, args.k, args.ratio)
-    return {"sinks": found.to_json_dict(), "count": len(found), "model": profile.model_name}
+    return {"sinks": dumpio.record_to_json(found), "count": len(found), "model": profile.model_name}
 
 
 def _cmd_quantize(args) -> dict:
@@ -94,7 +94,7 @@ def _cmd_quantize(args) -> dict:
     os.makedirs(args.out, exist_ok=True)
     dumpio.write_quantized(os.path.join(args.out, "keys.kvsq"), qk)
     dumpio.write_quantized(os.path.join(args.out, "values.kvsq"), qv)
-    dumpio.write_json(os.path.join(args.out, "sinks.json"), sinks.to_json_dict())
+    dumpio.write_json(os.path.join(args.out, "sinks.json"), dumpio.record_to_json(sinks))
     footprint = cache.footprint_bytes(
         len(qk.packed) + len(qv.packed),
         len(sinks) * (keys.shape[1] + values.shape[1]),
@@ -106,7 +106,7 @@ def _cmd_quantize(args) -> dict:
         "bits": args.bits,
         "group_size": args.group,
         "tokens": int(keys.shape[0]),
-        "sinks": sinks.to_json_dict(),
+        "sinks": dumpio.record_to_json(sinks),
         "files": ["keys.kvsq", "values.kvsq", "sinks.json"],
         "footprint": footprint,
         "footprint_mb": cache.footprint_megabytes(footprint),
@@ -141,17 +141,13 @@ def _cmd_analyze_error(args) -> dict:
 
 
 def _cmd_analyze_bias(args) -> dict:
-    a = np.asarray(dumpio.read_dump(args.attention), dtype=np.float64)
-    v = np.asarray(dumpio.read_dump(args.values), dtype=np.float64)
-    if a.ndim == 2:
-        a = a[None, :, :]
-    if v.ndim == 2:
-        v = v[None, :, :]
+    a = analysis._as_heads(dumpio.read_dump(args.attention), "attention")
+    v = dumpio.read_dump(args.values)
     sinks = _load_sinks(args, a.shape[1])
     rows = analysis.bias_report_from_heads(a, v, sinks, layer=args.layer, method=args.method)
     if args.csv:
         analysis.write_rows_csv(rows, args.csv)
-    return {"sinks": sinks.to_json_dict(), "method": args.method, "rows": rows}
+    return {"sinks": dumpio.record_to_json(sinks), "method": args.method, "rows": rows}
 
 
 def _cmd_analyze_disruption(args) -> dict:
@@ -165,19 +161,18 @@ def _cmd_analyze_disruption(args) -> dict:
     )
     if args.csv:
         analysis.write_rows_csv(rows, args.csv)
-    return {"sinks": sinks.to_json_dict(), "rows": rows}
+    return {"sinks": dumpio.record_to_json(sinks), "rows": rows}
 
 
 def _cmd_analyze_qk(args) -> dict:
-    queries = np.asarray(dumpio.read_dump(args.queries), dtype=np.float64)
-    keys = np.asarray(dumpio.read_dump(args.keys), dtype=np.float64)
-    values = np.asarray(dumpio.read_dump(args.values), dtype=np.float64) if args.values else None
-    tokens = queries.shape[0] if queries.ndim == 2 else queries.shape[1]
-    sinks = _load_sinks(args, tokens)
+    queries = analysis._as_heads(dumpio.read_dump(args.queries), "queries")
+    keys = dumpio.read_dump(args.keys)
+    values = dumpio.read_dump(args.values) if args.values else None
+    sinks = _load_sinks(args, queries.shape[1])
     rows = analysis.qk_sink_diagnostics(queries, keys, sinks, V=values)
     if args.csv:
         analysis.write_rows_csv(rows, args.csv)
-    return {"sinks": sinks.to_json_dict(), "rows": rows}
+    return {"sinks": dumpio.record_to_json(sinks), "rows": rows}
 
 
 def _cmd_analyze_stages(args) -> dict:
@@ -255,7 +250,7 @@ def _cmd_simulate(args) -> dict:
     )
     os.makedirs(args.out, exist_ok=True)
     dumpio.write_dump(os.path.join(args.out, "h_last.kvsd"), h_q)
-    dumpio.write_json(os.path.join(args.out, "sinks.json"), sinks.to_json_dict())
+    dumpio.write_json(os.path.join(args.out, "sinks.json"), dumpio.record_to_json(sinks))
     cache.save_snapshot(kv, os.path.join(args.out, "snapshot"))
     footprint = kv.memory_footprint()
     return {
@@ -263,7 +258,7 @@ def _cmd_simulate(args) -> dict:
         "scheme": args.scheme,
         "bits": args.bits,
         "tokens": args.tokens,
-        "sinks": sinks.to_json_dict(),
+        "sinks": dumpio.record_to_json(sinks),
         "h_l2_delta": float(np.linalg.norm(h_q - h_fp)),
         "h_max_delta": float(np.abs(h_q - h_fp).max()),
         "footprint": footprint,

@@ -100,7 +100,8 @@ def record_from_json(cls, obj, error=FormatError):
     return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in obj.items()})
 
 
-def _atomic_write(path: str, data: bytes) -> None:
+def atomic_write(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temp file in the same directory and ``os.replace``."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
@@ -130,7 +131,7 @@ def write_dump(path: str, tensor, dtype: str = "float64") -> None:
     header = MAGIC + struct.pack("<III", VERSION, code, arr.ndim)
     header += struct.pack(f"<{arr.ndim}Q", *arr.shape)
     payload = np.ascontiguousarray(arr, dtype=np_dtype).tobytes()
-    _atomic_write(path, header + payload)
+    atomic_write(path, header + payload)
 
 
 def read_dump(path: str) -> np.ndarray:
@@ -188,7 +189,7 @@ class ManifestEntry:
 
 def write_manifest(entries, path: str) -> None:
     data = json.dumps([record_to_json(e) for e in entries], indent=2).encode()
-    _atomic_write(path, data + b"\n")
+    atomic_write(path, data + b"\n")
 
 
 def load_manifest(path: str) -> list[ManifestEntry]:
@@ -244,7 +245,7 @@ def write_quantized(path: str, qt: QuantizedTensor) -> None:
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     blob = QMAGIC + struct.pack("<II", VERSION, len(head)) + head + b"".join(sections)
-    _atomic_write(path, blob)
+    atomic_write(path, blob)
 
 
 def read_quantized(path: str) -> QuantizedTensor:
@@ -347,7 +348,7 @@ def strict_json(obj) -> str:
 
 
 def write_json(path: str, obj) -> None:
-    _atomic_write(path, strict_json(obj).encode() + b"\n")
+    atomic_write(path, strict_json(obj).encode() + b"\n")
 
 
 def read_json(path: str):

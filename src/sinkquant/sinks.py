@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dumpio import record_from_json, record_to_json
+from .dumpio import record_to_json
 from .errors import BoundsError, ConfigError, DiscoveryError, ShapeError
-from .tensors import as_tensor, row_mask
+from .tensors import as_tensor, row_mask, token_indices
 
 STAGES = ("initial", "emergence", "stabilization", "dissipation", "final")
 
@@ -38,9 +38,7 @@ class SinkSet:
     k_requested: int
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if any(i < 0 for i in idx):
-            raise BoundsError("sink indices must be non-negative", indices=list(idx))
+        idx = tuple(token_indices(self.indices).tolist())
         if list(idx) != sorted(set(idx)):
             raise ConfigError("sink indices must be unique and ascending", indices=list(idx))
         if len(idx) > self.k_requested:
@@ -57,7 +55,7 @@ class SinkSet:
 
     @classmethod
     def of(cls, indices, k_requested: int | None = None) -> "SinkSet":
-        idx = tuple(sorted(set(int(i) for i in indices)))
+        idx = tuple(np.unique(token_indices(indices)).tolist())
         return cls(idx, len(idx) if k_requested is None else k_requested)
 
     def __iter__(self):
@@ -66,20 +64,9 @@ class SinkSet:
     def __len__(self):
         return len(self.indices)
 
-    def __contains__(self, token: int) -> bool:
-        return int(token) in set(self.indices)
-
     def mask(self, n: int) -> np.ndarray:
         """Boolean token mask of length n; indices must be < n."""
         return row_mask(self.indices, n)
-
-    def to_json_dict(self) -> dict:
-        return record_to_json(self)
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "SinkSet":
-        """Inverse of :meth:`to_json_dict`; a malformed payload is a ``FormatError``."""
-        return record_from_json(cls, obj)
 
 
 @dataclass(frozen=True)
@@ -108,9 +95,6 @@ class SinkProfile:
                 hidden_size=self.hidden_size,
                 channels=list(self.outlier_channels),
             )
-
-    def to_json_dict(self) -> dict:
-        return record_to_json(self)
 
 
 def detect_sinks(h, profile: SinkProfile, k: int, magnitude_ratio: float | None = None) -> SinkSet:
@@ -148,7 +132,7 @@ def detect_sinks(h, profile: SinkProfile, k: int, magnitude_ratio: float | None 
         return SinkSet.empty(k)
     order = candidates[np.argsort(-score[candidates], kind="stable")]
     chosen = np.sort(order[: min(k, order.size)])
-    return SinkSet(tuple(int(i) for i in chosen), k)
+    return SinkSet(chosen, k)
 
 
 def preserve_first_n(seq_len: int, n: int) -> SinkSet:

@@ -27,13 +27,23 @@ def as_tensor(x, ndim: int | None = None, name: str = "tensor") -> np.ndarray:
     return arr
 
 
-def row_mask(indices, n: int) -> np.ndarray:
-    """Mask of ``n`` token rows marking ``indices`` (``None`` for none); each must be an integer in ``[0, n)``."""
-    idx = np.asarray(list(() if indices is None else indices))
-    if idx.size and (idx.ndim != 1 or idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= n):
+def token_indices(indices, n: int | None = None) -> np.ndarray:
+    """``indices`` (``None`` for none) as int64; each must be an integer in ``[0, n)``, or ``>= 0`` without ``n``."""
+    try:
+        idx = np.asarray(list(() if indices is None else indices))
+    except (TypeError, ValueError) as exc:  # not iterable, or ragged
+        raise BoundsError("token indices must be a flat collection of integers", reason=str(exc)) from None
+    if idx.size and (
+        idx.ndim != 1 or idx.dtype.kind not in "iu" or idx.min() < 0 or (n is not None and idx.max() >= n)
+    ):
         raise BoundsError("token indices must be integers in [0, n)", tokens=n, indices=idx.tolist())
+    return idx.astype(np.int64)  # an empty list comes back as float64
+
+
+def row_mask(indices, n: int) -> np.ndarray:
+    """Mask of ``n`` token rows marking ``indices`` under :func:`token_indices`'s rule."""
     mask = np.zeros(n, dtype=bool)
-    mask[idx.astype(np.int64)] = True  # an empty list comes back as float64
+    mask[token_indices(indices, n)] = True
     return mask
 
 
@@ -41,23 +51,6 @@ def l2_norm_per_token(x) -> np.ndarray:
     """Row-wise L2 norms of a [tokens, channels] tensor."""
     arr = as_tensor(x, ndim=2, name="input")
     return np.sqrt(np.einsum("ij,ij->i", arr, arr))
-
-
-def cosine_similarity(a, b) -> float:
-    """Cosine of the angle between two equal-length vectors.
-
-    Returns 0.0 when either operand has zero norm; callers that need to track
-    degenerate pairs should test the norms themselves.
-    """
-    va = np.asarray(a, dtype=np.float64).ravel()
-    vb = np.asarray(b, dtype=np.float64).ravel()
-    if va.shape != vb.shape:
-        raise ShapeError(f"vector lengths differ: {va.size} vs {vb.size}")
-    na = np.linalg.norm(va)
-    nb = np.linalg.norm(vb)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.clip(np.dot(va, vb) / (na * nb), -1.0, 1.0))
 
 
 def top_k_mask(scores: np.ndarray, k: int) -> np.ndarray:
@@ -80,19 +73,6 @@ def top_k_mask(scores: np.ndarray, k: int) -> np.ndarray:
         room = k - np.count_nonzero(above, axis=1)
         mask[crowded] = above | (ties & (np.cumsum(ties, axis=1) <= room[:, None]))
     return mask
-
-
-def top_k_abs(values, k: int) -> list[tuple[int, float]]:
-    """Indices and values of the k largest-magnitude entries.
-
-    Ties break toward the lower index; the result is sorted by ascending
-    index. ``k`` larger than the vector returns every entry.
-    """
-    if k < 0:
-        raise ShapeError(f"k must be >= 0, got {k}")
-    vec = np.asarray(values, dtype=np.float64).ravel()
-    picked = np.flatnonzero(top_k_mask(np.abs(vec)[None], k))
-    return [(int(i), float(vec[i])) for i in picked]
 
 
 def softmax_row(scores) -> np.ndarray:

@@ -7,9 +7,7 @@ from sinkquant.analysis import (
     bias_report_from_heads,
     error_decomposition,
     mse,
-    norm_profile_rows,
     qk_sink_diagnostics,
-    qkv_norm_profile,
     rows_to_csv_text,
 )
 from sinkquant.errors import ConfigError, ShapeError
@@ -278,22 +276,6 @@ class TestQKDiagnostics:
             qk_sink_diagnostics(q, q, SinkSet.empty())
         with pytest.raises(ConfigError):
             qk_sink_diagnostics(q, q, SinkSet.of([0, 1, 2, 3]))
-
-
-class TestNormProfile:
-    def test_norms_and_rows(self):
-        rng = np.random.default_rng(9)
-        q = rng.normal(size=(2, 5, 3))
-        profile = qkv_norm_profile(q, q, q)
-        assert profile["Q"].shape == (2, 5)
-        np.testing.assert_allclose(profile["K"][1, 2], np.linalg.norm(q[1, 2]))
-        rows = norm_profile_rows(profile, layer=3)
-        assert len(rows) == 3 * 2 * 5
-        assert {r["kind"] for r in rows} == {"Q", "K", "V"}
-
-    def test_rank_check(self):
-        with pytest.raises(ShapeError):
-            qkv_norm_profile(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 def test_mse_shape_check():

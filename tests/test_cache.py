@@ -166,6 +166,8 @@ class TestBulkLoad:
             cache.bulk_load(0, k, v, sinks=[4])
         with pytest.raises(BoundsError):  # once kept row 1 as the sink
             cache.bulk_load(0, k, v, sinks=[1.7])
+        with pytest.raises(BoundsError):  # once a raw ValueError from numpy
+            cache.bulk_load(0, k, v, sinks=[[1], [2, 3]])
         assert cache.layer_tokens(0) == 0
 
     def test_shape_checks(self):

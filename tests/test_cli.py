@@ -4,8 +4,11 @@ import os
 import numpy as np
 import pytest
 
+from sinkquant.analysis import attention_bias, error_decomposition, qk_sink_diagnostics, rows_to_csv_text
 from sinkquant.cli import main
-from sinkquant.dumpio import ManifestEntry, write_dump, write_json, write_manifest
+from sinkquant.dumpio import ManifestEntry, read_dump, write_dump, write_json, write_manifest
+from sinkquant.quant import QuantSpec
+from sinkquant.sinks import SinkSet
 
 
 def run_cli(capsys, *argv):
@@ -266,6 +269,94 @@ class TestAnalyze:
         )
         assert code == 0
         assert [r["head"] for r in out["rows"]] == [0, 1]
+
+    def test_bias_centroid_method(self, workspace, capsys):
+        rng = np.random.default_rng(2)
+        attn = np.tril(rng.uniform(size=(2, 8, 8)))
+        attn /= attn.sum(axis=2, keepdims=True)
+        values = rng.normal(size=(2, 8, 4))
+        write_dump(str(workspace / "attn.kvsd"), attn)
+        write_dump(str(workspace / "vheads.kvsd"), values)
+        code, out, _ = run_cli(
+            capsys,
+            "analyze", "bias",
+            "--attention", str(workspace / "attn.kvsd"),
+            "--values", str(workspace / "vheads.kvsd"),
+            "--pfn", "2",
+            "--method", "centroid",
+        )
+        assert code == 0 and out["method"] == "centroid"
+        for h, row in enumerate(out["rows"]):
+            expected = attention_bias(attn[h], values[h], SinkSet.of([0, 1]), method="centroid")
+            assert row["avg_cosine"] == expected.avg_cosine
+            assert (row["degenerate_pairs"], row["pairs"]) == (expected.degenerate_pairs, 8)
+
+    def test_bias_report_from_2d_dumps(self, workspace, capsys):
+        rng = np.random.default_rng(4)
+        attn = np.tril(rng.uniform(size=(8, 8)))
+        attn /= attn.sum(axis=1, keepdims=True)
+        values = rng.normal(size=(8, 4))
+        reports = []
+        for name, a, v in (("2d", attn, values), ("3d", attn[None], values[None])):
+            write_dump(str(workspace / f"attn{name}.kvsd"), a)
+            write_dump(str(workspace / f"v{name}.kvsd"), v)
+            code, out, _ = run_cli(
+                capsys,
+                "analyze", "bias",
+                "--attention", str(workspace / f"attn{name}.kvsd"),
+                "--values", str(workspace / f"v{name}.kvsd"),
+                "--pfn", "2",
+            )
+            assert code == 0
+            reports.append(out)
+        assert reports[0] == reports[1] and len(reports[0]["rows"]) == 1
+
+    def test_one_dimensional_head_dumps_fail_typed(self, workspace, capsys):
+        write_dump(str(workspace / "flat.kvsd"), np.ones(8))
+        for argv in (
+            ["analyze", "bias", "--attention", str(workspace / "flat.kvsd"), "--values", str(workspace / "flat.kvsd")],
+            ["analyze", "qk", "--queries", str(workspace / "flat.kvsd"), "--keys", str(workspace / "flat.kvsd")],
+        ):
+            code, _, err = run_cli(capsys, *argv, "--pfn", "1")
+            assert (code, err["code"]) == (2, "shape")
+
+    def test_reports_state_their_clip(self, workspace, capsys):
+        common = ["--sinks", str(workspace / "sinks.json"), "--bits", "2,4"]
+        error = ["analyze", "error", "--tensor", str(workspace / "keys.kvsd"), *common]
+        disruption = [
+            "analyze", "disruption",
+            "--keys", str(workspace / "keys.kvsd"),
+            "--values", str(workspace / "values.kvsd"),
+            "--queries", str(workspace / "queries.kvsd"),
+            *common,
+        ]
+        for argv in (error, disruption):
+            _, clipped, _ = run_cli(capsys, *argv, "--clip", "0.1")
+            _, unclipped, _ = run_cli(capsys, *argv)
+            assert [r["clip"] for r in clipped["rows"]] == [0.1, 0.1]
+            assert [r["clip"] for r in unclipped["rows"]] == [None, None]
+
+    def test_csv_file_is_the_report_rows(self, workspace, capsys):
+        keys = read_dump(str(workspace / "keys.kvsd"))
+        queries = read_dump(str(workspace / "queries.kvsd"))
+        sinks = SinkSet((0, 14), 5)
+        specs = [QuantSpec(b, "per_token", "dynamic", 16, None, 0.0) for b in (2, 4)]
+        expected = {
+            "error": error_decomposition(keys, sinks, specs).to_json_dict(display_scale=100.0)["rows"],
+            "qk": qk_sink_diagnostics(queries, keys, sinks),
+        }
+        runs = {
+            "error": ["--tensor", str(workspace / "keys.kvsd"), "--bits", "2,4", "--display-scale", "100"],
+            "qk": ["--queries", str(workspace / "queries.kvsd"), "--keys", str(workspace / "keys.kvsd")],
+        }
+        for name, argv in runs.items():
+            csv_path = workspace / f"{name}.csv"
+            code, _, _ = run_cli(
+                capsys, "analyze", name, *argv, "--sinks", str(workspace / "sinks.json"), "--csv", str(csv_path)
+            )
+            assert code == 0
+            assert csv_path.read_bytes() == rows_to_csv_text(expected[name]).encode()
+        assert not [p for p in os.listdir(workspace) if p.startswith(".tmp-")]
 
     def test_disruption_report(self, workspace, capsys):
         code, out, _ = run_cli(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sinkquant.decoder import DecoderConfig, synthesize_sink_model
+from sinkquant.dumpio import record_from_json, record_to_json
 from sinkquant.errors import (
     BoundsError,
     ConfigError,
@@ -46,7 +47,21 @@ class TestSinkSet:
 
     def test_json_roundtrip(self):
         s = SinkSet((2, 9), 5)
-        assert SinkSet.from_json_dict(s.to_json_dict()) == s
+        assert record_from_json(SinkSet, record_to_json(s)) == s
+
+    def test_non_integer_index_rejected(self):
+        # Once truncated by int(): (1, 3) and (2,).
+        with pytest.raises(BoundsError):
+            SinkSet.of([1.7, 3.2])
+        with pytest.raises(BoundsError):
+            SinkSet((2.9,), 1)
+        with pytest.raises(BoundsError):
+            SinkSet.of([[1], [2, 3]])
+        with pytest.raises(BoundsError):
+            SinkSet((-1,), 1)
+        assert SinkSet.of(np.array([9, 2, 9], dtype=np.int32)).indices == (2, 9)
+        assert SinkSet(np.array([3], dtype=np.int64), 1).indices == (3,)
+        assert all(type(i) is int for i in SinkSet.of(np.array([4, 1])))
 
 
 class TestDetect:
@@ -284,12 +299,12 @@ class TestProfileRegistry:
     def test_load_from_path(self, tmp_path):
         path = tmp_path / "custom.json"
         prof = plain_profile()
-        path.write_text(json.dumps(prof.to_json_dict()))
+        path.write_text(json.dumps(record_to_json(prof)))
         assert load_profile(str(path)) == prof
 
     def test_env_override_dir(self, tmp_path, monkeypatch):
         custom = plain_profile(d=128, channels=(3,))
-        (tmp_path / "mymodel.json").write_text(json.dumps(custom.to_json_dict()))
+        (tmp_path / "mymodel.json").write_text(json.dumps(record_to_json(custom)))
         monkeypatch.setenv("SINKQUANT_PROFILES", str(tmp_path))
         assert load_profile("mymodel") == custom
         assert "mymodel" in available_profiles()
@@ -322,13 +337,13 @@ class TestProfileRegistry:
     )
     def test_wrongly_typed_profile_field(self, tmp_path, field, value):
         path = tmp_path / "typed.json"
-        path.write_text(json.dumps({**plain_profile().to_json_dict(), field: value}))
+        path.write_text(json.dumps({**record_to_json(plain_profile()), field: value}))
         with pytest.raises(FormatError):
             load_profile(str(path))
 
     def test_profile_that_is_not_an_object(self, tmp_path):
         path = tmp_path / "list.json"
-        path.write_text(json.dumps(sorted(plain_profile().to_json_dict())))
+        path.write_text(json.dumps(sorted(record_to_json(plain_profile()))))
         with pytest.raises(FormatError):
             load_profile(str(path))
 

@@ -9,12 +9,11 @@ from sinkquant.errors import NumericError, ShapeError
 from sinkquant.tensors import (
     ATTENTION_TILE,
     causal_attention,
-    cosine_similarity,
     l2_norm_per_token,
     merge_heads,
     softmax_row,
     split_heads,
-    top_k_abs,
+    top_k_mask,
 )
 
 
@@ -61,51 +60,26 @@ class TestL2Norm:
         )
 
 
-class TestCosine:
-    def test_identical(self):
-        assert cosine_similarity([1, 2, 3], [1, 2, 3]) == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthogonal(self):
-        assert cosine_similarity([1, 0], [0, 1]) == 0.0
-
-    def test_antiparallel(self):
-        assert cosine_similarity([1, 1], [-1, -1]) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_zero_norm_sentinel(self):
-        assert cosine_similarity([0, 0], [1, 2]) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            cosine_similarity([1, 2], [1, 2, 3])
-
-    @given(
-        st.floats(-100, 100).filter(lambda v: abs(v) > 1e-3),
-        st.floats(-100, 100).filter(lambda v: abs(v) > 1e-3),
-        st.integers(0, 1000),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_scale_invariance(self, alpha, beta, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=6)
-        b = rng.normal(size=6)
-        base = cosine_similarity(a, b)
-        scaled = cosine_similarity(alpha * a, beta * b)
-        assert scaled == pytest.approx(math.copysign(1.0, alpha * beta) * base, abs=1e-9)
-
-
 class TestTopKAbs:
+    """``top_k_mask`` over ``|v|`` as one row, the way the quantizer ranks outliers."""
+
+    @staticmethod
+    def picked(v, k):
+        return np.flatnonzero(top_k_mask(np.abs(np.asarray(v, dtype=np.float64))[None], k)).tolist()
+
     def test_example(self):
-        assert top_k_abs([1, -9, 3], 2) == [(1, -9.0), (2, 3.0)]
+        assert self.picked([1, -9, 3], 2) == [1, 2]
 
     def test_tie_breaks_to_lower_index(self):
-        assert top_k_abs([5, 5, 5], 1) == [(0, 5.0)]
+        assert self.picked([5, 5, 5], 1) == [0]
+        mask = top_k_mask(np.array([[2.0, 7.0, 7.0, 7.0, 1.0], [7.0, 7.0, 0.0, 7.0, 7.0]]), 2)
+        np.testing.assert_array_equal(mask, [[0, 1, 1, 0, 0], [1, 1, 0, 0, 0]])
 
     def test_k_zero(self):
-        assert top_k_abs([1.0, 2.0], 0) == []
+        assert self.picked([1.0, 2.0], 0) == []
 
     def test_k_beyond_length_returns_all(self):
-        got = top_k_abs([2.0, -1.0], 10)
-        assert got == [(0, 2.0), (1, -1.0)]
+        assert self.picked([2.0, -1.0], 10) == [0, 1]
 
     def test_matches_exhaustive_sort_oracle(self):
         rng = np.random.default_rng(7)
@@ -113,15 +87,13 @@ class TestTopKAbs:
             v = rng.normal(size=rng.integers(1, 30))
             k = int(rng.integers(0, v.size + 3))
             ranked = sorted(range(v.size), key=lambda i: (-abs(v[i]), i))[: min(k, v.size)]
-            expected = sorted((i, v[i]) for i in ranked)
-            assert top_k_abs(v, k) == [(i, pytest.approx(val)) for i, val in expected]
+            assert self.picked(v, k) == sorted(ranked)
 
     @given(st.integers(0, 1000))
     @settings(max_examples=30, deadline=None)
     def test_full_k_returns_every_index_once(self, seed):
         v = np.random.default_rng(seed).normal(size=12)
-        got = top_k_abs(v, v.size)
-        assert [i for i, _ in got] == list(range(v.size))
+        assert self.picked(v, v.size) == list(range(v.size))
 
 
 class TestSoftmax:
