@@ -3,12 +3,17 @@
 Non-sink tokens are stored quantized under a named scheme preset; sink tokens
 live verbatim in a position-indexed full-precision side table, which keeps
 quantization groups sink-free by construction. Each layer side holds its
-non-sink rows in token order, as quantized runs followed by full-precision
-``pending`` rows; the sink set alone fixes the positions they fill. Rows
-enter only through ``_Side.extend`` (one row from ``append``, all non-sink
-rows from ``bulk_load``), so a bulk-loaded layer reconstructs identically to
-the corresponding appends. Per-channel sides group across tokens, so rows
-stay pending until ``group_size`` of them complete a block.
+non-sink rows in token order; the sink set alone fixes the positions they
+fill. They are a block store of whole ``GroupLayout.block`` blocks (one row,
+or ``group_size`` rows for per-channel sides, which stay pending until a
+block completes), then full-precision ``pending`` rows. A bulk-loaded
+per-token static side keeps its rows as one shared-layout run ahead of the
+store. Rows enter only through ``_Side.extend`` (one row from ``append``,
+all non-sink rows from ``bulk_load``), which quantizes every complete block
+it is given with one ``quantize_tensor`` call on the stack of blocks, so a
+bulk-loaded layer reconstructs identically to the corresponding appends.
+``reconstruct`` makes one ``dequantize`` call for the store and one for a
+run.
 
 Byte accounting (``footprint_bytes``, behind every footprint report):
 
@@ -25,7 +30,6 @@ less unless every segment packs to whole bytes.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 from functools import partial
@@ -44,7 +48,7 @@ from .quant import (
     quantize_tensor,
     scheme_specs,
 )
-from .tensors import as_tensor, row_mask
+from .tensors import as_tensor, integer_at_least, row_mask
 
 PARAM_BYTES_PER_GROUP = 8
 SINK_BYTES_PER_ELEMENT = 2
@@ -62,31 +66,117 @@ def footprint_bytes(packed: int, full_precision: int, groups: int, outliers: int
 
 
 class _Side:
-    """One layer side's non-sink rows in token order: quantized runs, then ``pending``."""
+    """One layer side's non-sink rows in token order: a bulk ``run``, the block store, then ``pending``.
+
+    The store holds whole ``GroupLayout.block`` blocks in the fields of a
+    stacked ``QuantizedTensor``: packed codes and outlier positions and
+    values as flat streams, a dynamic side's parameters as one row per
+    block. Each field is one capacity-doubling array with a fixed stride
+    per block.
+    """
 
     def __init__(self, spec: QuantSpec, width: int):
         self.spec = spec
         self.params: QuantParams | None = None
-        self.runs: list[QuantizedTensor] = []
+        self.block = GroupLayout.block(spec, width)
+        self.height = self.block.shape[0]
+        self.run: QuantizedTensor | None = None
+        self.blocks = 0
+        self._capacity = 0
+        outliers = self.block.n_vectors * self.block.outliers_per_vector(spec.sparse_fraction)
+        # Field: (entries per block, shape of an entry, dtype).
+        self._fields = {
+            "packed": (self.block.packed_nbytes(spec.bits), (), np.uint8),
+            "outlier_indices": (outliers, (), np.int64),
+            "outlier_values": (outliers, (), np.float64),
+        }
+        if spec.mode == "dynamic":
+            row = (self.block.n_groups,)
+            dtypes = {"scale": np.float64, "zero": np.int64, "degenerate": bool, "constant": np.float64}
+            self._fields.update((name, (1, row, dtype)) for name, dtype in dtypes.items())
+        self._store = {name: np.empty((0, *row), dtype) for name, (_, row, dtype) in self._fields.items()}
         self.pending = np.zeros((0, width))
-        self.height = GroupLayout.block(spec, width).shape[0]
 
     def extend(self, rows: np.ndarray) -> None:
-        """Quantize the complete blocks of ``pending`` + ``rows`` (one run per
-        per-token call, one per per-channel block); the rest stays pending."""
+        """Quantize the complete blocks of ``pending`` + ``rows`` in one call; the rest stays pending.
+
+        ``rows`` is handed over, not copied. A side whose block layout
+        shares groups across rows (per-token static) keeps a multi-row load
+        into an empty side as one ``run``, which pads less than one block
+        per row.
+        """
         if len(self.pending):
             rows = np.concatenate((self.pending, rows))
         full = len(rows) - len(rows) % self.height
-        if full:
-            step = self.height if self.spec.axis == "per_channel" else full
-            for start in range(0, full, step):
-                self.runs.append(quantize_tensor(rows[start : start + step], self.spec, params=self.params))
-        self.pending = rows[full:].copy()
+        if full > 1 and self.block.shared and self.run is None and not self.blocks:
+            self.run = quantize_tensor(rows[:full], self.spec, params=self.params)
+        elif full:
+            self._put(quantize_tensor(rows[:full].reshape(-1, *self.block.shape), self.spec, params=self.params))
+        self.pending = rows[full:].copy() if full else rows  # a view would keep the quantized rows alive
 
-    def rows(self) -> np.ndarray:
-        """Every row in token order; one ``dequantize`` per stretch of same-shape runs."""
-        groups = itertools.groupby(self.runs, key=lambda qt: qt.shape)
-        return np.concatenate([dequantize(*group) for _, group in groups] + [self.pending])
+    def _put(self, qt: QuantizedTensor) -> None:
+        """Append a stack of blocks to the store."""
+        start, end = self.blocks, self.blocks + qt.shape[0]
+        if end > self._capacity:
+            self._capacity = max(end, 2 * self._capacity)
+            for name, (count, row, dtype) in self._fields.items():
+                grown = np.empty((self._capacity * count, *row), dtype)
+                grown[: start * count] = self._store[name][: start * count]
+                self._store[name] = grown
+        p = qt.params
+        values = (
+            np.frombuffer(qt.packed, dtype=np.uint8),
+            qt.outlier_indices + start * self.block.size,
+            qt.outlier_values,
+            p.scale,
+            p.zero,
+            p.degenerate,
+            p.constant,
+        )
+        for (name, (count, _, _)), value in zip(self._fields.items(), values):  # a static side keeps three
+            self._store[name][start * count : end * count] = value
+        self.blocks = end
+
+    def stored(self) -> QuantizedTensor | None:
+        """The block store as one [blocks, height, width] stack (``None`` while empty)."""
+        if not self.blocks:
+            return None
+        view = {name: self._store[name][: self.blocks * count] for name, (count, _, _) in self._fields.items()}
+        params = self.params
+        if "scale" in view:
+            params = QuantParams(
+                self.spec, self.block.shape, view["scale"], view["zero"], view["degenerate"], view["constant"]
+            )
+        return QuantizedTensor(
+            (self.blocks, *self.block.shape),
+            params,
+            view["packed"].tobytes(),
+            view["outlier_indices"],
+            view["outlier_values"],
+        )
+
+    def quantized_rows(self) -> int:
+        return (self.run.shape[0] if self.run is not None else 0) + self.blocks * self.height
+
+    def footprint(self) -> tuple[int, int, int, int]:
+        """(packed bytes, parameter groups, outliers, full-precision rows) held by this side."""
+        packed = self.blocks * self._fields["packed"][0]
+        outliers = self.blocks * self._fields["outlier_indices"][0]
+        if self.run is not None:
+            packed += len(self.run.packed)
+            outliers += self.run.outlier_indices.size
+        if self.spec.mode == "dynamic":
+            groups = self.blocks * self.block.n_groups
+        else:
+            groups = self.params.n_groups if self.params is not None else 0
+        return packed, groups, outliers, len(self.pending)
+
+    def pieces(self) -> list[np.ndarray]:
+        """Every row in token order as [rows, width] pieces: the run and the store
+        (one ``dequantize`` each), then ``pending``."""
+        stacks = (self.run, self.stored())
+        width = self.pending.shape[1]
+        return [dequantize(qt).reshape(-1, width) for qt in stacks if qt is not None] + [self.pending]
 
 
 class KVCache:
@@ -101,19 +191,17 @@ class KVCache:
         group_size: int = 16,
         sparse_fraction: float | None = None,
     ):
-        if num_layers < 1:
-            raise ConfigError(f"need at least one layer, got {num_layers}")
-        self.num_layers = num_layers
-        self.width = int(width)
+        self.num_layers = integer_at_least(num_layers, 1, "num_layers")
+        self.width = integer_at_least(width, 1, "width")
         self.scheme = scheme
         key_spec, value_spec = scheme_specs(scheme, bits, group_size, sparse_fraction)
         self.key_spec = key_spec
         self.value_spec = value_spec
-        self._keys = [_Side(key_spec, self.width) for _ in range(num_layers)]
-        self._values = [_Side(value_spec, self.width) for _ in range(num_layers)]
-        self._sinks: list[dict[int, tuple[np.ndarray, np.ndarray]]] = [dict() for _ in range(num_layers)]
-        self._counts = [0] * num_layers
-        self._loaded = [False] * num_layers
+        self._keys = [_Side(key_spec, self.width) for _ in range(self.num_layers)]
+        self._values = [_Side(value_spec, self.width) for _ in range(self.num_layers)]
+        self._sinks: list[dict[int, tuple[np.ndarray, np.ndarray]]] = [dict() for _ in range(self.num_layers)]
+        self._counts = [0] * self.num_layers
+        self._loaded = [False] * self.num_layers
 
     def _check_layer(self, layer: int) -> int:
         if not 0 <= layer < self.num_layers:
@@ -135,7 +223,7 @@ class KVCache:
         self._check_layer(layer)
         side = self._keys[layer]
         return {
-            "quantized": sum(qt.shape[0] for qt in side.runs),
+            "quantized": side.quantized_rows(),
             "pending": len(side.pending),
             "sink": len(self._sinks[layer]),
         }
@@ -143,12 +231,18 @@ class KVCache:
     def set_static_params(
         self, layer: int, key_params: QuantParams | None = None, value_params: QuantParams | None = None
     ) -> None:
-        """Install parameters for a layer's sides; ``LayoutError`` unless they fit the side's spec and block."""
+        """Install parameters for a layer's static sides.
+
+        ``ConfigError`` for a dynamic side, which fits every block itself;
+        ``LayoutError`` unless they fit the side's spec and block.
+        """
         self._check_layer(layer)
         pairs = ((self._keys[layer], key_params), (self._values[layer], value_params))
         given = [(side, params) for side, params in pairs if params is not None]
         for side, params in given:
-            params.check_fits(side.spec, GroupLayout.block(side.spec, self.width))
+            if side.spec.mode != "static":
+                raise ConfigError("a dynamic side takes no installed parameters", axis=side.spec.axis)
+            params.check_fits(side.spec, side.block)
         for side, params in given:
             side.params = params
 
@@ -216,10 +310,14 @@ class KVCache:
         n = self._counts[layer]
         nonsink = np.ones(n, dtype=bool)
         nonsink[list(self._sinks[layer])] = False
+        positions = np.flatnonzero(nonsink)
         k_out = np.empty((n, self.width))
         v_out = np.empty((n, self.width))
-        k_out[nonsink] = self._keys[layer].rows()
-        v_out[nonsink] = self._values[layer].rows()
+        for side, out in ((self._keys[layer], k_out), (self._values[layer], v_out)):
+            start = 0
+            for rows in side.pieces():  # each piece straight to its positions, with no joined copy
+                out[positions[start : start + len(rows)]] = rows
+                start += len(rows)
         for token, (k, v) in self._sinks[layer].items():
             k_out[token] = k
             v_out[token] = v
@@ -227,17 +325,12 @@ class KVCache:
 
     def memory_footprint(self) -> dict:
         """Exact byte accounting of the current contents."""
-        packed = groups = outliers = fp_rows = 0
+        totals = np.zeros(4, dtype=np.int64)
         for layer in range(self.num_layers):
-            fp_rows += 2 * len(self._sinks[layer])
+            totals[3] += 2 * len(self._sinks[layer])
             for side in (self._keys[layer], self._values[layer]):
-                fp_rows += len(side.pending)
-                packed += sum(len(qt.packed) for qt in side.runs)
-                outliers += sum(qt.outlier_indices.size for qt in side.runs)
-                if side.spec.mode == "dynamic":
-                    groups += sum(qt.params.n_groups for qt in side.runs)
-                elif side.params is not None:
-                    groups += side.params.n_groups
+                totals += side.footprint()
+        packed, groups, outliers, fp_rows = totals.tolist()
         return footprint_bytes(packed, fp_rows * self.width, groups, outliers)
 
 

@@ -225,7 +225,9 @@ def manifest_file_path(entry: ManifestEntry, manifest_path: str) -> str:
 
 
 def write_quantized(path: str, qt: QuantizedTensor) -> None:
-    """Write a quantized tensor to a ``.kvsq`` file."""
+    """Write a 2-D quantized tensor to a ``.kvsq`` file; a [blocks, n, d] stack is a ``ShapeError``."""
+    if len(qt.shape) != 2:
+        raise ShapeError("a .kvsq file holds one 2-D tensor, not a stack of blocks", shape=list(qt.shape))
     p = qt.params
     sections = [
         np.ascontiguousarray(p.scale, dtype="<f8").tobytes(),

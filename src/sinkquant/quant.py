@@ -41,6 +41,14 @@ call, then a parameter fit or one ``QuantParams.check_fits`` of given
 parameters, then the encode. ``compute_params`` and ``calibrate`` share its
 fit step.
 
+A leading block axis stacks tensors of one shape: ``quantize_tensor`` on a
+[blocks, n, d] stack quantizes every block with its own groups and outliers
+in one pass, exactly as one call per block would, and ``dequantize`` decodes
+the stack in one pass. The layout is the block's; the group-major stream,
+the packed codes and fitted parameters ([blocks, n_groups]) follow block
+after block, and given parameters are shared by every block. The KV cache
+encodes and decodes its blocks this way.
+
 Parameters carry the one ``QuantSpec`` they were fitted under, which is also
 their ``QuantizedTensor``'s spec; ``check_fits`` refuses (``LayoutError``)
 parameters from any other spec, be it another bit width, clip, sparse
@@ -55,6 +63,7 @@ the uint8 codes are reordered to and from the group-major packed stream. The
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -107,13 +116,16 @@ class QuantSpec:
         return self.sparse_fraction >= 1.0
 
 
-def _canonical(x, name="input") -> np.ndarray:
-    """Validate and reshape to 2-D [tokens, channels]; 1-D is one token row."""
+def _canonical(x, name="input", stacked: bool = False) -> np.ndarray:
+    """Validate and reshape to 2-D [tokens, channels]; 1-D is one token row.
+
+    With ``stacked`` a 3-D [blocks, tokens, channels] stack is kept as it is.
+    """
     arr = as_tensor(x, name=name)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
-    if arr.ndim != 2:
-        raise ShapeError(f"{name} must be 1-D or 2-D, got shape {arr.shape}")
+    if arr.ndim != 2 and not (stacked and arr.ndim == 3):
+        raise ShapeError(f"{name} must be 1-D or 2-D{', or 3-D' if stacked else ''}, got shape {arr.shape}")
     return arr
 
 
@@ -140,6 +152,7 @@ class GroupLayout:
         self.shared = axis == "per_tensor" or (axis == "per_token" and mode == "static")
         whole = axis == "per_tensor" or (axis == "per_channel" and mode == "static")
         n, d = self.shape
+        self.size = n * d
         self.n_vectors, self.length = (n, d) if self.by_rows else (d, n)
         self.segment = self.length if whole else self.group_size
         self.full, self.tail = (1, 0) if whole else divmod(self.length, self.group_size)
@@ -166,10 +179,11 @@ class GroupLayout:
 
     def group_sizes(self) -> np.ndarray:
         if self._sizes is None:
-            sizes = np.full((self.copies, self.full + (self.tail > 0)), self.segment * self.stack)
+            sizes = np.empty((self.copies, self.full + (self.tail > 0)), dtype=np.int64)
+            sizes[:] = self.segment * self.stack
             if self.tail:
                 sizes[:, -1] = self.tail * self.stack
-            self._sizes = sizes.ravel()
+            self._sizes = sizes.reshape(-1)
         return self._sizes
 
     def packed_nbytes(self, bits: int) -> int:
@@ -179,20 +193,24 @@ class GroupLayout:
 
     def outliers_per_vector(self, fraction: float) -> int:
         """Entries that dense-and-sparse isolation takes from each vector."""
-        return min(int(np.rint(fraction * self.length)), self.length)
+        return min(round(fraction * self.length), self.length)  # round half to even, as np.rint
 
     def vectors(self, x: np.ndarray) -> np.ndarray:
-        """``x`` as [vectors, length]: itself, or a transposed view for columns."""
-        return x if self.by_rows else x.T
+        """``x`` [..., n, d] as [..., vectors, length]: itself, or a transposed view for columns."""
+        return x if self.by_rows else x.swapaxes(-1, -2)
 
     def to_group_major(self, x: np.ndarray) -> np.ndarray:
-        """The elements of an [n, d] array as the 1-D group-major stream."""
+        """The elements of an [..., n, d] array as the [..., stream] group-major stream."""
+        lead = x.shape[:-2]
         vec = self.vectors(x)
         if not self.shared:
-            return vec.ravel()
+            return vec.reshape(lead + (self.size,))
         cut = self.full * self.segment
-        head = vec[:, :cut].reshape(self.n_vectors, self.full, self.segment).swapaxes(0, 1).ravel()
-        return np.concatenate((head, vec[:, cut:].ravel())) if self.tail else head
+        head = vec[..., :cut].reshape(lead + (self.n_vectors, self.full, self.segment)).swapaxes(-3, -2)
+        head = head.reshape(lead + (self.n_vectors * cut,))
+        if not self.tail:
+            return head
+        return np.concatenate((head, vec[..., cut:].reshape(lead + (self.n_vectors * self.tail,))), axis=-1)
 
     def from_group_major(self, stream: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`to_group_major`: C-ordered [..., n, d] from [..., stream]."""
@@ -242,9 +260,15 @@ class GroupLayout:
         return out
 
     def from_segments(self, parts: list[np.ndarray]) -> np.ndarray:
-        """Per-group [n_groups] values from one parameter-shaped array per :meth:`segments` view."""
+        """Per-group [..., n_groups] values from one parameter-shaped array per :meth:`segments` view."""
         joined = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-2 if self.by_rows else -3)
-        return (joined[..., 0] if self.by_rows else joined[..., 0, :].T).ravel()
+        per_vector = joined[..., 0] if self.by_rows else joined[..., 0, :].swapaxes(-1, -2)
+        return per_vector.reshape(per_vector.shape[:-2] + (self.n_groups,))
+
+    def stream_sizes(self, shape) -> np.ndarray:
+        """Group sizes of the packed stream of a [..., n, d] tensor: the layout's, once per block."""
+        blocks = math.prod(shape[:-2])
+        return self.group_sizes() if blocks == 1 else np.tile(self.group_sizes(), blocks)
 
     def group_ids(self) -> np.ndarray:
         """Dense [n, d] map of group ids (for analyses; quantization never builds it)."""
@@ -253,7 +277,12 @@ class GroupLayout:
 
 @dataclass
 class QuantParams:
-    """Frozen per-group (scale, zero) pairs plus degenerate-group constants, fitted under ``spec``."""
+    """Frozen per-group (scale, zero) pairs plus degenerate-group constants, fitted under ``spec``.
+
+    ``shape`` is the [n, d] tensor the groups tile. The arrays are [n_groups],
+    shared by every block of a stack, or [blocks, n_groups] for a stack
+    fitted block by block.
+    """
 
     spec: QuantSpec
     shape: tuple[int, int]
@@ -264,10 +293,14 @@ class QuantParams:
 
     @property
     def n_groups(self) -> int:
-        return self.scale.size
+        """Groups per block."""
+        return self.scale.shape[-1]
 
-    def check_fits(self, spec: QuantSpec, layout: GroupLayout) -> None:
-        """Raise ``LayoutError`` unless these parameters were fitted under ``spec`` and fit ``layout``."""
+    def check_fits(self, spec: QuantSpec, layout: GroupLayout, blocks: tuple = ()) -> None:
+        """Raise ``LayoutError`` unless these parameters were fitted under ``spec`` and fit ``layout``.
+
+        ``blocks`` is the leading shape of the tensor; per-block parameters must have it.
+        """
         shape = layout.shape
         if spec != self.spec:
             raise LayoutError(
@@ -294,13 +327,24 @@ class QuantParams:
                 params_groups=int(self.n_groups),
                 layout_groups=int(layout.n_groups),
             )
+        if self.scale.shape[:-1] not in ((), tuple(blocks)):
+            raise LayoutError(
+                "per-block parameters fitted for another number of blocks",
+                params_blocks=list(self.scale.shape[:-1]),
+                tensor_blocks=list(blocks),
+            )
 
 
 @dataclass
 class QuantizedTensor:
-    """Bit-packed codes plus parameters and optional full-precision outliers."""
+    """Bit-packed codes plus parameters and optional full-precision outliers.
 
-    shape: tuple[int, int]
+    ``shape`` is [n, d], or [blocks, n, d] for a stack of blocks quantized
+    in one call: each block has its own groups, packed one block after
+    another, and outlier indices are flat positions in the whole stack.
+    """
+
+    shape: tuple[int, ...]
     params: QuantParams
     packed: bytes
     outlier_indices: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
@@ -311,14 +355,16 @@ class QuantizedTensor:
         return self.params.spec
 
     def layout(self) -> GroupLayout:
-        layout = GroupLayout.for_spec(self.shape, self.spec)
-        self.params.check_fits(self.spec, layout)
+        """The layout of one block, after checking that the parameters fit it."""
+        layout = GroupLayout.for_spec(self.shape[-2:], self.spec)
+        self.params.check_fits(self.spec, layout, self.shape[:-2])
         return layout
 
     def codes(self) -> np.ndarray:
-        """Unpacked [n, d] integer codes."""
+        """Unpacked integer codes, shaped like the tensor."""
         layout = self.layout()
-        return layout.from_group_major(unpack_codes(self.packed, layout.group_sizes(), self.spec.bits))
+        stream = unpack_codes(self.packed, layout.stream_sizes(self.shape), self.spec.bits)
+        return layout.from_group_major(stream.reshape(self.shape[:-2] + (layout.size,)))
 
 
 def _outlier_mask(x: np.ndarray, layout: GroupLayout, fraction: float) -> np.ndarray:
@@ -326,8 +372,12 @@ def _outlier_mask(x: np.ndarray, layout: GroupLayout, fraction: float) -> np.nda
     k = layout.outliers_per_vector(fraction)
     if k in (0, layout.length):  # nothing to rank: skip the magnitude copy
         return np.full(x.shape, k > 0)
-    # Rank each vector in a row-contiguous copy; partitioning rows of a transposed view is ~7x slower.
-    return np.ascontiguousarray(layout.vectors(top_k_mask(np.abs(layout.vectors(x), order="C"), k)))
+    if layout.by_rows:
+        return top_k_mask(np.abs(x.reshape(-1, layout.length)), k).reshape(x.shape)
+    # Rank each column in a row-contiguous copy; partitioning rows of a transposed view is ~7x slower.
+    columns = np.abs(layout.vectors(x), order="C")
+    mask = top_k_mask(columns.reshape(-1, layout.length), k).reshape(columns.shape)
+    return np.ascontiguousarray(layout.vectors(mask))
 
 
 def _valid_entries(x: np.ndarray, layout: GroupLayout, spec: QuantSpec, exclude) -> np.ndarray:
@@ -338,15 +388,11 @@ def _valid_entries(x: np.ndarray, layout: GroupLayout, spec: QuantSpec, exclude)
 
 
 def _group_minmax(x, layout: GroupLayout, valid: np.ndarray, clip: float | None):
-    """Per-group (cmin, cmax) over positions marked valid; both 0 for a group without any."""
+    """Per-group [..., n_groups] (cmin, cmax) over positions marked valid; both 0 for a group without any."""
     if not layout.n_groups:
-        return np.zeros(0), np.zeros(0)
+        return np.zeros(x.shape[:-2] + (0,)), np.zeros(x.shape[:-2] + (0,))
     axes = layout.group_axes
     views = layout.segments((x, valid))
-    counts = layout.from_segments(
-        [np.add.reduce(keep, axis=axes, dtype=np.int64, keepdims=True) for _, keep in views]
-    )
-    present = counts > 0
     if not clip:
         cmin, cmax = (
             layout.from_segments(
@@ -354,12 +400,19 @@ def _group_minmax(x, layout: GroupLayout, valid: np.ndarray, clip: float | None)
             )
             for ufunc, start in ((np.minimum, np.inf), (np.maximum, -np.inf))
         )
+        present = cmin <= cmax  # a group without valid entries keeps the initial inf > -inf
     else:
-        # Linear-interpolated quantiles at clip and 1-clip per group, over the group-major stream.
-        cmin, cmax = np.zeros(layout.n_groups), np.zeros(layout.n_groups)
+        # Linear-interpolated quantiles at clip and 1-clip per group, over the group-major stream
+        # (block after block for a stack, so the groups of every block are numbered in one run).
+        counts = layout.from_segments(
+            [np.add.reduce(keep, axis=axes, dtype=np.int64, keepdims=True) for _, keep in views]
+        )
+        present = counts > 0
+        cmin, cmax = np.zeros(counts.shape), np.zeros(counts.shape)
         if present.any():
+            counts, present = counts.ravel(), present.ravel()
             kept = layout.to_group_major(x)[layout.to_group_major(valid)]
-            sorted_vals = kept[np.lexsort((kept, np.repeat(np.arange(layout.n_groups), counts)))]
+            sorted_vals = kept[np.lexsort((kept, np.repeat(np.arange(counts.size), counts)))]
             kept_starts = np.cumsum(counts) - counts
             pos_lo = clip * (counts - 1)
             pos_hi = (1.0 - clip) * (counts - 1)
@@ -370,10 +423,12 @@ def _group_minmax(x, layout: GroupLayout, valid: np.ndarray, clip: float | None)
                 idx1 = np.minimum(idx0 + 1, kept_starts + np.maximum(counts - 1, 0))
                 lo = sorted_vals[np.minimum(idx0, sorted_vals.size - 1)]
                 hi = sorted_vals[np.minimum(idx1, sorted_vals.size - 1)]
-                target[:] = lo * (1.0 - frac) + hi * frac
-    absent = ~present
-    cmin[absent] = 0.0
-    cmax[absent] = 0.0
+                target.reshape(-1)[:] = lo * (1.0 - frac) + hi * frac
+            present = present.reshape(cmin.shape)
+    if not present.all():
+        absent = ~present
+        cmin[absent] = 0.0
+        cmax[absent] = 0.0
     return cmin, cmax
 
 
@@ -408,32 +463,35 @@ def compute_params(x, spec: QuantSpec, exclude=None) -> QuantParams:
 def quantize_tensor(x, spec: QuantSpec, params: QuantParams | None = None) -> QuantizedTensor:
     """The quantize pipeline: one layout, one outlier pass, then fit or check parameters and encode.
 
-    Given ``params`` must describe the layout of ``x`` under ``spec`` (else
-    ``LayoutError``); without them the parameters are fitted to the entries
-    left after outlier isolation.
+    ``x`` is one row, an [n, d] tensor, or a [blocks, n, d] stack whose
+    blocks are quantized each with its own groups and outliers, in one pass
+    (the result is the stack's ``QuantizedTensor``). Given ``params`` must
+    describe the layout of one block under ``spec`` (else ``LayoutError``)
+    and are shared by every block; without them the parameters are fitted
+    block by block to the entries left after outlier isolation.
     """
-    arr = _canonical(x)
-    layout = GroupLayout.for_spec(arr.shape, spec)
+    arr = _canonical(x, stacked=True)
+    layout = GroupLayout.for_spec(arr.shape[-2:], spec)
     outliers = _outlier_mask(arr, layout, spec.sparse_fraction)
     if params is None:
         params = _fit(arr, layout, spec, ~outliers)
     else:
-        params.check_fits(spec, layout)
+        params.check_fits(spec, layout, arr.shape[:-2])
     # Float arithmetic runs in the tensor's own order; only the uint8 codes are reordered for packing.
     codes = np.empty(arr.shape)
     for vals, out, scale, zero in layout.segments((arr, codes), params.scale, params.zero):
         np.divide(vals, scale, out=out)
         np.rint(out, out=out)
         out += zero
-    codes = np.clip(codes, 0, spec.levels, out=codes).astype(np.uint8)
+    codes = codes.clip(0, spec.levels, out=codes).astype(np.uint8)  # the method skips np.clip's dispatch
     if params.degenerate.any():
         for out, degenerate in layout.segments(codes, params.degenerate):
             np.copyto(out, 0, where=degenerate)
-    idx = np.flatnonzero(outliers)
+    idx = outliers.ravel().nonzero()[0]
     return QuantizedTensor(
-        shape=layout.shape,
+        shape=arr.shape,
         params=params,
-        packed=pack_codes(layout.to_group_major(codes), layout.group_sizes(), spec.bits),
+        packed=pack_codes(layout.to_group_major(codes), layout.stream_sizes(arr.shape), spec.bits),
         outlier_indices=idx,
         outlier_values=arr.ravel()[idx],
     )
@@ -444,38 +502,51 @@ def quantize(x, params: QuantParams, spec: QuantSpec) -> QuantizedTensor:
     return quantize_tensor(x, spec, params=params)
 
 
+def _stacked(tensors: tuple[QuantizedTensor, ...]) -> QuantizedTensor:
+    """2-D tensors of one shape and spec as one [len(tensors), n, d] stack."""
+    qt = tensors[0]
+    layout = qt.layout()
+    for t in tensors:
+        if len(t.shape) != 2 or t.shape != qt.shape:
+            raise LayoutError("stacked tensors must share one 2-D shape", shape=list(qt.shape))
+        if t.params is not qt.params:
+            t.params.check_fits(qt.spec, layout)
+    params = qt.params
+    if any(t.params is not params for t in tensors):
+        fields = [np.stack([getattr(t.params, k) for t in tensors]) for k in ("scale", "zero", "degenerate", "constant")]
+        params = QuantParams(qt.spec, params.shape, *fields)
+    size = qt.shape[0] * qt.shape[1]
+    return QuantizedTensor(
+        shape=(len(tensors), *qt.shape),
+        params=params,
+        packed=b"".join(t.packed for t in tensors),
+        outlier_indices=np.concatenate([t.outlier_indices + i * size for i, t in enumerate(tensors)]),
+        outlier_values=np.concatenate([t.outlier_values for t in tensors]),
+    )
+
+
 def dequantize(qt: QuantizedTensor, *more: QuantizedTensor) -> np.ndarray:
     """Reconstruct ``x' = scale * (code - zero)`` with outliers restored exactly.
 
-    Tensors in ``more`` must share ``qt``'s shape and spec; all are decoded in
-    one pass and returned row-stacked in argument order.
+    The result has ``qt``'s shape; a stack decodes all its blocks in one
+    pass. Tensors in ``more`` must share ``qt``'s 2-D shape and spec; all are
+    decoded as one stack and returned row-stacked in argument order.
     """
-    tensors = (qt, *more)
-    layout = qt.layout()
-    for t in more:
-        if t.shape != qt.shape:
-            raise LayoutError("stacked tensors must share one shape", shape=list(qt.shape))
-        if t.params is not qt.params:
-            t.params.check_fits(qt.spec, layout)
-    fields = ("zero", "scale", "degenerate", "constant")
-    if all(t.params is qt.params for t in more):  # shared static parameters broadcast
-        p = {k: getattr(qt.params, k)[None] for k in fields}
-    else:
-        p = {k: np.concatenate([getattr(t.params, k) for t in tensors]).reshape(len(tensors), -1) for k in fields}
-    sizes = np.tile(layout.group_sizes(), len(tensors))
-    codes = unpack_codes(b"".join(t.packed for t in tensors), sizes, qt.spec.bits)
-    stack = layout.from_group_major(codes.reshape(len(tensors), -1)).astype(np.float64)
-    degenerate = p["degenerate"].any()
-    for view, zero, scale, flags, constant in layout.segments(stack, *(p[k] for k in fields)):
+    stack = _stacked((qt, *more)) if more else qt
+    layout = stack.layout()
+    codes = unpack_codes(stack.packed, layout.stream_sizes(stack.shape), stack.spec.bits)
+    out = layout.from_group_major(codes.reshape(stack.shape[:-2] + (layout.size,))).astype(np.float64)
+    p = stack.params
+    degenerate = p.degenerate.any()
+    # Zero points cast to float once per group: the subtraction would cast them per element.
+    per_group = (p.zero.astype(np.float64), p.scale, p.degenerate, p.constant)
+    for view, zero, scale, flags, constant in layout.segments(out, *per_group):
         view -= zero
         view *= scale
         if degenerate:
             np.copyto(view, constant, where=flags)
-    n, d = qt.shape
-    out = stack.reshape(len(tensors) * n, d)
-    offsets = [t.outlier_indices + i * n * d for i, t in enumerate(tensors)]
-    out.flat[np.concatenate(offsets)] = np.concatenate([t.outlier_values for t in tensors])
-    return out
+    out.flat[stack.outlier_indices] = stack.outlier_values
+    return out.reshape(-1, qt.shape[-1]) if more else out
 
 
 class CalibrationSet:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .dumpio import record_to_json
 from .errors import BoundsError, ConfigError, DiscoveryError, ShapeError
-from .tensors import as_tensor, row_mask, token_indices
+from .tensors import as_tensor, integer_at_least, row_mask, token_indices
 
 STAGES = ("initial", "emergence", "stabilization", "dissipation", "final")
 
@@ -39,6 +39,7 @@ class SinkSet:
 
     def __post_init__(self):
         idx = tuple(token_indices(self.indices).tolist())
+        object.__setattr__(self, "k_requested", integer_at_least(self.k_requested, 0, "k_requested"))
         if list(idx) != sorted(set(idx)):
             raise ConfigError("sink indices must be unique and ascending", indices=list(idx))
         if len(idx) > self.k_requested:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BoundsError, NumericError, ShapeError
+from .errors import BoundsError, ConfigError, NumericError, ShapeError
 
 # Query rows per tile of ``causal_attention``. At n=4096, dk=64 and one head,
 # 256 rows was fastest of 128-1024 on a 2-vCPU host.
@@ -22,9 +22,19 @@ def as_tensor(x, ndim: int | None = None, name: str = "tensor") -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if ndim is not None and arr.ndim != ndim:
         raise ShapeError(f"{name} must be {ndim}-D, got shape {arr.shape}", shape=list(arr.shape))
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"{name} contains non-finite values")
     return arr
+
+
+def integer_at_least(value, least: int, name: str) -> int:
+    """``value`` as an ``int``; ``ConfigError`` unless it is an integer ``>= least``.
+
+    numpy integers pass; bools, floats and strings do not.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}", actual=repr(value))
+    return int(value)
 
 
 def token_indices(indices, n: int | None = None) -> np.ndarray:
@@ -64,10 +74,13 @@ def top_k_mask(scores: np.ndarray, k: int) -> np.ndarray:
     n = scores.shape[1]
     if k <= 0 or k >= n:
         return np.full(scores.shape, k > 0)
-    kth = np.partition(scores, n - k, axis=1)[:, n - k : n - k + 1].copy()  # frees the partitioned array
+    part = scores.copy()
+    part.partition(n - k, axis=1)
+    kth = part[:, n - k : n - k + 1].copy()
+    del part  # frees the partitioned copy before the mask is built
     mask = scores >= kth
-    crowded = np.add.reduce(mask, axis=1) > k
-    if crowded.any():
+    if np.count_nonzero(mask) > k * mask.shape[0]:  # each row marks at least k; some mark more
+        crowded = np.add.reduce(mask, axis=1) > k
         rows, kth = scores[crowded], kth[crowded]
         above, ties = rows > kth, rows == kth
         room = k - np.count_nonzero(above, axis=1)

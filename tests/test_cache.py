@@ -3,20 +3,63 @@ import json
 import numpy as np
 import pytest
 
+from sinkquant import cache as cache_module
 from sinkquant.cache import (
     KVCache,
+    footprint_bytes,
     footprint_megabytes,
     load_snapshot,
     predict_footprint,
     save_snapshot,
 )
-from sinkquant.errors import BoundsError, ConfigError, FormatError, ShapeError, StateError
-from sinkquant.quant import SCHEME_PRESETS, QuantSpec, calibrate, dequantize, quantize_scheme
+from sinkquant.errors import BoundsError, ConfigError, FormatError, LayoutError, ShapeError, StateError
+from sinkquant.quant import (
+    SCHEME_PRESETS,
+    GroupLayout,
+    QuantSpec,
+    calibrate,
+    compute_params,
+    dequantize,
+    quantize_scheme,
+    quantize_tensor,
+)
 
 
 def rand_kv(n, d, seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(n, d)) * scale, rng.normal(size=(n, d)) * scale
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("num_layers, width", [
+        (1, 2.5),  # once a width-2 cache
+        (1, -4),  # once a raw numpy ValueError
+        (1.5, 8),  # once a raw TypeError
+        (True, 8),  # once a one-layer cache
+        (1, False),
+        (0, 8),
+        (1, 0),
+        ("2", 8),
+        (np.float64(2.0), 8),
+    ])
+    def test_shape_must_be_positive_integers(self, num_layers, width):
+        with pytest.raises(ConfigError):
+            KVCache(num_layers, width)
+
+    def test_numpy_integers_accepted(self):
+        cache = KVCache(np.int64(2), np.uint16(8))
+        assert (cache.num_layers, cache.width) == (2, 8)
+        assert type(cache.num_layers) is int and type(cache.width) is int
+
+    def test_dynamic_side_takes_no_parameters(self):
+        cache = KVCache(1, 8, scheme="kvquant_like", bits=2, group_size=4)
+        params = compute_params(np.ones((1, 8)) * np.arange(8), cache.value_spec)
+        with pytest.raises(ConfigError):
+            cache.set_static_params(0, value_params=params)
+        per_token = calibrate([np.ones((4, 8))], QuantSpec(2, "per_token", "static", 4))
+        with pytest.raises(LayoutError):  # per-token static parameters on the per-channel key side
+            cache.set_static_params(0, key_params=per_token)
+        assert cache._keys[0].params is None and cache._values[0].params is None
 
 
 class TestAppend:
@@ -33,7 +76,7 @@ class TestAppend:
         k, v = rand_kv(1, 16, seed=3)
         cache.append(0, k[0], v[0])
         rk, _ = cache.reconstruct(0)
-        qt = cache._keys[0].runs[0]
+        qt = cache._keys[0].stored()
         scale = qt.params.scale.max()
         assert np.all(np.abs(rk[0] - k[0]) <= scale / 2 + 1e-9)
 
@@ -123,9 +166,9 @@ class TestBulkLoad:
         np.testing.assert_array_equal(rk[[0, 14]], k[[0, 14]])
         np.testing.assert_array_equal(rv[[0, 14]], v[[0, 14]])
         others = np.setdiff1d(np.arange(32), [0, 14])
-        qt = cache._keys[0].runs[0]
+        qt = cache._keys[0].stored()  # one 1-row block per non-sink row
         gid = qt.layout().group_ids()
-        bound = qt.params.scale[gid] / 2 + 1e-9
+        bound = qt.params.scale[:, gid].reshape(len(others), 16) / 2 + 1e-9
         assert np.all(np.abs(rk[others] - k[others]) <= bound)
 
     def test_bulk_equals_append_sequence(self):
@@ -310,3 +353,118 @@ class TestSnapshot:
         (tmp_path / "snapshot.json").write_text(json.dumps(sidecar))
         with pytest.raises(FormatError):
             load_snapshot(str(tmp_path))
+
+
+def one_call_per_block_contents(rows, spec, params, width, bulk):
+    """A side as it was before the block store: one 2-D ``quantize_tensor`` per block (one for a bulk
+    load under a shared-group layout), then full-precision pending rows.
+
+    Returns the decoded rows in order and (packed bytes, parameter groups, outliers, pending rows).
+    """
+    block = GroupLayout.block(spec, width)
+    height = block.shape[0]
+    full = len(rows) - len(rows) % height
+    step = full if bulk and block.shared and full else height
+    runs = [quantize_tensor(rows[i : i + step], spec, params=params) for i in range(0, full, step)]
+    decoded = np.concatenate([dequantize(run) for run in runs] + [rows[full:]])
+    if spec.mode == "dynamic":
+        groups = sum(run.params.n_groups for run in runs)
+    else:
+        groups = params.n_groups
+    return decoded, (sum(len(run.packed) for run in runs), groups,
+                     sum(run.outlier_indices.size for run in runs), len(rows) - full)
+
+
+def expected_layer(k, v, sinks, cache, bulk):
+    """Reconstruction, footprint and key-side region counts of a one-layer cache, one call per block."""
+    n, width = k.shape
+    keep = np.ones(n, dtype=bool)
+    keep[sorted(sinks)] = False
+    sides = [
+        one_call_per_block_contents(data[keep], side.spec, side.params, width, bulk)
+        for data, side in ((k, cache._keys[0]), (v, cache._values[0]))
+    ]
+    recon = []
+    for data, (decoded, _) in zip((k, v), sides):
+        out = data.copy()
+        out[keep] = decoded
+        recon.append(out)
+    packed, groups, outliers, pending = (sum(parts) for parts in zip(*(counts for _, counts in sides)))
+    footprint = footprint_bytes(packed, (pending + 2 * len(sinks)) * width, groups, outliers)
+    key_pending = sides[0][1][3]
+    counts = {"quantized": int(keep.sum()) - key_pending, "pending": key_pending, "sink": len(sinks)}
+    return recon, footprint, counts
+
+
+class TestBlockStore:
+    """The per-side block store holds what one quantize call per block held, bit for bit and byte for byte."""
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEME_PRESETS))
+    @pytest.mark.parametrize("bits, group_size", [(2, 16), (4, 4), (3, 5)])
+    def test_appends_match_bulk_and_one_call_per_block(self, scheme, bits, group_size):
+        width, n = 20, 8 * 16 + 24
+        rng = np.random.default_rng(bits * 100 + group_size)
+        k, v = rng.normal(size=(n, width)), rng.normal(size=(n, width)) * 3
+        sinks = {0, 3, 17, 40, 41, 150}
+        calibrated = KVCache(1, width, scheme=scheme, bits=bits, group_size=group_size, sparse_fraction=0.1)
+        calibrated.bulk_load(0, k, v, sinks=sinks)
+        seq = KVCache(1, width, scheme=scheme, bits=bits, group_size=group_size, sparse_fraction=0.1)
+        params = calibrated._keys[0].params, calibrated._values[0].params
+        seq.set_static_params(0, key_params=params[0], value_params=params[1])
+        seen = set()
+        for t in range(n):
+            seq.append(0, k[t], v[t], is_sink=t in sinks)
+            # Check at 1 block, at a full store (capacity) and one block past it, on either side.
+            marks = {(name, side.blocks, side._capacity)
+                     for name, side in (("k", seq._keys[0]), ("v", seq._values[0]))}
+            due = {m for m in marks if m[1] in (1, m[2], m[2] // 2 + 1) and m not in seen}
+            if not due and t != n - 1:
+                continue
+            seen |= due
+            sub = {s for s in sinks if s <= t}
+            recon, footprint, counts = expected_layer(k[: t + 1], v[: t + 1], sub, seq, bulk=False)
+            for got, want in zip(seq.reconstruct(0), recon):  # appends then continue after each read
+                np.testing.assert_array_equal(got, want)
+            assert seq.memory_footprint() == footprint
+            assert seq.region_counts(0) == counts
+            bulk = KVCache(1, width, scheme=scheme, bits=bits, group_size=group_size, sparse_fraction=0.1)
+            bulk.set_static_params(0, key_params=params[0], value_params=params[1])
+            bulk.bulk_load(0, k[: t + 1], v[: t + 1], sinks=sub)
+            for got, want in zip(bulk.reconstruct(0), recon):
+                np.testing.assert_array_equal(got, want)
+            assert bulk.region_counts(0) == counts
+            assert bulk.memory_footprint() == expected_layer(k[: t + 1], v[: t + 1], sub, bulk, bulk=True)[1]
+        grown = {(name, blocks) for name, blocks, capacity in seen if blocks == capacity // 2 + 1 and blocks > 1}
+        assert {name for name, _ in grown} == {"k", "v"}  # both sides grew their store at least once
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEME_PRESETS))
+    def test_one_encode_per_extend_and_one_decode_per_side(self, monkeypatch, scheme):
+        calls = {"quantize_tensor": 0, "dequantize": 0}
+        for name in calls:
+            original = getattr(cache_module, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cache_module, name, counted)
+        k, v = rand_kv(4096 + 48, 32, seed=41)
+        cache = KVCache(1, 32, scheme=scheme, bits=2, group_size=16)
+        cache.bulk_load(0, k[:4096], v[:4096], sinks=[0, 700])
+        assert calls["quantize_tensor"] == 2  # one stacked call per side
+        cache.reconstruct(0)
+        assert calls["dequantize"] == 2
+        specs = (cache.key_spec, cache.value_spec)
+        per_token = sum(spec.axis == "per_token" for spec in specs)
+        bulk_runs = sum(spec.axis == "per_token" and spec.mode == "static" for spec in specs)
+        for round_ in range(3):
+            calls.update(quantize_tensor=0, dequantize=0)
+            tokens = range(4096 + 16 * round_, 4096 + 16 * (round_ + 1))
+            for t in tokens:
+                cache.append(0, k[t], v[t], is_sink=round_ == 1 and t == tokens[5])
+            # A per-token side encodes each non-sink row; a per-channel side its one completed block.
+            rows = 16 - (round_ == 1)
+            assert calls["quantize_tensor"] == per_token * rows + (2 - per_token)
+            cache.reconstruct(0)
+            # One decode per side, and one more for a bulk-loaded per-token static run.
+            assert calls["dequantize"] == 2 + bulk_runs

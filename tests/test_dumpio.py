@@ -240,6 +240,13 @@ class TestQuantizedFile:
         digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
         assert digest == "414a0ccd3b426eff9a4df5b747c98a7c038b1ea8be71f04883f2a8fb0c17fd1d"
 
+    def test_stack_is_refused(self, tmp_path):
+        stack = quantize_tensor(np.ones((3, 2, 4)) * np.arange(4), QuantSpec(2, "per_token", group_size=4))
+        path = tmp_path / "q.kvsq"
+        with pytest.raises(ShapeError):
+            write_quantized(str(path), stack)
+        assert not path.exists()
+
     def test_corrupt_header(self, tmp_path):
         path = tmp_path / "q.kvsq"
         path.write_bytes(b"KVSQ" + struct.pack("<II", 1, 4) + b"{bad")

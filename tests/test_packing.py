@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,18 @@ def test_roundtrip_random_groups(bits):
         buf = pack_codes(codes, sizes, bits)
         assert len(buf) == int(pack_group_bytes(sizes, bits).sum())
         np.testing.assert_array_equal(unpack_codes(buf, sizes, bits), codes)
+
+
+@pytest.mark.parametrize("bits", [1, 2, 4, 8])
+def test_every_byte_when_bits_divide_eight(bits):
+    # Each byte holds 8/bits codes, code j at bits [j*bits, (j+1)*bits): all 256 bytes, both ways.
+    per = 8 // bits
+    combos = np.array(list(itertools.product(range(1 << bits), repeat=per)), dtype=np.uint8)
+    want = bytes(sum(int(c) << (bits * j) for j, c in enumerate(row)) for row in combos)
+    assert sorted(want) == list(range(256))
+    for sizes in ([per] * len(combos), [len(combos) * per]):  # one byte per group, and one long group
+        assert pack_codes(combos.ravel(), sizes, bits) == want
+        np.testing.assert_array_equal(unpack_codes(want, sizes, bits), combos.ravel())
 
 
 def test_empty_stream():

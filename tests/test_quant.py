@@ -10,6 +10,7 @@ from sinkquant.errors import (
     CalibrationError,
     ConfigError,
     LayoutError,
+    ShapeError,
 )
 from sinkquant.quant import (
     SCHEME_PRESETS,
@@ -240,6 +241,57 @@ class TestGroupLayout:
         misfit.params = quantize_tensor(rng.normal(size=(2, 12)), spec).params
         with pytest.raises(LayoutError):
             dequantize(a, misfit)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        layout=st.sampled_from(LAYOUTS),
+        blocks=st.integers(1, 4),
+        n=st.integers(1, 12),
+        d=st.integers(1, 12),
+        gs=st.integers(1, 6),
+        bits=st.integers(2, 8),
+        sparse=st.sampled_from([0.0, 0.2, 1.0]),
+        clip=st.sampled_from([None, 0.1]),
+        integer=st.booleans(),
+        shared=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_stack_is_its_blocks(self, layout, blocks, n, d, gs, bits, sparse, clip, integer, shared, seed):
+        # One call on a [blocks, n, d] stack packs, fits and isolates exactly as one 2-D call per block.
+        axis, mode = layout
+        spec = QuantSpec(bits, axis, mode, gs, clip=clip, sparse_fraction=sparse)
+        rng = np.random.default_rng(seed)
+        shape = (blocks, n, d)
+        stack = rng.integers(-3, 4, size=shape).astype(float) if integer else rng.normal(size=shape)
+        params = calibrate([rng.normal(size=(5, d)), *stack], spec) if mode == "static" and shared else None
+        singles = [quantize_tensor(block, spec, params=params) for block in stack]
+        qt = quantize_tensor(stack, spec, params=params)
+        assert qt.shape == (blocks, n, d)
+        assert qt.packed == b"".join(t.packed for t in singles)
+        offsets = [t.outlier_indices + i * n * d for i, t in enumerate(singles)]
+        assert_bitwise(qt.outlier_indices, np.concatenate(offsets))
+        assert_bitwise(qt.outlier_values, np.concatenate([t.outlier_values for t in singles]))
+        for name in ("scale", "zero", "degenerate", "constant"):
+            if params is None:
+                assert_bitwise(getattr(qt.params, name), np.stack([getattr(t.params, name) for t in singles]))
+            else:
+                assert getattr(qt.params, name) is getattr(params, name)
+        np.testing.assert_array_equal(qt.codes(), np.stack([t.codes() for t in singles]))
+        assert_bitwise(dequantize(qt), np.stack([dequantize(t) for t in singles]))
+        assert_bitwise(dequantize(*singles), np.vstack([dequantize(t) for t in singles]))
+
+    def test_stacked_parameters_fit_only_their_stack(self):
+        rng = np.random.default_rng(31)
+        spec = QuantSpec(3, "per_token", group_size=4)
+        qt = quantize_tensor(rng.normal(size=(3, 2, 8)), spec)
+        assert qt.params.shape == (2, 8) and qt.params.scale.shape == (3, 4) and qt.params.n_groups == 4
+        for x in (rng.normal(size=(2, 8)), rng.normal(size=(4, 2, 8))):
+            with pytest.raises(LayoutError):
+                quantize_tensor(x, spec, params=qt.params)
+        with pytest.raises(LayoutError):  # only 2-D tensors row-stack
+            dequantize(qt, qt)
+        with pytest.raises(ShapeError):
+            quantize_tensor(rng.normal(size=(1, 2, 2, 8)), spec)
 
     @pytest.mark.parametrize("axis", ["per_token", "per_channel"])
     def test_zero_rows_under_static_layouts(self, axis):

@@ -38,6 +38,18 @@ class TestSinkSet:
         with pytest.raises(ConfigError):
             SinkSet((0, 1, 2), 2)
 
+    @pytest.mark.parametrize("budget", [2.5, True, False, "3", -1, None, np.float64(2.0)])
+    def test_budget_must_be_a_non_negative_integer(self, budget):
+        # 2.5 and True once built with that k_requested; "3" escaped as a raw TypeError.
+        with pytest.raises(ConfigError):
+            SinkSet((1,), budget)
+
+    def test_numpy_integer_budget_becomes_int(self):
+        s = SinkSet((1,), np.int64(3))
+        assert s.k_requested == 3 and type(s.k_requested) is int
+        assert SinkSet.empty(np.uint8(0)).k_requested == 0
+        assert SinkSet.of([4, 2], np.int32(2)) == SinkSet((2, 4), 2)
+
     def test_mask_bounds(self):
         s = SinkSet.of([0, 14])
         with pytest.raises(BoundsError):
