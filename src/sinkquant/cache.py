@@ -234,7 +234,9 @@ class KVCache:
         """Install parameters for a layer's static sides.
 
         ``ConfigError`` for a dynamic side, which fits every block itself;
-        ``LayoutError`` unless they fit the side's spec and block.
+        ``StateError`` once a side holds quantized rows, which the store
+        decodes with the side's one parameter set; ``LayoutError`` unless
+        they fit the side's spec and block.
         """
         self._check_layer(layer)
         pairs = ((self._keys[layer], key_params), (self._values[layer], value_params))
@@ -242,6 +244,11 @@ class KVCache:
         for side, params in given:
             if side.spec.mode != "static":
                 raise ConfigError("a dynamic side takes no installed parameters", axis=side.spec.axis)
+            if side.quantized_rows():
+                raise StateError(
+                    "parameters are fixed once a side holds quantized rows",
+                    layer=layer, axis=side.spec.axis, rows=side.quantized_rows(),
+                )
             params.check_fits(side.spec, side.block)
         for side, params in given:
             side.params = params

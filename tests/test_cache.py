@@ -61,6 +61,43 @@ class TestConstruction:
             cache.set_static_params(0, key_params=per_token)
         assert cache._keys[0].params is None and cache._values[0].params is None
 
+    @pytest.mark.parametrize("load", ["append", "bulk"])
+    def test_parameters_fixed_once_rows_are_quantized(self, load):
+        spec = QuantSpec(4, "per_token", "static", group_size=8)
+        rng = np.random.default_rng(4)
+        first, second = calibrate([rng.normal(size=(16, 8))], spec), calibrate([rng.normal(size=(16, 8)) * 9], spec)
+        cache = KVCache(1, 8, scheme="pt_kv_static", bits=4, group_size=8)
+        cache.set_static_params(0, key_params=first, value_params=first)
+        cache.set_static_params(0, key_params=second, value_params=second)  # nothing quantized yet
+        k, v = rand_kv(3, 8, seed=6)
+        if load == "append":
+            for i in range(3):
+                cache.append(0, k[i], v[i])
+        else:
+            cache.bulk_load(0, k, v)
+        before = cache.reconstruct(0)
+        with pytest.raises(StateError):
+            cache.set_static_params(0, value_params=first)
+        assert cache._keys[0].params is second and cache._values[0].params is second
+        for got, want in zip(cache.reconstruct(0), before):
+            np.testing.assert_array_equal(got, want)
+
+    def test_per_channel_parameters_open_until_a_block_completes(self):
+        cache = KVCache(1, 8, scheme="kvquant_like", bits=2, group_size=4, sparse_fraction=0.0)
+        spec = cache.key_spec
+        rng = np.random.default_rng(9)
+        first, second = calibrate([rng.normal(size=(8, 8))], spec), calibrate([rng.normal(size=(8, 8)) * 5], spec)
+        cache.set_static_params(0, key_params=first)
+        k, v = rand_kv(4, 8, seed=10)
+        for i in range(3):
+            cache.append(0, k[i], v[i])
+        cache.set_static_params(0, key_params=second)  # three pending full-precision rows, no block yet
+        cache.append(0, k[3], v[3])
+        with pytest.raises(StateError):
+            cache.set_static_params(0, key_params=first)
+        expected = dequantize(quantize_tensor(k, spec, params=second))
+        np.testing.assert_array_equal(cache.reconstruct(0)[0], expected)
+
 
 class TestAppend:
     def test_sink_rows_pass_through_bitwise(self):
