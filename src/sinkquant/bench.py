@@ -19,6 +19,7 @@ from .decoder import DecoderConfig, decoder_forward, init_weights, prefill_with_
 from .dumpio import record_to_json
 from .errors import UsageError
 from .sinks import SinkProfile, detect_sinks
+from .tensors import attention_workers
 
 
 def reference_config(seed: int = 7) -> DecoderConfig:
@@ -45,6 +46,7 @@ class BenchReport:
     detect_to_prefill_ratio: float
     footprint: dict
     sinks_kept: int
+    attention_workers: int
     config: dict
 
     def to_json_dict(self) -> dict:
@@ -65,6 +67,7 @@ def run_bench(
 
     The footprint is the last timed prefill's ``memory_footprint()``: the
     bytes its cache holds, with only the sinks detection actually kept.
+    ``attention_workers`` is the thread count the prefill's attention ran on.
     """
     if repeats < 1:
         raise UsageError(f"repeat count must be >= 1, got {repeats}")
@@ -110,5 +113,6 @@ def run_bench(
         detect_to_prefill_ratio=detect_ms / prefill_ms if prefill_ms > 0 else 0.0,
         footprint=cache.memory_footprint(),
         sinks_kept=len(kept),
+        attention_workers=attention_workers(tokens),
         config=cfg.to_json_dict(),
     )

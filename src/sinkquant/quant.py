@@ -502,41 +502,16 @@ def quantize(x, params: QuantParams, spec: QuantSpec) -> QuantizedTensor:
     return quantize_tensor(x, spec, params=params)
 
 
-def _stacked(tensors: tuple[QuantizedTensor, ...]) -> QuantizedTensor:
-    """2-D tensors of one shape and spec as one [len(tensors), n, d] stack."""
-    qt = tensors[0]
-    layout = qt.layout()
-    for t in tensors:
-        if len(t.shape) != 2 or t.shape != qt.shape:
-            raise LayoutError("stacked tensors must share one 2-D shape", shape=list(qt.shape))
-        if t.params is not qt.params:
-            t.params.check_fits(qt.spec, layout)
-    params = qt.params
-    if any(t.params is not params for t in tensors):
-        fields = [np.stack([getattr(t.params, k) for t in tensors]) for k in ("scale", "zero", "degenerate", "constant")]
-        params = QuantParams(qt.spec, params.shape, *fields)
-    size = qt.shape[0] * qt.shape[1]
-    return QuantizedTensor(
-        shape=(len(tensors), *qt.shape),
-        params=params,
-        packed=b"".join(t.packed for t in tensors),
-        outlier_indices=np.concatenate([t.outlier_indices + i * size for i, t in enumerate(tensors)]),
-        outlier_values=np.concatenate([t.outlier_values for t in tensors]),
-    )
-
-
-def dequantize(qt: QuantizedTensor, *more: QuantizedTensor) -> np.ndarray:
+def dequantize(qt: QuantizedTensor) -> np.ndarray:
     """Reconstruct ``x' = scale * (code - zero)`` with outliers restored exactly.
 
-    The result has ``qt``'s shape; a stack decodes all its blocks in one
-    pass. Tensors in ``more`` must share ``qt``'s 2-D shape and spec; all are
-    decoded as one stack and returned row-stacked in argument order.
+    The result has ``qt``'s shape; a ``[blocks, n, d]`` stack decodes all its
+    blocks in one pass.
     """
-    stack = _stacked((qt, *more)) if more else qt
-    layout = stack.layout()
-    codes = unpack_codes(stack.packed, layout.stream_sizes(stack.shape), stack.spec.bits)
-    out = layout.from_group_major(codes.reshape(stack.shape[:-2] + (layout.size,))).astype(np.float64)
-    p = stack.params
+    layout = qt.layout()
+    codes = unpack_codes(qt.packed, layout.stream_sizes(qt.shape), qt.spec.bits)
+    out = layout.from_group_major(codes.reshape(qt.shape[:-2] + (layout.size,))).astype(np.float64)
+    p = qt.params
     degenerate = p.degenerate.any()
     # Zero points cast to float once per group: the subtraction would cast them per element.
     per_group = (p.zero.astype(np.float64), p.scale, p.degenerate, p.constant)
@@ -545,8 +520,8 @@ def dequantize(qt: QuantizedTensor, *more: QuantizedTensor) -> np.ndarray:
         view *= scale
         if degenerate:
             np.copyto(view, constant, where=flags)
-    out.flat[stack.outlier_indices] = stack.outlier_values
-    return out.reshape(-1, qt.shape[-1]) if more else out
+    out.flat[qt.outlier_indices] = qt.outlier_values
+    return out
 
 
 class CalibrationSet:

@@ -8,12 +8,17 @@ place ``-inf`` is allowed.
 
 from __future__ import annotations
 
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from .errors import BoundsError, ConfigError, NumericError, ShapeError
 
-# Query rows per tile of ``causal_attention``. At n=4096, dk=64 and one head,
-# 256 rows was fastest of 128-1024 on a 2-vCPU host.
+# Query rows per tile of ``causal_attention``; any other size changes the bits of the results. At n=4096,
+# dk=64 and one head on a 2-vCPU host, two tile workers of one BLAS thread each took 57 ms (median) with
+# 128 or 256 rows, 65 ms with 512 and 88 ms with 1024.
 ATTENTION_TILE = 256
 
 
@@ -107,6 +112,25 @@ def softmax_row(scores) -> np.ndarray:
     return out
 
 
+def _worker_count(cpus: int, environ) -> int:
+    """``cpus // blas_threads`` (at least 1), ``blas_threads`` read as OpenBLAS reads it, else ``cpus``."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        blas_threads = environ.get(var, "").strip()
+        if blas_threads.isdecimal() and int(blas_threads) > 0:
+            return max(1, cpus // int(blas_threads))
+    return 1
+
+
+_ATTENTION_WORKERS = _worker_count(
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1, os.environ
+)
+
+
+def attention_workers(n: int) -> int:
+    """Threads ``causal_attention`` runs ``n`` query rows on: the worker count capped at the tile count."""
+    return max(1, min(_ATTENTION_WORKERS, -(-n // ATTENTION_TILE)))
+
+
 def causal_attention(q, k, v, keep_weights: bool = False):
     """Causal scaled dot-product attention over ``[heads, n, dk]`` tensors.
 
@@ -114,9 +138,14 @@ def causal_attention(q, k, v, keep_weights: bool = False):
     ``[start, end)`` is scored only against keys ``[:end]``; inside that
     block, the keys after each query row are masked to ``-inf``. Each tile's
     softmax is formed in place and multiplied by ``v[:, :end]``, so the
-    working set is one tile of scores. The full ``[heads, n, n]`` weights are
-    allocated only when ``keep_weights`` is true, filled tile by tile and
-    exactly zero above the diagonal.
+    working set is one tile of scores per worker. The full ``[heads, n, n]``
+    weights are allocated only when ``keep_weights`` is true, scored in place
+    tile by tile and exactly zero above the diagonal.
+
+    Tiles share no state and run, widest first, on ``attention_workers(n)``
+    threads: the process's CPUs over the BLAS threads that
+    ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` set
+    at import, so an unpinned BLAS keeps one. The results do not depend on the count.
 
     Returns ``(out [heads, n, dv], weights [heads, n, n] or None)``; ``out``
     does not depend on ``keep_weights``.
@@ -134,17 +163,31 @@ def causal_attention(q, k, v, keep_weights: bool = False):
     above = np.triu(np.ones((ATTENTION_TILE, ATTENTION_TILE), dtype=bool), k=1)
     out = np.empty((heads, n, v.shape[2]))
     weights = np.zeros((heads, n, n)) if keep_weights else None
-    for start in range(0, n, ATTENTION_TILE):
+    workers = attention_workers(n)
+    # Score buffers come from this thread: buffers allocated by workers stay in per-thread malloc arenas.
+    buffers = queue.SimpleQueue()
+    for _ in range(workers):
+        buffers.put(None if keep_weights else np.empty(heads * min(ATTENTION_TILE, n) * n))
+
+    def tile(start):
         end = min(start + ATTENTION_TILE, n)
-        scores = q[:, start:end] @ k_t[:, :, :end]
+        rows, buf = end - start, buffers.get()
+        scores = weights[:, start:end, :end] if keep_weights else buf[: heads * rows * end].reshape(heads, rows, end)
+        np.matmul(q[:, start:end], k_t[:, :, :end], out=scores)
         scores /= scale
-        np.copyto(scores[:, :, start:], -np.inf, where=above[: end - start, : end - start])
+        np.copyto(scores[:, :, start:], -np.inf, where=above[:rows, :rows])
         scores -= scores.max(axis=2, keepdims=True)
         np.exp(scores, out=scores)
         scores /= scores.sum(axis=2, keepdims=True)
-        out[:, start:end] = scores @ v[:, :end]
-        if keep_weights:
-            weights[:, start:end, :end] = scores
+        np.matmul(scores, v[:, :end], out=out[:, start:end])
+        buffers.put(buf)
+
+    starts = range(0, n, ATTENTION_TILE)[::-1]
+    if workers == 1:
+        list(map(tile, starts))
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(tile, starts))
     return out, weights
 
 

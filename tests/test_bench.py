@@ -1,5 +1,8 @@
+import os
+
 import numpy as np
 
+from sinkquant import tensors
 from sinkquant.bench import reference_config, reference_profile, run_bench
 from sinkquant.decoder import init_weights, prefill_with_kvsink
 
@@ -15,3 +18,15 @@ def test_footprint_is_the_prefill_cache_footprint():
     assert report.footprint == cache.memory_footprint()
     assert report.sinks_kept == len(kept)
     assert report.to_json_dict()["sinks_kept"] == len(kept)
+
+
+def test_attention_workers_follow_the_kernel_rule(monkeypatch):
+    tiles = -(-600 // tensors.ATTENTION_TILE)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    rule = tensors._worker_count(cpus, os.environ)
+    assert run_bench(tokens=600, repeats=1).attention_workers == min(rule, tiles)
+    for workers, tokens, want in ((1, 600, 1), (2, 600, 2), (5, 600, 3), (2, 96, 1)):
+        monkeypatch.setattr(tensors, "_ATTENTION_WORKERS", workers)
+        report = run_bench(tokens=tokens, repeats=1)
+        assert report.attention_workers == want
+        assert report.to_json_dict()["attention_workers"] == want

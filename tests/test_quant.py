@@ -218,8 +218,8 @@ class TestGroupLayout:
             blocks[1][:] = -0.25
         params = calibrate(blocks, spec) if mode == "static" else None  # shared by every block
         tensors = [quantize_tensor(block, spec, params=params) for block in blocks]
-        stacked = dequantize(*tensors)
-        np.testing.assert_array_equal(stacked, np.vstack([dequantize(t) for t in tensors]))
+        stacked = dequantize(quantize_tensor(np.stack(blocks), spec, params=params))
+        np.testing.assert_array_equal(stacked, np.stack([dequantize(t) for t in tensors]))
         assert stacked.flags.c_contiguous
         got = GroupLayout((n, d), axis, mode, gs)
         streams = rng.normal(size=(3, n * d))
@@ -228,19 +228,6 @@ class TestGroupLayout:
         )
         per_group = rng.normal(size=(3, got.n_groups))
         np.testing.assert_array_equal(got.expand(per_group), np.stack([got.expand(row) for row in per_group]))
-
-    def test_stacked_dequantize_rejects_mixed_tensors(self):
-        rng = np.random.default_rng(21)
-        spec = QuantSpec(3, "per_token", group_size=4)
-        a = quantize_tensor(rng.normal(size=(2, 8)), spec)
-        with pytest.raises(LayoutError):
-            dequantize(a, quantize_tensor(rng.normal(size=(3, 8)), spec))
-        with pytest.raises(LayoutError):
-            dequantize(a, quantize_tensor(rng.normal(size=(2, 8)), QuantSpec(4, "per_token", group_size=4)))
-        misfit = quantize_tensor(rng.normal(size=(2, 8)), spec)
-        misfit.params = quantize_tensor(rng.normal(size=(2, 12)), spec).params
-        with pytest.raises(LayoutError):
-            dequantize(a, misfit)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -278,7 +265,6 @@ class TestGroupLayout:
                 assert getattr(qt.params, name) is getattr(params, name)
         np.testing.assert_array_equal(qt.codes(), np.stack([t.codes() for t in singles]))
         assert_bitwise(dequantize(qt), np.stack([dequantize(t) for t in singles]))
-        assert_bitwise(dequantize(*singles), np.vstack([dequantize(t) for t in singles]))
 
     def test_stacked_parameters_fit_only_their_stack(self):
         rng = np.random.default_rng(31)
@@ -288,8 +274,10 @@ class TestGroupLayout:
         for x in (rng.normal(size=(2, 8)), rng.normal(size=(4, 2, 8))):
             with pytest.raises(LayoutError):
                 quantize_tensor(x, spec, params=qt.params)
-        with pytest.raises(LayoutError):  # only 2-D tensors row-stack
-            dequantize(qt, qt)
+        misfit = quantize_tensor(rng.normal(size=(2, 8)), spec)
+        misfit.params = qt.params  # a stack's parameters do not decode one of its blocks
+        with pytest.raises(LayoutError):
+            dequantize(misfit)
         with pytest.raises(ShapeError):
             quantize_tensor(rng.normal(size=(1, 2, 2, 8)), spec)
 
@@ -376,7 +364,8 @@ def assert_matches_group_major(blocks, spec, params=None):
                 assert_bitwise(getattr(qt.params, name), want)
         assert qt.packed == group_major_encode(block, spec, qt.params)
         assert_bitwise(dequantize(qt), group_major_decode([qt]))
-    assert_bitwise(dequantize(*tensors), group_major_decode(tensors))
+    stack = quantize_tensor(np.stack(blocks), spec, params=params)
+    assert_bitwise(dequantize(stack).reshape(-1, stack.shape[-1]), group_major_decode(tensors))
 
 
 class TestTensorOrderMatchesGroupMajor:

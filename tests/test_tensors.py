@@ -1,10 +1,12 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sinkquant import tensors
 from sinkquant.errors import NumericError, ShapeError
 from sinkquant.tensors import (
     ATTENTION_TILE,
@@ -27,6 +29,27 @@ def dense_causal_attention(q, k, v):
     weights[:, mask] = 0.0
     weights /= weights.sum(axis=2, keepdims=True)
     return weights @ v, weights
+
+
+def serial_causal_attention(q, k, v, keep_weights):
+    """Reference: the one-thread tile loop, each tile's scores in a fresh array copied into the weights."""
+    heads, n, dk = q.shape
+    k_t = k.transpose(0, 2, 1)
+    above = np.triu(np.ones((ATTENTION_TILE, ATTENTION_TILE), dtype=bool), k=1)
+    out = np.empty((heads, n, v.shape[2]))
+    weights = np.zeros((heads, n, n)) if keep_weights else None
+    for start in range(0, n, ATTENTION_TILE):
+        end = min(start + ATTENTION_TILE, n)
+        scores = q[:, start:end] @ k_t[:, :, :end]
+        scores /= np.sqrt(dk)
+        np.copyto(scores[:, :, start:], -np.inf, where=above[: end - start, : end - start])
+        scores -= scores.max(axis=2, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=2, keepdims=True)
+        out[:, start:end] = scores @ v[:, :end]
+        if keep_weights:
+            weights[:, start:end, :end] = scores
+    return out, weights
 
 
 class TestL2Norm:
@@ -169,6 +192,64 @@ class TestCausalAttention:
         out, weights = causal_attention(q * 1e3, k * 1e3, v, keep_weights=True)
         assert np.all(np.isfinite(out)) and np.all(np.isfinite(weights))
         np.testing.assert_allclose(weights.sum(axis=2), 1.0, atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("keep_weights", [False, True])
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_bits_do_not_depend_on_the_worker_count(self, monkeypatch, n, heads, keep_weights):
+        q, k, v = self.qkv(n, heads=heads, dv=5, seed=n + heads)
+        want_out, want_weights = serial_causal_attention(q, k, v, keep_weights)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(tensors, "_ATTENTION_WORKERS", workers)
+            out, weights = causal_attention(q, k, v, keep_weights=keep_weights)
+            np.testing.assert_array_equal(out, want_out)
+            if keep_weights:
+                np.testing.assert_array_equal(weights, want_weights)
+            else:
+                assert weights is None
+
+    def test_concurrent_calls_match_serial_calls(self, monkeypatch):
+        monkeypatch.setattr(tensors, "_ATTENTION_WORKERS", 2)
+        inputs = [self.qkv(3 * ATTENTION_TILE + 17, heads=2, seed=seed) for seed in (5, 6)]
+        # One call scores into its own buffers, the other into its kept weights.
+        want = [serial_causal_attention(*qkv, keep_weights=bool(i)) for i, qkv in enumerate(inputs)]
+        got = [None, None]
+        both = threading.Barrier(2)
+
+        def call(i):
+            both.wait()
+            got[i] = causal_attention(*inputs[i], keep_weights=bool(i))
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for (out, weights), (want_out, want_weights) in zip(got, want):
+            np.testing.assert_array_equal(out, want_out)
+            assert (weights is None) == (want_weights is None)
+            if weights is not None:
+                np.testing.assert_array_equal(weights, want_weights)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4, 8])
+    def test_worker_count_leaves_blas_its_threads(self, cpus):
+        assert tensors._worker_count(cpus, {}) == 1  # an unpinned BLAS takes every CPU
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            assert tensors._worker_count(cpus, {var: "1"}) == cpus
+            assert tensors._worker_count(cpus, {var: "2"}) == max(1, cpus // 2)
+            for unset in ("", "0", "-1", "two", "1.5"):
+                assert tensors._worker_count(cpus, {var: unset}) == 1
+        # OpenBLAS's order: the first positive integer decides.
+        env = {"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        assert tensors._worker_count(cpus, env) == max(1, cpus // 2)
+        env["OPENBLAS_NUM_THREADS"] = "x"
+        assert tensors._worker_count(cpus, env) == cpus
+        assert tensors._worker_count(cpus, {"GOTO_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}) == cpus
+
+    def test_workers_are_capped_at_the_tile_count(self, monkeypatch):
+        monkeypatch.setattr(tensors, "_ATTENTION_WORKERS", 4)
+        sizes = (0, 1, ATTENTION_TILE, ATTENTION_TILE + 1, 9 * ATTENTION_TILE)
+        assert [tensors.attention_workers(n) for n in sizes] == [1, 1, 1, 2, 4]
 
     def test_shape_mismatch(self):
         q, k, v = self.qkv(4)
