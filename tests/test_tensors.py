@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 
 import numpy as np
@@ -209,22 +210,29 @@ class TestCausalAttention:
                 assert weights is None
 
     def test_concurrent_calls_match_serial_calls(self, monkeypatch):
-        monkeypatch.setattr(tensors, "_ATTENTION_WORKERS", 2)
+        # Three workers per call and a short switch interval interleave the two calls' tiles.
+        monkeypatch.setattr(tensors, "_ATTENTION_WORKERS", 3)
         inputs = [self.qkv(3 * ATTENTION_TILE + 17, heads=2, seed=seed) for seed in (5, 6)]
         # One call scores into its own buffers, the other into its kept weights.
         want = [serial_causal_attention(*qkv, keep_weights=bool(i)) for i, qkv in enumerate(inputs)]
         got = [None, None]
-        both = threading.Barrier(2)
+        both = threading.Barrier(2, timeout=60)
 
         def call(i):
             both.wait()
             got[i] = causal_attention(*inputs[i], keep_weights=bool(i))
 
         threads = [threading.Thread(target=call, args=(i,)) for i in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         for (out, weights), (want_out, want_weights) in zip(got, want):
             np.testing.assert_array_equal(out, want_out)
             assert (weights is None) == (want_weights is None)
