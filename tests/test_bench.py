@@ -25,8 +25,6 @@ def test_attention_workers_follow_the_kernel_rule(monkeypatch):
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     rule = tensors._worker_count(cpus, os.environ)
     assert run_bench(tokens=600, repeats=1).attention_workers == min(rule, tiles)
-    for workers, tokens, want in ((1, 600, 1), (2, 600, 2), (5, 600, 3), (2, 96, 1)):
-        monkeypatch.setattr(tensors, "_ATTENTION_WORKERS", workers)
-        report = run_bench(tokens=tokens, repeats=1)
-        assert report.attention_workers == want
-        assert report.to_json_dict()["attention_workers"] == want
+    monkeypatch.setattr(tensors, "_ATTENTION_WORKERS", tiles + 2)
+    report = run_bench(tokens=600, repeats=1)
+    assert report.attention_workers == report.to_json_dict()["attention_workers"] == tiles
