@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -111,12 +111,7 @@ def error_decomposition(
             recon = dequantize(quantize_tensor(arr, spec, params=params_in))
             err2 = (arr - recon) ** 2
             row = ErrorRow(
-                bits=spec.bits,
-                axis=spec.axis,
-                mode=spec.mode,
-                group_size=spec.group_size,
-                clip=spec.clip,
-                sparse_fraction=spec.sparse_fraction,
+                **asdict(spec),
                 overall=float(err2.mean()),
                 nonsink_elements=float(err2[~sink_mask].mean()) if (~sink_mask).any() else None,
                 elements=int(arr.size),
@@ -141,12 +136,7 @@ def error_decomposition(
             w = err2[element_in_sink_group]
             rows.append(
                 ErrorRow(
-                    bits=spec.bits,
-                    axis=spec.axis,
-                    mode=spec.mode,
-                    group_size=spec.group_size,
-                    clip=spec.clip,
-                    sparse_fraction=spec.sparse_fraction,
+                    **asdict(spec),
                     overall=float(err2.mean()),
                     wo_sink_groups=float(wo.mean()) if wo.size else None,
                     w_sink_groups=float(w.mean()) if w.size else None,
@@ -314,12 +304,7 @@ def bias_disruption(
         bias_delta = float(np.linalg.norm(bias_q - bias_fp, axis=2).mean())
         rows.append(
             {
-                "bits": spec.bits,
-                "axis": spec.axis,
-                "mode": spec.mode,
-                "group_size": spec.group_size,
-                "clip": spec.clip,
-                "sparse_fraction": spec.sparse_fraction,
+                **asdict(spec),
                 "bias_l2_delta": bias_delta,
                 "attention_score_delta": score_delta,
             }

@@ -6,14 +6,12 @@ quantization groups sink-free by construction. Each layer side holds its
 non-sink rows in token order; the sink set alone fixes the positions they
 fill. They are a block store of whole ``GroupLayout.block`` blocks (one row,
 or ``group_size`` rows for per-channel sides, which stay pending until a
-block completes), then full-precision ``pending`` rows. A bulk-loaded
-per-token static side keeps its rows as one shared-layout run ahead of the
-store. Rows enter only through ``_Side.extend`` (one row from ``append``,
-all non-sink rows from ``bulk_load``), which quantizes every complete block
-it is given with one ``quantize_tensor`` call on the stack of blocks, so a
-bulk-loaded layer reconstructs identically to the corresponding appends.
-``reconstruct`` makes one ``dequantize`` call for the store and one for a
-run.
+block completes), then full-precision ``pending`` rows. Rows enter only
+through ``_Side.extend`` (one row from ``append``, all non-sink rows from
+``bulk_load``), which quantizes every complete block it is given with one
+``quantize_tensor`` call on the stack of blocks, so a bulk-loaded layer
+stores and reconstructs exactly what the corresponding appends do.
+``reconstruct`` makes one ``dequantize`` call per side.
 
 Byte accounting (``footprint_bytes``, behind every footprint report):
 
@@ -23,9 +21,8 @@ Byte accounting (``footprint_bytes``, behind every footprint report):
   parameters are shared and counted once per layer side,
 * sparse outliers: 6 bytes each (uint32 flat index + 16-bit value).
 
-``predict_footprint`` is exact for append-built caches. A bulk-loaded
-per-token static side packs its rows as one shared-layout tensor, which pads
-less unless every segment packs to whole bytes.
+A side's counts follow from its block count and pending rows alone
+(``_side_counts``), so ``predict_footprint`` is exact for every cache.
 """
 
 from __future__ import annotations
@@ -65,8 +62,18 @@ def footprint_bytes(packed: int, full_precision: int, groups: int, outliers: int
     }
 
 
+def _side_counts(
+    spec: QuantSpec, block: GroupLayout, blocks: int, pending: int, static_params: bool = True
+) -> tuple[int, int, int, int]:
+    """(packed bytes, parameter groups, outliers, full-precision rows) of a side holding
+    ``blocks`` blocks and ``pending`` rows; a static side counts its one parameter set if it has one."""
+    groups = block.n_groups * (blocks if spec.mode == "dynamic" else int(static_params))
+    outliers = blocks * block.n_vectors * block.outliers_per_vector(spec.sparse_fraction)
+    return blocks * block.packed_nbytes(spec.bits), groups, outliers, pending
+
+
 class _Side:
-    """One layer side's non-sink rows in token order: a bulk ``run``, the block store, then ``pending``.
+    """One layer side's non-sink rows in token order: the block store, then ``pending``.
 
     The store holds whole ``GroupLayout.block`` blocks in the fields of a
     stacked ``QuantizedTensor``: packed codes and outlier positions and
@@ -80,13 +87,12 @@ class _Side:
         self.params: QuantParams | None = None
         self.block = GroupLayout.block(spec, width)
         self.height = self.block.shape[0]
-        self.run: QuantizedTensor | None = None
         self.blocks = 0
         self._capacity = 0
-        outliers = self.block.n_vectors * self.block.outliers_per_vector(spec.sparse_fraction)
+        packed, _, outliers, _ = _side_counts(spec, self.block, 1, 0)
         # Field: (entries per block, shape of an entry, dtype).
         self._fields = {
-            "packed": (self.block.packed_nbytes(spec.bits), (), np.uint8),
+            "packed": (packed, (), np.uint8),
             "outlier_indices": (outliers, (), np.int64),
             "outlier_values": (outliers, (), np.float64),
         }
@@ -100,17 +106,12 @@ class _Side:
     def extend(self, rows: np.ndarray) -> None:
         """Quantize the complete blocks of ``pending`` + ``rows`` in one call; the rest stays pending.
 
-        ``rows`` is handed over, not copied. A side whose block layout
-        shares groups across rows (per-token static) keeps a multi-row load
-        into an empty side as one ``run``, which pads less than one block
-        per row.
+        ``rows`` is handed over, not copied.
         """
         if len(self.pending):
             rows = np.concatenate((self.pending, rows))
         full = len(rows) - len(rows) % self.height
-        if full > 1 and self.block.shared and self.run is None and not self.blocks:
-            self.run = quantize_tensor(rows[:full], self.spec, params=self.params)
-        elif full:
+        if full:
             self._put(quantize_tensor(rows[:full].reshape(-1, *self.block.shape), self.spec, params=self.params))
         self.pending = rows[full:].copy() if full else rows  # a view would keep the quantized rows alive
 
@@ -156,27 +157,17 @@ class _Side:
         )
 
     def quantized_rows(self) -> int:
-        return (self.run.shape[0] if self.run is not None else 0) + self.blocks * self.height
+        return self.blocks * self.height
 
     def footprint(self) -> tuple[int, int, int, int]:
         """(packed bytes, parameter groups, outliers, full-precision rows) held by this side."""
-        packed = self.blocks * self._fields["packed"][0]
-        outliers = self.blocks * self._fields["outlier_indices"][0]
-        if self.run is not None:
-            packed += len(self.run.packed)
-            outliers += self.run.outlier_indices.size
-        if self.spec.mode == "dynamic":
-            groups = self.blocks * self.block.n_groups
-        else:
-            groups = self.params.n_groups if self.params is not None else 0
-        return packed, groups, outliers, len(self.pending)
+        return _side_counts(self.spec, self.block, self.blocks, len(self.pending), self.params is not None)
 
     def pieces(self) -> list[np.ndarray]:
-        """Every row in token order as [rows, width] pieces: the run and the store
-        (one ``dequantize`` each), then ``pending``."""
-        stacks = (self.run, self.stored())
-        width = self.pending.shape[1]
-        return [dequantize(qt).reshape(-1, width) for qt in stacks if qt is not None] + [self.pending]
+        """Every row in token order as [rows, width] pieces: the store (one ``dequantize``), then ``pending``."""
+        stored = self.stored()
+        decoded = [] if stored is None else [dequantize(stored).reshape(-1, self.pending.shape[1])]
+        return decoded + [self.pending]
 
 
 class KVCache:
@@ -354,9 +345,9 @@ def predict_footprint(
     """Closed-form footprint of a fully loaded cache (no tensors needed).
 
     Each side holds whole ``GroupLayout.block`` blocks plus a full-precision
-    remainder. Exact for a cache built by appends, and for a bulk-loaded one
-    when every per-token static segment (``len * bits``) packs to whole bytes;
-    otherwise the bulk-loaded cache holds fewer quantized bytes.
+    remainder, counted by the same ``_side_counts`` as ``memory_footprint``.
+    ``num_layers`` and ``width`` are integers of at least 1, ``tokens`` and
+    ``sink_tokens`` of at least 0 (``ConfigError`` otherwise).
 
     ``sink_tokens`` is charged to every one of the ``num_layers`` layers. A
     ``prefill_with_kvsink`` cache in kvsink mode holds no sinks at or below
@@ -364,18 +355,17 @@ def predict_footprint(
     exact prediction is the per-layer sum: ``predict_footprint(1, ...)`` with
     each layer's own sink count.
     """
+    num_layers = integer_at_least(num_layers, 1, "num_layers")
+    tokens = integer_at_least(tokens, 0, "tokens")
+    width = integer_at_least(width, 1, "width")
+    sink_tokens = integer_at_least(sink_tokens, 0, "sink_tokens")
     if sink_tokens > tokens:
         raise ConfigError("more sink tokens than tokens", sink_tokens=sink_tokens, tokens=tokens)
-    rows = tokens - sink_tokens
-    packed = groups = outliers = 0
-    fp_rows = 2 * sink_tokens
+    totals = np.array([0, 0, 0, 2 * sink_tokens], dtype=np.int64)
     for spec in scheme_specs(scheme, bits, group_size, sparse_fraction):
         block = GroupLayout.block(spec, width)
-        nblocks, pending = divmod(rows, block.shape[0])
-        fp_rows += pending
-        packed += nblocks * block.packed_nbytes(spec.bits)
-        outliers += nblocks * block.n_vectors * block.outliers_per_vector(spec.sparse_fraction)
-        groups += block.n_groups * (1 if spec.mode == "static" else nblocks)
+        totals += _side_counts(spec, block, *divmod(tokens - sink_tokens, block.shape[0]))
+    packed, groups, outliers, fp_rows = totals.tolist()
     total = footprint_bytes(packed, fp_rows * width, groups, outliers)
     return {key: num_layers * value for key, value in total.items()}
 

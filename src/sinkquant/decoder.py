@@ -41,6 +41,9 @@ from .tensors import as_tensor, causal_attention, merge_heads, split_heads
 ACTIVATIONS = ("silu", "gelu")
 HOOK_MODES = ("add_to_ffn_output", "negate_channels")
 PREFILL_MODES = ("kvsink", "pfn", "none")
+WEIGHT_SCALE = 0.5  # weights are drawn from N(0, WEIGHT_SCALE / sqrt(fan_in))
+READOUT_GAIN = 1.0  # standard deviation of a planted channel's K/V projection rows
+ROPE_THETA = 10000.0
 
 
 @dataclass(frozen=True)
@@ -110,13 +113,13 @@ class DecoderWeights:
     layers: list[LayerWeights]
 
 
-def init_weights(cfg: DecoderConfig, weight_scale: float = 0.5, rng=None) -> DecoderWeights:
+def init_weights(cfg: DecoderConfig, rng=None) -> DecoderWeights:
     """Small random weights, seeded from the config."""
     rng = rng or np.random.default_rng(cfg.seed)
     d, f, kvw = cfg.hidden, cfg.ffn_hidden, cfg.kv_width
 
     def mat(fan_in, fan_out):
-        return rng.normal(0.0, weight_scale / np.sqrt(fan_in), size=(fan_in, fan_out))
+        return rng.normal(0.0, WEIGHT_SCALE / np.sqrt(fan_in), size=(fan_in, fan_out))
 
     layers = [
         LayerWeights(
@@ -186,12 +189,12 @@ def _activate(x, kind):
     return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
 
 
-def _rope(x_heads, theta: float = 10000.0):
+def _rope(x_heads):
     """Rotate-half rotary embedding over [heads, tokens, head_dim]."""
     dk = x_heads.shape[-1]
     half = dk // 2
     pos = np.arange(x_heads.shape[1], dtype=np.float64)
-    freqs = theta ** (-np.arange(half, dtype=np.float64) / half)
+    freqs = ROPE_THETA ** (-np.arange(half, dtype=np.float64) / half)
     ang = pos[:, None] * freqs[None, :]
     cos, sin = np.cos(ang), np.sin(ang)
     x1, x2 = x_heads[..., :half], x_heads[..., half:]
@@ -265,8 +268,8 @@ def _run_stack(h0, weights, cfg, hooks, capture, kv_stage=None):
             ("V", v_heads),
             ("A", attn_weights),
         ):
-            if kind in dumps:
-                dumps[kind].append(value.copy())
+            if kind in dumps:  # each is a fresh array that nothing writes after this point
+                dumps[kind].append(value)
         yield l, h, dumps
 
 
@@ -348,8 +351,6 @@ def synthesize_sink_model(
     plant,
     l_emerge: int,
     l_dissipate: int,
-    weight_scale: float = 0.5,
-    readout_gain: float = 1.0,
 ):
     """Weights plus hooks that plant the full outlier life cycle.
 
@@ -370,13 +371,13 @@ def synthesize_sink_model(
     hooks = tuple(InjectionHook(layer, mode, plant) for layer, mode in edits)
     channels = sorted({c for _, c, _ in hooks[0].targets}) if hooks else []
     rng = np.random.default_rng(cfg.seed)
-    weights = init_weights(cfg, weight_scale=weight_scale, rng=rng)
+    weights = init_weights(cfg, rng=rng)
     if any(not 0 <= c < cfg.hidden for c in channels):
         raise BoundsError("planted channel outside hidden size", hidden=cfg.hidden, channels=channels)
     for lw in weights.layers:
         for c in channels:
-            lw.wk[c, :] = rng.normal(0.0, readout_gain, size=cfg.kv_width)
-            lw.wv[c, :] = rng.normal(0.0, readout_gain, size=cfg.kv_width)
+            lw.wk[c, :] = rng.normal(0.0, READOUT_GAIN, size=cfg.kv_width)
+            lw.wv[c, :] = rng.normal(0.0, READOUT_GAIN, size=cfg.kv_width)
     return weights, hooks
 
 

@@ -51,8 +51,7 @@ from .quant import GroupLayout, QuantParams, QuantizedTensor, QuantSpec
 MAGIC = b"KVSD"
 QMAGIC = b"KVSQ"
 VERSION = 1
-_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
-_DTYPE_CODES = {np.dtype(np.float32): 1, np.dtype(np.float64): 2}
+_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}  # dtype code -> stored dtype
 _MAX_NDIM = 8
 
 #: Activation kinds the decoder can capture; manifests must use these names.
@@ -124,13 +123,12 @@ def write_dump(path: str, tensor, dtype: str = "float64") -> None:
         raise ShapeError(f"zero-sized dimensions are not allowed, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise NumericError("refusing to dump non-finite values", path=path)
-    np_dtype = {"float32": np.dtype("<f4"), "float64": np.dtype("<f8")}.get(dtype)
-    if np_dtype is None:
-        raise FormatError(f"unsupported dump dtype {dtype!r}", allowed=["float32", "float64"])
-    code = 1 if dtype == "float32" else 2
+    code = next((code for code, stored in _DTYPES.items() if stored.name == dtype), None)
+    if code is None:
+        raise FormatError(f"unsupported dump dtype {dtype!r}", allowed=[d.name for d in _DTYPES.values()])
     header = MAGIC + struct.pack("<III", VERSION, code, arr.ndim)
     header += struct.pack(f"<{arr.ndim}Q", *arr.shape)
-    payload = np.ascontiguousarray(arr, dtype=np_dtype).tobytes()
+    payload = np.ascontiguousarray(arr, dtype=_DTYPES[code]).tobytes()
     atomic_write(path, header + payload)
 
 

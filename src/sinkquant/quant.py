@@ -75,7 +75,7 @@ from .errors import (
     ShapeError,
 )
 from .packing import pack_codes, packed_nbytes, unpack_codes
-from .tensors import as_tensor, row_mask, top_k_mask
+from .tensors import as_tensor, integer_at_least, row_mask, top_k_mask
 
 AXES = ("per_token", "per_channel", "per_tensor")
 MODES = ("dynamic", "static")
@@ -93,14 +93,14 @@ class QuantSpec:
     sparse_fraction: float = 0.0
 
     def __post_init__(self):
-        if not 2 <= self.bits <= 8:
+        object.__setattr__(self, "bits", integer_at_least(self.bits, 2, "bits"))
+        object.__setattr__(self, "group_size", integer_at_least(self.group_size, 1, "group_size"))
+        if self.bits > 8:
             raise ConfigError(f"bits must be in [2, 8], got {self.bits}")
         if self.axis not in AXES:
             raise ConfigError(f"unknown axis {self.axis!r}", allowed=list(AXES))
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}", allowed=list(MODES))
-        if self.group_size < 1:
-            raise ConfigError(f"group_size must be >= 1, got {self.group_size}")
         if self.clip is not None and not 0.0 <= self.clip < 0.5:
             raise ConfigError(f"clip must be in [0, 0.5), got {self.clip}")
         if not 0.0 <= self.sparse_fraction <= 1.0:

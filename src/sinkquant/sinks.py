@@ -81,8 +81,12 @@ class SinkProfile:
     outlier_channels: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "outlier_channels", tuple(int(c) for c in self.outlier_channels))
-        if not 0 <= self.emergence_layer < self.total_layers:
+        for name in ("total_layers", "hidden_size"):
+            object.__setattr__(self, name, integer_at_least(getattr(self, name), 1, name))
+        object.__setattr__(self, "emergence_layer", integer_at_least(self.emergence_layer, 0, "emergence_layer"))
+        channels = tuple(integer_at_least(c, 0, "outlier channel") for c in self.outlier_channels)
+        object.__setattr__(self, "outlier_channels", channels)
+        if self.emergence_layer >= self.total_layers:
             raise ConfigError(
                 "emergence layer outside the stack",
                 emergence_layer=self.emergence_layer,
@@ -90,7 +94,7 @@ class SinkProfile:
             )
         if not self.outlier_channels:
             raise ConfigError("profile needs at least one outlier channel")
-        if any(not 0 <= c < self.hidden_size for c in self.outlier_channels):
+        if any(c >= self.hidden_size for c in self.outlier_channels):
             raise BoundsError(
                 "outlier channel outside hidden size",
                 hidden_size=self.hidden_size,
@@ -114,8 +118,7 @@ def detect_sinks(h, profile: SinkProfile, k: int, magnitude_ratio: float | None 
             expected=profile.hidden_size,
             actual=int(arr.shape[1]),
         )
-    if k < 0:
-        raise ConfigError(f"k must be >= 0, got {k}")
+    k = integer_at_least(k, 0, "k")
     if k == 0 or arr.shape[0] == 0:
         return SinkSet.empty(k)
     channels = list(profile.outlier_channels)
@@ -138,8 +141,8 @@ def detect_sinks(h, profile: SinkProfile, k: int, magnitude_ratio: float | None 
 
 def preserve_first_n(seq_len: int, n: int) -> SinkSet:
     """Preserve-first-N baseline: the first min(N, seq_len) token positions."""
-    if n < 0:
-        raise ConfigError(f"N must be >= 0, got {n}")
+    seq_len = integer_at_least(seq_len, 0, "seq_len")
+    n = integer_at_least(n, 0, "N")
     return SinkSet(tuple(range(min(n, seq_len))), n)
 
 
@@ -155,6 +158,7 @@ def discover_profile(
     magnitude. The threshold is relative, so the result is invariant to
     uniform rescaling of the dumps.
     """
+    max_channels = integer_at_least(max_channels, 1, "max_channels")
     layers = [as_tensor(d, ndim=2, name="layer dump") for d in dumps]
     if not layers:
         raise DiscoveryError("no layer dumps supplied")

@@ -223,14 +223,7 @@ class TestBulkLoad:
                     np.testing.assert_array_equal(got, want)
                 assert bulk.region_counts(0) == seq.region_counts(0)
                 assert bulk.pending_tokens(0) == seq.pending_tokens(0)
-                # A bulk-loaded per-token static side packs its rows as one tensor,
-                # so its padding matches the append sequence only for whole-byte
-                # segments (width 8 has no tail segment at group size 4).
-                per_token_static = any(
-                    spec.axis == "per_token" and spec.mode == "static" for spec in (bulk.key_spec, bulk.value_spec)
-                )
-                if not per_token_static or bits * group_size % 8 == 0:
-                    assert bulk.memory_footprint() == seq.memory_footprint()
+                assert bulk.memory_footprint() == seq.memory_footprint()
 
     def test_requires_empty_layer(self):
         k, v = rand_kv(4, 8)
@@ -318,13 +311,13 @@ class TestFootprint:
             )
             assert cache.memory_footprint() == predicted
 
-    @pytest.mark.parametrize("scheme, bulk_bytes, append_bytes", [
-        ("pt_kv_static", 922, 988),
-        ("pc_key_pt_value_static", 909, 942),
+    @pytest.mark.parametrize("scheme, quantized_bytes", [
+        ("pt_kv_static", 988),
+        ("pc_key_pt_value_static", 942),
     ])
-    def test_bulk_per_token_static_packs_tighter(self, scheme, bulk_bytes, append_bytes):
-        # 38 non-sink rows share each per-token static segment: 38 * 5 * 3 bits is
-        # not whole bytes, so one shared tensor pads less than 38 one-row tensors.
+    def test_bulk_per_token_static_stores_what_appends_store(self, scheme, quantized_bytes):
+        # 38 non-sink rows share each per-token static segment, and 5 * 3 bits is not
+        # whole bytes: a bulk load still packs one row per block, as 38 appends do.
         k, v = rand_kv(40, 32, seed=29)
         bulk = KVCache(1, 32, scheme=scheme, bits=3, group_size=5)
         bulk.bulk_load(0, k, v, sinks=[0, 9])
@@ -333,11 +326,30 @@ class TestFootprint:
         for i in range(40):
             seq.append(0, k[i], v[i], is_sink=i in (0, 9))
         predicted = predict_footprint(1, 40, 32, scheme=scheme, bits=3, group_size=5, sink_tokens=2)
-        assert bulk.memory_footprint()["quantized_bytes"] == bulk_bytes
-        assert seq.memory_footprint()["quantized_bytes"] == predicted["quantized_bytes"] == append_bytes
-        assert seq.memory_footprint() == predicted
+        assert bulk.memory_footprint() == seq.memory_footprint() == predicted
+        assert predicted["quantized_bytes"] == quantized_bytes
         for got, want in zip(bulk.reconstruct(0), seq.reconstruct(0)):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEME_PRESETS))
+    def test_bulk_append_and_prediction_agree_on_random_caches(self, scheme):
+        rng = np.random.default_rng(sorted(SCHEME_PRESETS).index(scheme))
+        for case in range(40):
+            bits, group_size, width = int(rng.integers(2, 9)), int(rng.integers(1, 18)), int(rng.integers(1, 41))
+            n = int(rng.integers(0, 70))
+            sinks = sorted(set(rng.integers(0, n, size=int(rng.integers(0, 4))).tolist())) if n else []
+            options = dict(scheme=scheme, bits=bits, group_size=group_size, sparse_fraction=[None, 0.1][case % 2])
+            k, v = rand_kv(n, width, seed=int(rng.integers(1 << 30)))
+            bulk = KVCache(1, width, **options)
+            bulk.bulk_load(0, k, v, sinks=sinks)
+            seq = KVCache(1, width, **options)
+            seq.set_static_params(0, key_params=bulk._keys[0].params, value_params=bulk._values[0].params)
+            for t in range(n):
+                seq.append(0, k[t], v[t], is_sink=t in sinks)
+            predicted = predict_footprint(1, n, width, sink_tokens=len(sinks), **options)
+            assert bulk.memory_footprint() == seq.memory_footprint() == predicted, (options, width, n, sinks)
+            for got, want in zip(bulk.reconstruct(0), seq.reconstruct(0)) if n else ():  # seq holds no layer at n=0
+                np.testing.assert_array_equal(got, want)
 
     def test_additivity_over_layers(self):
         k, v = rand_kv(12, 16, seed=31)
@@ -392,17 +404,16 @@ class TestSnapshot:
             load_snapshot(str(tmp_path))
 
 
-def one_call_per_block_contents(rows, spec, params, width, bulk):
-    """A side as it was before the block store: one 2-D ``quantize_tensor`` per block (one for a bulk
-    load under a shared-group layout), then full-precision pending rows.
+def one_call_per_block_contents(rows, spec, params, width):
+    """A side as it was before the block store: one 2-D ``quantize_tensor`` per block, then
+    full-precision pending rows.
 
     Returns the decoded rows in order and (packed bytes, parameter groups, outliers, pending rows).
     """
     block = GroupLayout.block(spec, width)
     height = block.shape[0]
     full = len(rows) - len(rows) % height
-    step = full if bulk and block.shared and full else height
-    runs = [quantize_tensor(rows[i : i + step], spec, params=params) for i in range(0, full, step)]
+    runs = [quantize_tensor(rows[i : i + height], spec, params=params) for i in range(0, full, height)]
     decoded = np.concatenate([dequantize(run) for run in runs] + [rows[full:]])
     if spec.mode == "dynamic":
         groups = sum(run.params.n_groups for run in runs)
@@ -412,13 +423,13 @@ def one_call_per_block_contents(rows, spec, params, width, bulk):
                      sum(run.outlier_indices.size for run in runs), len(rows) - full)
 
 
-def expected_layer(k, v, sinks, cache, bulk):
+def expected_layer(k, v, sinks, cache):
     """Reconstruction, footprint and key-side region counts of a one-layer cache, one call per block."""
     n, width = k.shape
     keep = np.ones(n, dtype=bool)
     keep[sorted(sinks)] = False
     sides = [
-        one_call_per_block_contents(data[keep], side.spec, side.params, width, bulk)
+        one_call_per_block_contents(data[keep], side.spec, side.params, width)
         for data, side in ((k, cache._keys[0]), (v, cache._values[0]))
     ]
     recon = []
@@ -459,7 +470,7 @@ class TestBlockStore:
                 continue
             seen |= due
             sub = {s for s in sinks if s <= t}
-            recon, footprint, counts = expected_layer(k[: t + 1], v[: t + 1], sub, seq, bulk=False)
+            recon, footprint, counts = expected_layer(k[: t + 1], v[: t + 1], sub, seq)
             for got, want in zip(seq.reconstruct(0), recon):  # appends then continue after each read
                 np.testing.assert_array_equal(got, want)
             assert seq.memory_footprint() == footprint
@@ -470,7 +481,7 @@ class TestBlockStore:
             for got, want in zip(bulk.reconstruct(0), recon):
                 np.testing.assert_array_equal(got, want)
             assert bulk.region_counts(0) == counts
-            assert bulk.memory_footprint() == expected_layer(k[: t + 1], v[: t + 1], sub, bulk, bulk=True)[1]
+            assert bulk.memory_footprint() == footprint
         grown = {(name, blocks) for name, blocks, capacity in seen if blocks == capacity // 2 + 1 and blocks > 1}
         assert {name for name, _ in grown} == {"k", "v"}  # both sides grew their store at least once
 
@@ -493,7 +504,6 @@ class TestBlockStore:
         assert calls["dequantize"] == 2
         specs = (cache.key_spec, cache.value_spec)
         per_token = sum(spec.axis == "per_token" for spec in specs)
-        bulk_runs = sum(spec.axis == "per_token" and spec.mode == "static" for spec in specs)
         for round_ in range(3):
             calls.update(quantize_tensor=0, dequantize=0)
             tokens = range(4096 + 16 * round_, 4096 + 16 * (round_ + 1))
@@ -503,5 +513,4 @@ class TestBlockStore:
             rows = 16 - (round_ == 1)
             assert calls["quantize_tensor"] == per_token * rows + (2 - per_token)
             cache.reconstruct(0)
-            # One decode per side, and one more for a bulk-loaded per-token static run.
-            assert calls["dequantize"] == 2 + bulk_runs
+            assert calls["dequantize"] == 2  # one decode per side

@@ -26,7 +26,8 @@ from sinkquant.quant import (
     quantize_tensor,
     scheme_specs,
 )
-from sinkquant.cache import KVCache
+from sinkquant.cache import KVCache, predict_footprint
+from sinkquant.dumpio import read_quantized, write_quantized
 from sinkquant.packing import pack_codes, pack_group_bytes, unpack_codes
 
 
@@ -104,6 +105,28 @@ class TestComputeParams:
             QuantSpec(4, clip=0.5)
         with pytest.raises(ConfigError):
             QuantSpec(4, sparse_fraction=1.5)
+
+    @pytest.mark.parametrize("build", [
+        lambda: QuantSpec(4, group_size=2.5),  # once quantized with groups of 2
+        lambda: QuantSpec(3.0),  # once a raw TypeError at encode
+        lambda: QuantSpec(True),
+        lambda: QuantSpec(4, group_size="8"),
+        lambda: predict_footprint(1, 4, 8, sink_tokens=-1),  # once sink_bytes -32
+        lambda: predict_footprint(1, 2.5, 8),  # once a footprint of 2.5 tokens
+        lambda: predict_footprint(1, 4, 8.0),
+        lambda: predict_footprint(0.5, 4, 8),
+        lambda: predict_footprint(1, 4, 8, bits=4.0),
+    ])
+    def test_counts_must_be_integers(self, build):
+        with pytest.raises(ConfigError):
+            build()
+
+    def test_numpy_integer_counts_stored_as_int(self, tmp_path):
+        spec = QuantSpec(np.int64(4), group_size=np.uint8(4))
+        assert type(spec.bits) is int and type(spec.group_size) is int
+        qt = quantize_tensor(np.arange(16.0).reshape(2, 8), spec)
+        write_quantized(str(tmp_path / "x.kvsq"), qt)  # once a raw TypeError from the JSON header
+        assert read_quantized(str(tmp_path / "x.kvsq")).spec == QuantSpec(4, group_size=4)
 
 
 LAYOUTS = [

@@ -11,6 +11,7 @@ from sinkquant.errors import (
     DiscoveryError,
     FormatError,
     ShapeError,
+    SinkQuantError,
 )
 from sinkquant.profiles import available_profiles, load_profile
 from sinkquant.sinks import (
@@ -25,6 +26,23 @@ from sinkquant.sinks import (
 
 def plain_profile(d=64, channels=(7,), layers=4, emergence=1):
     return SinkProfile("toy", layers, emergence, d, channels)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: plain_profile(channels=(1.7,)),  # once the channel (1,)
+    lambda: plain_profile(channels=(-1,)),
+    lambda: plain_profile(emergence=0.5),  # once accepted, so detection never ran
+    lambda: plain_profile(layers=4.0),
+    lambda: plain_profile(d=64.0),
+    lambda: detect_sinks(np.ones((4, 64)), plain_profile(), k=2.5),  # once a raw TypeError
+    lambda: detect_sinks(np.ones((4, 64)), plain_profile(), k=-1),
+    lambda: preserve_first_n(8, 2.5),  # once a raw TypeError
+    lambda: preserve_first_n(8.0, 2),
+    lambda: discover_profile([np.eye(4, 8) * 1e4 + 1.0], max_channels=1.5),  # once a raw TypeError
+])
+def test_sink_counts_and_indices_must_be_integers(call):
+    with pytest.raises(SinkQuantError):
+        call()
 
 
 class TestSinkSet:
