@@ -315,7 +315,7 @@ class TestFootprint:
         ("pt_kv_static", 988),
         ("pc_key_pt_value_static", 942),
     ])
-    def test_bulk_per_token_static_stores_what_appends_store(self, scheme, quantized_bytes):
+    def test_bulk_stores_what_appends_store(self, scheme, quantized_bytes):
         # 38 non-sink rows share each per-token static segment, and 5 * 3 bits is not
         # whole bytes: a bulk load still packs one row per block, as 38 appends do.
         k, v = rand_kv(40, 32, seed=29)
