@@ -17,9 +17,9 @@ import numpy as np
 from .cache import footprint_megabytes
 from .decoder import DecoderConfig, decoder_forward, init_weights, prefill_with_kvsink
 from .dumpio import record_to_json
-from .errors import UsageError
+from .errors import ConfigError, UsageError
 from .sinks import SinkProfile, detect_sinks
-from .tensors import attention_workers
+from .tensors import attention_workers, integer_at_least
 
 
 def reference_config(seed: int = 7) -> DecoderConfig:
@@ -69,10 +69,11 @@ def run_bench(
     bytes its cache holds, with only the sinks detection actually kept.
     ``attention_workers`` is the thread count the prefill's attention ran on.
     """
-    if repeats < 1:
-        raise UsageError(f"repeat count must be >= 1, got {repeats}")
-    if tokens < 1:
-        raise UsageError(f"token count must be >= 1, got {tokens}")
+    try:
+        repeats = integer_at_least(repeats, 1, "repeat count")
+        tokens = integer_at_least(tokens, 1, "token count")
+    except ConfigError as exc:  # counts come from the command line
+        raise UsageError(exc.message, **exc.context) from None
     cfg = cfg or reference_config()
     profile = reference_profile(cfg)
     weights = init_weights(cfg)

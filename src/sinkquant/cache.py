@@ -34,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from . import dumpio
-from .errors import BoundsError, ConfigError, FormatError, ShapeError, StateError
+from .errors import ConfigError, FormatError, ShapeError, StateError
 from .quant import (
     GroupLayout,
     QuantizedTensor,
@@ -45,7 +45,7 @@ from .quant import (
     quantize_tensor,
     scheme_specs,
 )
-from .tensors import as_tensor, integer_at_least, row_mask
+from .tensors import as_tensor, integer_at_least, row_mask, token_indices
 
 PARAM_BYTES_PER_GROUP = 8
 SINK_BYTES_PER_ELEMENT = 2
@@ -195,9 +195,10 @@ class KVCache:
         self._loaded = [False] * self.num_layers
 
     def _check_layer(self, layer: int) -> int:
-        if not 0 <= layer < self.num_layers:
-            raise BoundsError("layer index out of range", layer=layer, num_layers=self.num_layers)
-        return layer
+        """``layer`` as an ``int`` under :func:`token_indices`' rule (``BoundsError`` unless in ``[0, num_layers)``)."""
+        if type(layer) is int and 0 <= layer < self.num_layers:  # the per-append case, without an array
+            return layer
+        return int(token_indices([layer], self.num_layers)[0])
 
     def layer_tokens(self, layer: int) -> int:
         return self._counts[self._check_layer(layer)]
@@ -206,12 +207,12 @@ class KVCache:
         return tuple(sorted(self._sinks[self._check_layer(layer)]))
 
     def pending_tokens(self, layer: int) -> int:
-        self._check_layer(layer)
+        layer = self._check_layer(layer)
         return max(len(self._keys[layer].pending), len(self._values[layer].pending))
 
     def region_counts(self, layer: int) -> dict:
         """Token counts per storage region of the key side (partition of n)."""
-        self._check_layer(layer)
+        layer = self._check_layer(layer)
         side = self._keys[layer]
         return {
             "quantized": side.quantized_rows(),
@@ -229,7 +230,7 @@ class KVCache:
         decodes with the side's one parameter set; ``LayoutError`` unless
         they fit the side's spec and block.
         """
-        self._check_layer(layer)
+        layer = self._check_layer(layer)
         pairs = ((self._keys[layer], key_params), (self._values[layer], value_params))
         given = [(side, params) for side, params in pairs if params is not None]
         for side, params in given:
@@ -252,7 +253,7 @@ class KVCache:
 
     def append(self, layer: int, k_row, v_row, is_sink: bool = False) -> int:
         """Append a token's K/V rows to a layer; returns the token index."""
-        self._check_layer(layer)
+        layer = self._check_layer(layer)
         k = self._coerce_row(k_row, "key row")
         v = self._coerce_row(v_row, "value row")
         token = self._counts[layer]
@@ -302,7 +303,7 @@ class KVCache:
         A layer that was populated with zero tokens reconstructs to empty
         tensors; a layer that was never populated is a state error.
         """
-        self._check_layer(layer)
+        layer = self._check_layer(layer)
         if not self._loaded[layer]:
             raise StateError("layer was never populated", layer=layer)
         n = self._counts[layer]

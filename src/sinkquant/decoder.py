@@ -36,7 +36,7 @@ from . import dumpio
 from .cache import KVCache
 from .errors import BoundsError, ConfigError, FormatError, NumericError, ShapeError
 from .sinks import SinkProfile, SinkSet, detect_sinks, preserve_first_n
-from .tensors import as_tensor, causal_attention, merge_heads, split_heads
+from .tensors import as_tensor, causal_attention, integer_at_least, merge_heads, split_heads
 
 ACTIVATIONS = ("silu", "gelu")
 HOOK_MODES = ("add_to_ffn_output", "negate_channels")
@@ -61,10 +61,9 @@ class DecoderConfig:
     def __post_init__(self):
         if self.kv_heads is None:
             object.__setattr__(self, "kv_heads", self.heads)
-        if self.num_layers < 1:
-            raise ConfigError(f"need at least one layer, got {self.num_layers}")
-        if min(self.hidden, self.heads, self.kv_heads, self.ffn_hidden) < 1:
-            raise ConfigError("hidden, heads, kv_heads and ffn_hidden must be positive")
+        for name in ("num_layers", "hidden", "heads", "kv_heads", "ffn_hidden", "seed"):
+            least = 0 if name == "seed" else 1
+            object.__setattr__(self, name, integer_at_least(getattr(self, name), least, name))
         if self.hidden % self.heads != 0:
             raise ConfigError("hidden size must split across heads", hidden=self.hidden, heads=self.heads)
         if self.heads % self.kv_heads != 0:
@@ -149,8 +148,7 @@ class InjectionHook:
     def __post_init__(self):
         if self.mode not in HOOK_MODES:
             raise ConfigError(f"unknown hook mode {self.mode!r}", allowed=list(HOOK_MODES))
-        if self.layer < 0:
-            raise ConfigError(f"hook layer must be >= 0, got {self.layer}")
+        object.__setattr__(self, "layer", integer_at_least(self.layer, 0, "hook layer"))
         try:
             targets = tuple((operator.index(t), operator.index(c), float(m)) for t, c, m in self.targets)
         except (TypeError, ValueError) as exc:

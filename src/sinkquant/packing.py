@@ -8,24 +8,26 @@ Layout (stable; golden-file tested):
 * each group is padded up to a byte boundary, so group ``g`` starts at byte
   ``sum(ceil(len_i*bits/8) for i < g)``.
 
-Because every group starts on a byte, groups of one size pack alike. The
-codec runs one kernel per distinct group size (a ``GroupLayout`` has at most
-two: the segment and the tail). That size's groups form a ``[groups, size]``
-matrix, a reshape of the stream when they abut and one gather by group start
-otherwise, which packs to a ``[groups, ceil(size*bits/8)]`` byte matrix:
-by gathering the ``8/bits`` codes of each byte with one integer multiply
-when ``bits`` divides 8, else by
-``np.packbits`` along each group's row of bits (``[groups, size*bits]``,
-zero-padded to whole bytes). A stream whose groups all have one size (the
-usual case) is that matrix by a reshape alone. Unpacking is the inverse,
-except that when ``bits`` divides 8 one lookup in a 256-entry table turns
-each byte into its ``8/bits`` codes.
+Because every group starts on a byte, every stream packs as one
+``[groups, width]`` code matrix in one kernel call. A stream whose groups all
+have one size (the usual case) is that matrix by a reshape. Any other stream
+is zero-padded to its widest group through one slot mask
+(``np.arange(width) < sizes[:, None]``), and the same mask over the per-group
+byte counts keeps each row's first ``ceil(size*bits/8)`` bytes: those are the
+group's bytes, since its padding codes are zero. A layout's tail is never
+longer than its segment, so the padded matrix is at most twice the stream.
+
+The kernel packs ``[groups, width]`` codes to ``[groups, ceil(width*bits/8)]``
+bytes: by gathering the ``8/bits`` codes of each byte with one integer
+multiply when ``bits`` divides 8, else by ``np.packbits`` along each group's
+row of bits (``[groups, width*bits]``, zero-padded to whole bytes).
+Unpacking is the inverse, except that when ``bits`` divides 8 one lookup in
+a 256-entry table turns each byte into its ``8/bits`` codes.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FormatError
 
@@ -40,38 +42,9 @@ def pack_group_bytes(group_sizes: np.ndarray, bits: int) -> np.ndarray:
     return (np.asarray(group_sizes, dtype=np.int64) * bits + 7) // 8
 
 
-def _uniform_runs(sizes: np.ndarray, bits: int):
-    """Per distinct non-zero group size: (size, packed bytes per group, its codes, its bytes).
-
-    Codes and bytes are each located by a slice when that size's groups are
-    consecutive, else by the start offset of every such group.
-    """
-    nbytes = pack_group_bytes(sizes, bits)
-    code_starts = np.cumsum(sizes) - sizes
-    byte_starts = np.cumsum(nbytes) - nbytes
-    for size in np.unique(sizes[sizes > 0]).tolist():
-        groups = np.flatnonzero(sizes == size)
-        codes, packed = code_starts[groups], byte_starts[groups]
-        width = packed_nbytes(size, bits)
-        if groups[-1] - groups[0] == groups.size - 1:
-            codes = slice(codes[0], codes[0] + groups.size * size)
-            packed = slice(packed[0], packed[0] + groups.size * width)
-        yield size, width, codes, packed
-
-
-def _rows(flat: np.ndarray, where, width: int) -> np.ndarray:
-    """The ``[groups, width]`` rows of ``flat`` located by ``where``: a reshape or one gather."""
-    if isinstance(where, slice):
-        return flat[where].reshape(-1, width)
-    return sliding_window_view(flat, width)[where]
-
-
-def _put_rows(flat: np.ndarray, where, rows: np.ndarray) -> None:
-    """Write ``rows`` into ``flat`` at ``where`` (inverse of :func:`_rows`)."""
-    if isinstance(where, slice):
-        flat[where].reshape(rows.shape)[...] = rows
-    else:
-        sliding_window_view(flat, rows.shape[1], writeable=True)[where] = rows
+def _slots(counts: np.ndarray, width: int) -> np.ndarray:
+    """``[groups, width]`` mask of each row's first ``counts[g]`` slots."""
+    return np.arange(width) < counts[:, None]
 
 
 # Multiplier that moves code i of a byte's word from bit 8*i to bit 8*(per-1) + bits*i (per = 8 // bits).
@@ -88,12 +61,12 @@ def _byte_codes(bits: int) -> np.ndarray:
 _BYTE_CODES = {bits: _byte_codes(bits) for bits in (1, 2, 4, 8)}
 
 
-def _pack_uniform(codes: np.ndarray, bits: int) -> np.ndarray:
-    """``[groups, size]`` codes to ``[groups, ceil(size*bits/8)]`` bytes."""
-    groups, size = codes.shape
+def _pack_matrix(codes: np.ndarray, bits: int) -> np.ndarray:
+    """``[groups, width]`` codes to ``[groups, ceil(width*bits/8)]`` bytes."""
+    groups, width = codes.shape
     if 8 % bits == 0:
         per = 8 // bits
-        pad = -size % per
+        pad = -width % per
         if pad:
             codes = np.concatenate((codes, np.zeros((groups, pad), dtype=np.uint8)), axis=1)
         # The ``per`` codes of each byte, read as one little-endian word, hold code i at bit 8*i.
@@ -101,29 +74,22 @@ def _pack_uniform(codes: np.ndarray, bits: int) -> np.ndarray:
         # no other term of the product reaches that byte (checked for every code combination).
         words = np.ascontiguousarray(codes).view(f"<u{per}")
         return ((words * _SPREAD[bits]) >> (8 * (per - 1))).astype(np.uint8)
-    bit_matrix = np.empty((groups, size, bits), dtype=np.uint8)
+    bit_matrix = np.empty((groups, width, bits), dtype=np.uint8)
     for j in range(bits):
         np.bitwise_and(codes >> j, 1, out=bit_matrix[:, :, j])
-    return np.packbits(bit_matrix.reshape(groups, size * bits), axis=1, bitorder="little")
+    return np.packbits(bit_matrix.reshape(groups, width * bits), axis=1, bitorder="little")
 
 
-def _unpack_uniform(packed: np.ndarray, size: int, bits: int) -> np.ndarray:
-    """``[groups, ceil(size*bits/8)]`` bytes to ``[groups, size]`` codes."""
+def _unpack_matrix(packed: np.ndarray, width: int, bits: int) -> np.ndarray:
+    """``[groups, ceil(width*bits/8)]`` bytes to ``[groups, width]`` codes."""
     groups = packed.shape[0]
     if 8 % bits == 0:
-        return np.take(_BYTE_CODES[bits], packed).view(np.uint8).reshape(groups, -1)[:, :size]
-    bit_matrix = np.unpackbits(packed, axis=1, count=size * bits, bitorder="little").reshape(groups, size, bits)
+        return np.take(_BYTE_CODES[bits], packed).view(np.uint8).reshape(groups, -1)[:, :width]
+    bit_matrix = np.unpackbits(packed, axis=1, count=width * bits, bitorder="little").reshape(groups, width, bits)
     codes = bit_matrix[:, :, 0].copy()
     for j in range(1, bits):
         codes |= bit_matrix[:, :, j] << j
     return codes
-
-
-def _uniform_size(sizes: np.ndarray) -> int | None:
-    """The one non-zero size of every group, or ``None`` (no groups, empty groups, or mixed sizes)."""
-    if sizes.size and sizes[0] and (sizes == sizes[0]).all():
-        return int(sizes[0])
-    return None
 
 
 def pack_codes(codes: np.ndarray, group_sizes, bits: int) -> bytes:
@@ -134,7 +100,7 @@ def pack_codes(codes: np.ndarray, group_sizes, bits: int) -> bytes:
     """
     codes = np.ascontiguousarray(codes, dtype=np.uint8).ravel()
     sizes = np.asarray(group_sizes, dtype=np.int64)
-    size = _uniform_size(sizes)
+    size = int(sizes[0]) if sizes.size and (sizes == sizes[0]).all() else 0  # 0: mixed, empty or no groups
     total = sizes.size * size if size else int(sizes.sum())
     if total != codes.size:
         raise FormatError(
@@ -143,18 +109,25 @@ def pack_codes(codes: np.ndarray, group_sizes, bits: int) -> bytes:
             actual=int(codes.size),
         )
     if size:  # groups of one size are one [groups, size] matrix
-        return _pack_uniform(codes.reshape(-1, size), bits).tobytes()
-    out = np.empty(int(pack_group_bytes(sizes, bits).sum()), dtype=np.uint8)
-    for size, _, at_codes, at_bytes in _uniform_runs(sizes, bits):
-        _put_rows(out, at_bytes, _pack_uniform(_rows(codes, at_codes, size), bits))
-    return out.tobytes()
+        return _pack_matrix(codes.reshape(-1, size), bits).tobytes()
+    if not total:
+        return b""
+    slots = _slots(sizes, int(sizes.max()))
+    matrix = np.zeros(slots.shape, dtype=np.uint8)
+    matrix[slots] = codes
+    packed = _pack_matrix(matrix, bits)
+    return packed[_slots(pack_group_bytes(sizes, bits), packed.shape[1])].tobytes()
 
 
 def unpack_codes(buf: bytes, group_sizes, bits: int) -> np.ndarray:
     """Inverse of :func:`pack_codes`; returns a uint8 code stream."""
     sizes = np.asarray(group_sizes, dtype=np.int64)
-    size = _uniform_size(sizes)
-    expected = sizes.size * packed_nbytes(size, bits) if size else int(pack_group_bytes(sizes, bits).sum())
+    size = int(sizes[0]) if sizes.size and (sizes == sizes[0]).all() else 0
+    if size:
+        expected = sizes.size * packed_nbytes(size, bits)
+    else:
+        nbytes = pack_group_bytes(sizes, bits)
+        expected = int(nbytes.sum())
     if len(buf) != expected:
         raise FormatError(
             "packed code buffer has wrong length",
@@ -163,8 +136,11 @@ def unpack_codes(buf: bytes, group_sizes, bits: int) -> np.ndarray:
         )
     packed = np.frombuffer(buf, dtype=np.uint8)
     if size:
-        return _unpack_uniform(packed.reshape(sizes.size, -1), size, bits).reshape(-1)
-    out = np.empty(int(sizes.sum()), dtype=np.uint8)
-    for size, width, at_codes, at_bytes in _uniform_runs(sizes, bits):
-        _put_rows(out, at_codes, _unpack_uniform(_rows(packed, at_bytes, width), size, bits))
-    return out
+        return _unpack_matrix(packed.reshape(sizes.size, -1), size, bits).reshape(-1)
+    if not expected:
+        return np.zeros(0, dtype=np.uint8)
+    widest = int(sizes.max())
+    slots = _slots(nbytes, packed_nbytes(widest, bits))
+    matrix = np.zeros(slots.shape, dtype=np.uint8)
+    matrix[slots] = packed
+    return _unpack_matrix(matrix, widest, bits)[_slots(sizes, widest)]

@@ -509,8 +509,7 @@ def dequantize(qt: QuantizedTensor) -> np.ndarray:
     blocks in one pass.
     """
     layout = qt.layout()
-    codes = unpack_codes(qt.packed, layout.stream_sizes(qt.shape), qt.spec.bits)
-    out = layout.from_group_major(codes.reshape(qt.shape[:-2] + (layout.size,))).astype(np.float64)
+    out = qt.codes().astype(np.float64)
     p = qt.params
     degenerate = p.degenerate.any()
     # Zero points cast to float once per group: the subtraction would cast them per element.
@@ -530,8 +529,8 @@ class CalibrationSet:
     def __init__(self, samples=(), sinks=None):
         self.samples: list[np.ndarray] = []
         self.sinks: list = []
-        sinks = list(sinks) if sinks is not None else [None] * len(list(samples))
         samples = list(samples)
+        sinks = list(sinks) if sinks is not None else [None] * len(samples)
         if len(sinks) != len(samples):
             raise CalibrationError("one sink set per calibration sample expected")
         for sample, s in zip(samples, sinks):

@@ -47,11 +47,11 @@ def token_indices(indices, n: int | None = None) -> np.ndarray:
     try:
         idx = np.asarray(list(() if indices is None else indices))
     except (TypeError, ValueError) as exc:  # not iterable, or ragged
-        raise BoundsError("token indices must be a flat collection of integers", reason=str(exc)) from None
+        raise BoundsError("indices must be a flat collection of integers", reason=str(exc)) from None
     if idx.size and (
         idx.ndim != 1 or idx.dtype.kind not in "iu" or idx.min() < 0 or (n is not None and idx.max() >= n)
     ):
-        raise BoundsError("token indices must be integers in [0, n)", tokens=n, indices=idx.tolist())
+        raise BoundsError("indices must be integers in [0, n)", n=n, indices=idx.tolist())
     return idx.astype(np.int64)  # an empty list comes back as float64
 
 

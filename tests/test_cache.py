@@ -176,6 +176,25 @@ class TestAppend:
         with pytest.raises(BoundsError):
             cache.append(2, np.zeros(4), np.zeros(4))
 
+    @pytest.mark.parametrize(
+        "layer", [1.5, "1", True, np.float64(1.0), None, -1], ids=["float", "str", "bool", "np-float", "none", "negative"]
+    )
+    def test_layer_must_be_an_integer_in_range(self, layer):
+        # 1.5 and "1" were once a raw TypeError, and True wrote to layer 1.
+        cache = KVCache(2, 4)
+        row = np.zeros(4)
+        calls = [
+            lambda: cache.append(layer, row, row),
+            lambda: cache.bulk_load(layer, row[None], row[None]),
+            lambda: cache.reconstruct(layer),
+            lambda: cache.layer_tokens(layer),
+            lambda: cache.pending_tokens(layer),
+        ]
+        for call in calls:
+            with pytest.raises(BoundsError):
+                call()
+        assert cache.layer_tokens(1) == cache.layer_tokens(np.int64(1)) == 0
+
 
 class TestBulkLoad:
     def test_all_sinks_is_identity(self):
