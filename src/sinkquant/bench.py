@@ -72,6 +72,7 @@ def run_bench(
     try:
         repeats = integer_at_least(repeats, 1, "repeat count")
         tokens = integer_at_least(tokens, 1, "token count")
+        seed = integer_at_least(seed, 0, "seed")
     except ConfigError as exc:  # counts come from the command line
         raise UsageError(exc.message, **exc.context) from None
     cfg = cfg or reference_config()

@@ -27,6 +27,7 @@ def case(name, build, error):
     case("bench-repeats-float", lambda: run_bench(repeats=1.5, tokens=8), UsageError),
     case("bench-tokens-float", lambda: run_bench(repeats=1, tokens=2.5), UsageError),
     case("bench-repeats-bool", lambda: run_bench(repeats=True, tokens=8), UsageError),  # once ran one repeat
+    case("bench-seed-float", lambda: run_bench(repeats=1, tokens=8, seed=1.5), UsageError),
 ])
 def test_non_integer_counts_are_typed(build, error):
     with pytest.raises(error):
