@@ -27,6 +27,7 @@ Instrumentation:
 from __future__ import annotations
 
 import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,7 @@ HOOK_MODES = ("add_to_ffn_output", "negate_channels")
 PREFILL_MODES = ("kvsink", "pfn", "none")
 WEIGHT_SCALE = 0.5  # weights are drawn from N(0, WEIGHT_SCALE / sqrt(fan_in))
 READOUT_GAIN = 1.0  # standard deviation of a planted channel's K/V projection rows
+LN_EPSILON = 1e-5
 ROPE_THETA = 10000.0
 
 
@@ -54,7 +56,6 @@ class DecoderConfig:
     ffn_hidden: int
     kv_heads: int | None = None
     activation: str = "silu"
-    ln_epsilon: float = 1e-5
     rope: bool = False
     seed: int = 0
 
@@ -112,28 +113,22 @@ class DecoderWeights:
     layers: list[LayerWeights]
 
 
-def init_weights(cfg: DecoderConfig, rng=None) -> DecoderWeights:
-    """Small random weights, seeded from the config."""
-    rng = rng or np.random.default_rng(cfg.seed)
+def _weight_shapes(cfg: DecoderConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every role of one layer, in ``LayerWeights.MATRIX_ROLES`` order."""
     d, f, kvw = cfg.hidden, cfg.ffn_hidden, cfg.kv_width
+    matrices = ((d, d), (d, kvw), (d, kvw), (d, d), (d, f), (d, f), (f, d))
+    return dict(zip(LayerWeights.MATRIX_ROLES, matrices + ((d,), (d,))))
 
-    def mat(fan_in, fan_out):
-        return rng.normal(0.0, WEIGHT_SCALE / np.sqrt(fan_in), size=(fan_in, fan_out))
 
-    layers = [
-        LayerWeights(
-            wq=mat(d, d),
-            wk=mat(d, kvw),
-            wv=mat(d, kvw),
-            wo=mat(d, d),
-            wg=mat(d, f),
-            wu=mat(d, f),
-            wd=mat(f, d),
-            ln_attn_gain=np.ones(d),
-            ln_ffn_gain=np.ones(d),
-        )
-        for _ in range(cfg.num_layers)
-    ]
+def init_weights(cfg: DecoderConfig, rng=None) -> DecoderWeights:
+    """Small random weights, seeded from the config; layer-norm gains are ones."""
+    rng = rng or np.random.default_rng(cfg.seed)
+    shapes = _weight_shapes(cfg)
+
+    def init(shape):  # matrices are drawn in role order, so the stream of draws is fixed
+        return rng.normal(0.0, WEIGHT_SCALE / np.sqrt(shape[0]), size=shape) if len(shape) == 2 else np.ones(shape)
+
+    layers = [LayerWeights(**{role: init(shape) for role, shape in shapes.items()}) for _ in range(cfg.num_layers)]
     return DecoderWeights(layers=layers)
 
 
@@ -175,10 +170,10 @@ def _apply_hooks(x_d_out, h_prime, hooks, layer):
     return x_d_out
 
 
-def _layer_norm(x, gain, eps):
+def _layer_norm(x, gain):
     mu = x.mean(axis=1, keepdims=True)
     var = x.var(axis=1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps) * gain
+    return (x - mu) / np.sqrt(var + LN_EPSILON) * gain
 
 
 def _activate(x, kind):
@@ -199,27 +194,10 @@ def _rope(x_heads):
     return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
 
 
-def _causal_attention(q_heads, k_heads, v_heads, cfg: DecoderConfig, keep_weights: bool):
-    """Grouped-query attention; returns ([heads, n, dk] outputs, [heads, n, n] weights or None)."""
-    group = cfg.heads // cfg.kv_heads
-    if group > 1:
-        k_heads = np.repeat(k_heads, group, axis=0)
-        v_heads = np.repeat(v_heads, group, axis=0)
-    return causal_attention(q_heads, k_heads, v_heads, keep_weights=keep_weights)
-
-
 def _check_finite(h, layer, op):
     if not np.all(np.isfinite(h)):
         kind = "NaN" if np.any(np.isnan(h)) else "Inf"
         raise NumericError(f"{kind} produced at layer {layer} ({op})", layer=layer, op=op)
-
-
-def _validate_capture(capture):
-    capture = tuple(capture)
-    unknown = sorted(set(capture) - set(dumpio.CAPTURE_KINDS))
-    if unknown:
-        raise ConfigError("unknown capture kinds", kinds=unknown, allowed=list(dumpio.CAPTURE_KINDS))
-    return capture
 
 
 def _run_stack(h0, weights, cfg, hooks, capture, kv_stage=None):
@@ -234,10 +212,13 @@ def _run_stack(h0, weights, cfg, hooks, capture, kv_stage=None):
             weights=len(weights.layers),
             config=cfg.num_layers,
         )
-    capture = _validate_capture(capture)
     dumps = {kind: [] for kind in capture}
+    unknown = sorted(set(dumps) - set(dumpio.CAPTURE_KINDS))
+    if unknown:
+        raise ConfigError("unknown capture kinds", kinds=unknown, allowed=list(dumpio.CAPTURE_KINDS))
+    group = cfg.heads // cfg.kv_heads  # query heads per K/V head
     for l, lw in enumerate(weights.layers):
-        x = _layer_norm(h, lw.ln_attn_gain, cfg.ln_epsilon)
+        x = _layer_norm(h, lw.ln_attn_gain)
         q_heads = split_heads(x @ lw.wq, cfg.heads)
         k_heads = split_heads(x @ lw.wk, cfg.kv_heads)
         v_heads = split_heads(x @ lw.wv, cfg.kv_heads)
@@ -248,10 +229,11 @@ def _run_stack(h0, weights, cfg, hooks, capture, kv_stage=None):
             k_flat, v_flat = kv_stage(l, merge_heads(k_heads), merge_heads(v_heads))
             k_heads = split_heads(k_flat, cfg.kv_heads)
             v_heads = split_heads(v_flat, cfg.kv_heads)
-        attn, attn_weights = _causal_attention(q_heads, k_heads, v_heads, cfg, keep_weights="A" in dumps)
+        kv = [np.repeat(t, group, axis=0) if group > 1 else t for t in (k_heads, v_heads)]
+        attn, attn_weights = causal_attention(q_heads, *kv, keep_weights="A" in dumps)
         h_prime = merge_heads(attn) @ lw.wo + h
         _check_finite(h_prime, l, "attention_residual")
-        y = _layer_norm(h_prime, lw.ln_ffn_gain, cfg.ln_epsilon)
+        y = _layer_norm(h_prime, lw.ln_ffn_gain)
         x_d_in = _activate(y @ lw.wg, cfg.activation) * (y @ lw.wu)
         x_d_out = _apply_hooks(x_d_in @ lw.wd, h_prime, hooks, l)
         h = x_d_out + h_prime
@@ -381,8 +363,6 @@ def synthesize_sink_model(
 
 def save_weights(directory: str, weights: DecoderWeights, cfg: DecoderConfig) -> None:
     """Write each matrix as a tensor dump plus a manifest naming roles."""
-    import os
-
     os.makedirs(directory, exist_ok=True)
     manifest = {"config": cfg.to_json_dict(), "layers": []}
     for l, lw in enumerate(weights.layers):
@@ -396,8 +376,10 @@ def save_weights(directory: str, weights: DecoderWeights, cfg: DecoderConfig) ->
 
 
 def load_weights(directory: str) -> tuple[DecoderWeights, DecoderConfig]:
-    import os
+    """Weights and config from a ``save_weights`` directory.
 
+    A layer count or a matrix shape that does not fit the config is a ``FormatError``.
+    """
     path = os.path.join(directory, "weights.json")
     manifest = dumpio.read_json(path)
     try:
@@ -409,8 +391,26 @@ def load_weights(directory: str) -> tuple[DecoderWeights, DecoderConfig]:
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed weights manifest: {exc!r}", path=path) from exc
     cfg = DecoderConfig.from_json_dict(config)
-    layers = [
-        LayerWeights(**{role: np.asarray(dumpio.read_dump(f), dtype=np.float64) for role, f in entry.items()})
-        for entry in files
-    ]
+    if len(files) != cfg.num_layers:
+        raise FormatError(
+            "weights manifest layer count does not match its config",
+            path=path,
+            layers=len(files),
+            num_layers=cfg.num_layers,
+        )
+    shapes = _weight_shapes(cfg)
+    layers = []
+    for l, entry in enumerate(files):
+        arrays = {role: np.asarray(dumpio.read_dump(f), dtype=np.float64) for role, f in entry.items()}
+        for role, arr in arrays.items():
+            if arr.shape != shapes[role]:
+                raise FormatError(
+                    f"layer {l} {role} has shape {list(arr.shape)}, the config needs {list(shapes[role])}",
+                    path=entry[role],
+                    layer=l,
+                    role=role,
+                    expected=list(shapes[role]),
+                    actual=list(arr.shape),
+                )
+        layers.append(LayerWeights(**arrays))
     return DecoderWeights(layers=layers), cfg

@@ -186,8 +186,7 @@ class ManifestEntry:
 
 
 def write_manifest(entries, path: str) -> None:
-    data = json.dumps([record_to_json(e) for e in entries], indent=2).encode()
-    atomic_write(path, data + b"\n")
+    write_json(path, [record_to_json(e) for e in entries])
 
 
 def load_manifest(path: str) -> list[ManifestEntry]:

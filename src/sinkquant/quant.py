@@ -54,11 +54,11 @@ their ``QuantizedTensor``'s spec; ``check_fits`` refuses (``LayoutError``)
 parameters from any other spec, be it another bit width, clip, sparse
 fraction or grouping.
 
-All float arithmetic (the fit's min-max, the encode and the decode) runs in
-the tensor's own memory order, on the segment views of
-``GroupLayout.segments`` with per-group parameters broadcast over them. Only
-the uint8 codes are reordered to and from the group-major packed stream. The
-``clip`` quantile fit is the exception: it sorts the group-major stream.
+All float arithmetic (the fit's min-max or ``clip`` quantiles, the encode and
+the decode) runs in the tensor's own memory order, on the segment views of
+``GroupLayout.segments`` with per-group parameters broadcast over them; the
+quantile fit sorts each group's entries within its view. Only the uint8 codes
+are reordered to and from the group-major packed stream.
 """
 
 from __future__ import annotations
@@ -362,7 +362,9 @@ class QuantizedTensor:
 
     def codes(self) -> np.ndarray:
         """Unpacked integer codes, shaped like the tensor."""
-        layout = self.layout()
+        return self._codes(self.layout())
+
+    def _codes(self, layout: GroupLayout) -> np.ndarray:
         stream = unpack_codes(self.packed, layout.stream_sizes(self.shape), self.spec.bits)
         return layout.from_group_major(stream.reshape(self.shape[:-2] + (layout.size,)))
 
@@ -387,6 +389,33 @@ def _valid_entries(x: np.ndarray, layout: GroupLayout, spec: QuantSpec, exclude)
     return valid
 
 
+def _clip_quantiles(vals, keep, count, layout: GroupLayout, clip: float):
+    """Linear-interpolated quantiles at ``clip`` and ``1 - clip`` of each group's valid entries in one segment view.
+
+    Each group's entries are sorted along the last axis in group-major order
+    (stable, so ties keep it), with invalid entries as NaN to sort last; the
+    results have the shape of ``count``, the view's per-group valid count.
+    """
+    entries = np.where(keep, vals, np.nan)
+    if not layout.by_rows:
+        entries = entries.swapaxes(-1, -2)  # [..., segs, d, size]
+    elif layout.shared:
+        entries = np.moveaxis(entries, -3, -2)  # [..., segs, n, size]: one group's rows, one after another
+        entries = entries.reshape(entries.shape[:-2] + (-1,))
+    entries = np.sort(entries, axis=-1, kind="stable")
+    shape, count = count.shape, count.reshape(entries.shape[:-1] + (1,))
+    last = np.maximum(count - 1, 0)
+    out = []
+    for q in (clip, 1.0 - clip):
+        pos = q * (count - 1)
+        base = np.floor(pos).astype(np.int64)
+        frac = pos - base
+        lo = np.take_along_axis(entries, np.maximum(base, 0), axis=-1)
+        hi = np.take_along_axis(entries, np.minimum(base + 1, last), axis=-1)
+        out.append((lo * (1.0 - frac) + hi * frac).reshape(shape))
+    return out
+
+
 def _group_minmax(x, layout: GroupLayout, valid: np.ndarray, clip: float | None):
     """Per-group [..., n_groups] (cmin, cmax) over positions marked valid; both 0 for a group without any."""
     if not layout.n_groups:
@@ -402,29 +431,12 @@ def _group_minmax(x, layout: GroupLayout, valid: np.ndarray, clip: float | None)
         )
         present = cmin <= cmax  # a group without valid entries keeps the initial inf > -inf
     else:
-        # Linear-interpolated quantiles at clip and 1-clip per group, over the group-major stream
-        # (block after block for a stack, so the groups of every block are numbered in one run).
-        counts = layout.from_segments(
-            [np.add.reduce(keep, axis=axes, dtype=np.int64, keepdims=True) for _, keep in views]
-        )
-        present = counts > 0
-        cmin, cmax = np.zeros(counts.shape), np.zeros(counts.shape)
-        if present.any():
-            counts, present = counts.ravel(), present.ravel()
-            kept = layout.to_group_major(x)[layout.to_group_major(valid)]
-            sorted_vals = kept[np.lexsort((kept, np.repeat(np.arange(counts.size), counts)))]
-            kept_starts = np.cumsum(counts) - counts
-            pos_lo = clip * (counts - 1)
-            pos_hi = (1.0 - clip) * (counts - 1)
-            for target, pos in ((cmin, pos_lo), (cmax, pos_hi)):
-                base = np.floor(pos).astype(np.int64)
-                frac = pos - base
-                idx0 = kept_starts + np.where(present, base, 0)
-                idx1 = np.minimum(idx0 + 1, kept_starts + np.maximum(counts - 1, 0))
-                lo = sorted_vals[np.minimum(idx0, sorted_vals.size - 1)]
-                hi = sorted_vals[np.minimum(idx1, sorted_vals.size - 1)]
-                target.reshape(-1)[:] = lo * (1.0 - frac) + hi * frac
-            present = present.reshape(cmin.shape)
+        counts = [np.add.reduce(keep, axis=axes, dtype=np.int64, keepdims=True) for _, keep in views]
+        present = layout.from_segments(counts) > 0  # rounding can put a constant group's clipped cmin above cmax
+        if not present.any():  # nothing to sort; a zero-row shared layout has no entries at all
+            return np.zeros(present.shape), np.zeros(present.shape)
+        quantiles = [_clip_quantiles(vals, keep, count, layout, clip) for (vals, keep), count in zip(views, counts)]
+        cmin, cmax = (layout.from_segments(list(parts)) for parts in zip(*quantiles))
     if not present.all():
         absent = ~present
         cmin[absent] = 0.0
@@ -509,7 +521,7 @@ def dequantize(qt: QuantizedTensor) -> np.ndarray:
     blocks in one pass.
     """
     layout = qt.layout()
-    out = qt.codes().astype(np.float64)
+    out = qt._codes(layout).astype(np.float64)
     p = qt.params
     degenerate = p.degenerate.any()
     # Zero points cast to float once per group: the subtraction would cast them per element.
@@ -575,27 +587,12 @@ def calibrate(cal, spec: QuantSpec, exclude=None) -> QuantParams:
     return _fit(combined, GroupLayout.for_spec(combined.shape, spec), spec, np.vstack(valid))
 
 
-@dataclass(frozen=True)
-class SchemePreset:
-    """Named (key, value) quantization pairing."""
-
-    name: str
-    key_axis: str
-    key_mode: str
-    value_axis: str
-    value_mode: str
-    default_sparse: float = 0.0
-
-
+# Preset name -> ((key axis, key mode), (value axis, value mode), default sparse fraction).
 SCHEME_PRESETS = {
-    "pt_kv_static": SchemePreset("pt_kv_static", "per_token", "static", "per_token", "static"),
-    "pt_kv_dynamic": SchemePreset("pt_kv_dynamic", "per_token", "dynamic", "per_token", "dynamic"),
-    "pc_key_pt_value_static": SchemePreset(
-        "pc_key_pt_value_static", "per_channel", "static", "per_token", "static"
-    ),
-    "kvquant_like": SchemePreset(
-        "kvquant_like", "per_channel", "static", "per_token", "dynamic", default_sparse=0.01
-    ),
+    "pt_kv_static": (("per_token", "static"), ("per_token", "static"), 0.0),
+    "pt_kv_dynamic": (("per_token", "dynamic"), ("per_token", "dynamic"), 0.0),
+    "pc_key_pt_value_static": (("per_channel", "static"), ("per_token", "static"), 0.0),
+    "kvquant_like": (("per_channel", "static"), ("per_token", "dynamic"), 0.01),
 }
 
 
@@ -606,10 +603,9 @@ def scheme_specs(
     preset = SCHEME_PRESETS.get(scheme)
     if preset is None:
         raise ConfigError(f"unknown scheme preset {scheme!r}", allowed=sorted(SCHEME_PRESETS))
-    fs = preset.default_sparse if sparse_fraction is None else sparse_fraction
-    key = QuantSpec(bits, preset.key_axis, preset.key_mode, group_size, sparse_fraction=fs)
-    value = QuantSpec(bits, preset.value_axis, preset.value_mode, group_size, sparse_fraction=fs)
-    return key, value
+    *sides, default_sparse = preset
+    fs = default_sparse if sparse_fraction is None else sparse_fraction
+    return tuple(QuantSpec(bits, axis, mode, group_size, sparse_fraction=fs) for axis, mode in sides)
 
 
 def quantize_scheme(
@@ -630,7 +626,8 @@ def quantize_scheme(
     Sink-token rows never enter the quantized tensors; the caller keeps them
     at full precision (normally in the cache's sink region). A static key side
     uses ``key_params`` when given; otherwise static sides calibrate on the
-    supplied calibration set, or else on the non-sink rows of the input.
+    supplied calibration set, or else fit the non-sink rows of the input in
+    the one ``quantize_tensor`` call.
     """
     k_arr = _canonical(keys, name="keys")
     v_arr = _canonical(values, name="values")
@@ -644,11 +641,9 @@ def quantize_scheme(
     keep = ~row_mask(sinks, k_arr.shape[0])
 
     def _side(arr, spec, params, calibration):
-        sub = arr[keep]
-        if spec.mode == "static" and params is None:
-            source = calibration if calibration is not None else [sub]
-            params = calibrate(source, spec)
-        return quantize_tensor(sub, spec, params=params)
+        if spec.mode == "static" and params is None and calibration is not None:
+            params = calibrate(calibration, spec)
+        return quantize_tensor(arr[keep], spec, params=params)
 
     return (
         _side(k_arr, key_spec, key_params, key_calibration),
