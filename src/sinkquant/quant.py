@@ -436,7 +436,7 @@ def _group_minmax(x, layout: GroupLayout, valid: np.ndarray, clip: float | None)
         if not present.any():  # nothing to sort; a zero-row shared layout has no entries at all
             return np.zeros(present.shape), np.zeros(present.shape)
         quantiles = [_clip_quantiles(vals, keep, count, layout, clip) for (vals, keep), count in zip(views, counts)]
-        cmin, cmax = (layout.from_segments(list(parts)) for parts in zip(*quantiles))
+        cmin, cmax = (layout.from_segments(parts) for parts in zip(*quantiles))
     if not present.all():
         absent = ~present
         cmin[absent] = 0.0

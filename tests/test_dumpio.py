@@ -190,6 +190,53 @@ class TestManifest:
     def test_capture_kind_names(self):
         assert CAPTURE_KINDS == ("H", "H_prime", "X_d_in", "X_d_out", "Q", "K", "V", "A")
 
+    def test_written_as_strict_sorted_json(self, tmp_path):
+        entries = [
+            ManifestEntry(model="toy", layer=layer, kind=kind, tokens=4, hidden=6, file=f"{kind}{layer}.kvsd")
+            for layer, kind in ((0, "H"), (1, "K"), (1, "A"))
+        ]
+        for entry in entries:
+            write_dump(str(tmp_path / entry.file), np.zeros((4, 6)))
+        path = tmp_path / "manifest.json"
+        write_manifest(entries, str(path))
+        text = path.read_text()
+        assert text == json.dumps([dataclasses.asdict(e) for e in entries], indent=2, sort_keys=True) + "\n"
+        assert load_manifest(str(path)) == entries
+
+
+class TestWeightsManifest:
+    """``load_weights`` holds a weights directory to the config it carries."""
+
+    cfg = DecoderConfig(num_layers=2, hidden=8, heads=2, ffn_hidden=16, kv_heads=1, seed=1)
+
+    def test_layer_count_must_match_the_config(self, tmp_path):
+        save_weights(str(tmp_path), init_weights(self.cfg), self.cfg)
+        manifest = read_json(str(tmp_path / "weights.json"))
+        write_json(str(tmp_path / "weights.json"), dict(manifest, layers=manifest["layers"][:1]))
+        with pytest.raises(FormatError) as info:
+            load_weights(str(tmp_path))
+        assert info.value.context["layers"] == 1 and info.value.context["num_layers"] == 2
+
+    @pytest.mark.parametrize("role, shape", [("wq", (3, 3)), ("wk", (8, 8)), ("wd", (8, 16)), ("ln_ffn_gain", (1, 8))])
+    def test_matrix_shape_must_match_the_config(self, tmp_path, role, shape):
+        save_weights(str(tmp_path), init_weights(self.cfg), self.cfg)
+        write_dump(str(tmp_path / f"layer001_{role}.kvsd"), np.ones(shape))
+        with pytest.raises(FormatError) as info:
+            load_weights(str(tmp_path))
+        want = getattr(init_weights(self.cfg).layers[1], role).shape
+        assert {k: info.value.context[k] for k in ("layer", "role", "expected", "actual")} == {
+            "layer": 1,
+            "role": role,
+            "expected": list(want),
+            "actual": list(shape),
+        }
+        assert f"layer 1 {role}" in info.value.message
+
+    def test_layer_norm_epsilon_is_not_a_config_key(self):
+        obj = dict(self.cfg.to_json_dict(), ln_epsilon=1e-5)
+        with pytest.raises(ConfigError):
+            DecoderConfig.from_json_dict(obj)
+
 
 class TestRecordCodec:
     @pytest.mark.parametrize(

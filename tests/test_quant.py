@@ -12,6 +12,7 @@ from sinkquant.errors import (
     LayoutError,
     ShapeError,
 )
+import sinkquant.quant as quant_module
 from sinkquant.quant import (
     SCHEME_PRESETS,
     CalibrationSet,
@@ -135,6 +136,7 @@ LAYOUTS = [
     ("per_channel", "dynamic"),
     ("per_channel", "static"),
     ("per_tensor", "dynamic"),
+    ("per_tensor", "static"),
 ]
 
 
@@ -736,3 +738,120 @@ class TestSchemes:
             "pt_kv_dynamic",
             "pt_kv_static",
         ]
+
+
+FIELDS = ("scale", "zero", "degenerate", "constant")
+
+
+def draw_values(rng, shape, kind):
+    """Normal values, or integers in [-3, 3] (ties, constant groups) with both signs of zero for "signed_zero"."""
+    if kind == "normal":
+        return rng.normal(size=shape)
+    x = rng.integers(-3, 4, size=shape).astype(float)
+    if kind == "signed_zero":
+        x[rng.random(shape) < 0.5] *= -1.0
+    return x
+
+
+def assert_params(got, want):
+    for name, value in zip(FIELDS, want):
+        assert_bitwise(getattr(got, name), value)
+
+
+class TestOnePathPerStage:
+    """The clip fit runs on the segment views, and no quant stage runs twice."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        layout=st.sampled_from(LAYOUTS),
+        n=st.integers(0, 14),
+        d=st.integers(1, 14),
+        gs=st.integers(1, 6),
+        bits=st.integers(2, 8),
+        sparse=st.sampled_from([0.0, 0.05, 1.0]),
+        clip=st.sampled_from([0.05, 0.1, 0.25]),
+        kind=st.sampled_from(["normal", "integer", "signed_zero"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_clip_fit_with_excluded_rows(self, layout, n, d, gs, bits, sparse, clip, kind, seed):
+        axis, mode = layout
+        spec = QuantSpec(bits, axis, mode, gs, clip=clip, sparse_fraction=sparse)
+        rng = np.random.default_rng(seed)
+        samples = [draw_values(rng, (m, d), kind) for m in (n, 5)]
+        excluded = [sorted(rng.choice(m, size=rng.integers(0, m + 1), replace=False).tolist()) for m in (n, 5)]
+
+        def valid(x, rows):
+            keep = ~argsort_outlier_mask(x, spec)
+            keep[rows] = False
+            return keep
+
+        assert_params(
+            compute_params(samples[0], spec, exclude=excluded[0]),
+            group_major_params(samples[0], spec, valid(samples[0], excluded[0])),
+        )
+        if mode == "static":
+            assert_params(
+                calibrate(samples, spec, exclude=excluded),
+                group_major_params(np.vstack(samples), spec, np.vstack([valid(*pair) for pair in zip(samples, excluded)])),
+            )
+        # A [blocks, n, d] stack fits every block to its own entries.
+        stack = draw_values(rng, (3, n, d), kind)
+        per_block = [group_major_params(block, spec, valid(block, [])) for block in stack]
+        assert_params(quantize_tensor(stack, spec).params, [np.stack(field) for field in zip(*per_block)])
+
+    @pytest.mark.parametrize(
+        "scheme", [s for s in sorted(SCHEME_PRESETS) if any(spec.mode == "static" for spec in scheme_specs(s, 4, 16))]
+    )
+    @pytest.mark.parametrize("sinks", [(), (0, 70)])
+    @pytest.mark.parametrize("sparse", [0.0, 0.01])
+    def test_static_side_fits_in_its_quantize_call(self, monkeypatch, tmp_path, scheme, sinks, sparse):
+        rng = np.random.default_rng(sorted(SCHEME_PRESETS).index(scheme))
+        keys, values = rng.normal(size=(2, 150, 64))
+        keys[list(sinks)] *= 30.0
+        real, calls = quant_module.calibrate, []
+        monkeypatch.setattr(quant_module, "calibrate", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        got = quantize_scheme(keys, values, scheme, sinks, bits=3, group_size=8, sparse_fraction=sparse)
+        assert calls == []
+        rows = np.setdiff1d(np.arange(150), sinks)
+        specs = scheme_specs(scheme, 3, 8, sparse)
+        assert any(qt.outlier_indices.size for qt in got) == (sparse > 0)
+        for side, qt, x, spec in zip("kv", got, (keys[rows], values[rows]), specs):
+            want = quantize_tensor(x, spec, params=real([x], spec) if spec.mode == "static" else None)
+            assert_params(qt.params, [getattr(want.params, name) for name in FIELDS])
+            assert qt.packed == want.packed
+            assert_bitwise(qt.outlier_indices, want.outlier_indices)
+            assert_bitwise(qt.outlier_values, want.outlier_values)
+            assert_bitwise(dequantize(qt), dequantize(want))
+            write_quantized(str(tmp_path / f"{side}_got.kvsq"), qt)
+            write_quantized(str(tmp_path / f"{side}_want.kvsq"), want)
+            assert (tmp_path / f"{side}_got.kvsq").read_bytes() == (tmp_path / f"{side}_want.kvsq").read_bytes()
+
+    @pytest.mark.parametrize("layout", LAYOUTS, ids="-".join)
+    def test_only_codes_are_reordered_and_dequantize_builds_one_layout(self, monkeypatch, layout):
+        axis, mode = layout
+        spec = QuantSpec(3, axis, mode, group_size=4, clip=0.1, sparse_fraction=0.1)
+        rng = np.random.default_rng(LAYOUTS.index(layout))
+        handed, built = [], []
+        for name in ("to_group_major", "from_group_major"):
+
+            def recording(self, arr, _real=getattr(GroupLayout, name)):
+                handed.append(arr.dtype)
+                return _real(self, arr)
+
+            monkeypatch.setattr(GroupLayout, name, recording)
+        tensors = [quantize_tensor(rng.normal(size=(9, 10)), spec), quantize_tensor(rng.normal(size=(2, 9, 10)), spec)]
+        if mode == "static":
+            params = calibrate([rng.normal(size=(9, 10)), rng.normal(size=(5, 10))], spec, exclude=[[1, 4], None])
+            tensors.append(quantize_tensor(rng.normal(size=(2, 9, 10)), spec, params=params))
+        init = GroupLayout.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GroupLayout, "__init__", counting_init)
+        for qt in tensors:
+            built.clear()
+            dequantize(qt)
+            assert len(built) == 1
+        assert handed and set(handed) == {np.dtype(np.uint8)}
