@@ -9,16 +9,18 @@ or ``group_size`` rows for per-channel sides, which stay pending until a
 block completes), then full-precision ``pending`` rows. Rows enter only
 through ``_Side.extend`` (one row from ``append``, all non-sink rows from
 ``bulk_load``), which quantizes every complete block it is given with one
-``quantize_tensor`` call on the stack of blocks, so a bulk-loaded layer
-stores and reconstructs exactly what the corresponding appends do.
-``reconstruct`` makes one ``dequantize`` call per side.
+``quantize_tensor`` call on the stack of blocks and keeps the stack it gets
+back, so a bulk-loaded layer stores and reconstructs exactly what the
+corresponding appends do. A read joins a side's stacks into one
+(``join_stacks``) and keeps it; ``reconstruct`` makes one ``dequantize``
+call per side.
 
 Byte accounting (``footprint_bytes``, behind every footprint report):
 
 * quantized codes: exact packed length (each group padded to a byte),
 * sink rows and not-yet-quantized pending rows: 16 bits per element,
 * parameters: 8 bytes per group (float32 scale + int32 zero); static
-  parameters are shared and counted once per layer side,
+  parameters are shared and counted once per layer side that holds a row,
 * sparse outliers: 6 bytes each (uint32 flat index + 16-bit value).
 
 A side's counts follow from its block count and pending rows alone
@@ -42,6 +44,7 @@ from .quant import (
     QuantSpec,
     calibrate,
     dequantize,
+    join_stacks,
     quantize_tensor,
     scheme_specs,
 )
@@ -63,10 +66,10 @@ def footprint_bytes(packed: int, full_precision: int, groups: int, outliers: int
 
 
 def _side_counts(
-    spec: QuantSpec, block: GroupLayout, blocks: int, pending: int, static_params: bool = True
+    spec: QuantSpec, block: GroupLayout, blocks: int, pending: int, static_params: bool
 ) -> tuple[int, int, int, int]:
     """(packed bytes, parameter groups, outliers, full-precision rows) of a side holding
-    ``blocks`` blocks and ``pending`` rows; a static side counts its one parameter set if it has one."""
+    ``blocks`` blocks and ``pending`` rows; a static side counts its one parameter set if ``static_params``."""
     groups = block.n_groups * (blocks if spec.mode == "dynamic" else int(static_params))
     outliers = blocks * block.n_vectors * block.outliers_per_vector(spec.sparse_fraction)
     return blocks * block.packed_nbytes(spec.bits), groups, outliers, pending
@@ -75,11 +78,9 @@ def _side_counts(
 class _Side:
     """One layer side's non-sink rows in token order: the block store, then ``pending``.
 
-    The store holds whole ``GroupLayout.block`` blocks in the fields of a
-    stacked ``QuantizedTensor``: packed codes and outlier positions and
-    values as flat streams, a dynamic side's parameters as one row per
-    block. Each field is one capacity-doubling array with a fixed stride
-    per block.
+    The store is the list of [blocks, height, width] stacks that ``extend``
+    got from ``quantize_tensor``, in order; ``stored`` joins them into one
+    (``join_stacks``) and keeps the joined stack.
     """
 
     def __init__(self, spec: QuantSpec, width: int):
@@ -88,19 +89,7 @@ class _Side:
         self.block = GroupLayout.block(spec, width)
         self.height = self.block.shape[0]
         self.blocks = 0
-        self._capacity = 0
-        packed, _, outliers, _ = _side_counts(spec, self.block, 1, 0)
-        # Field: (entries per block, shape of an entry, dtype).
-        self._fields = {
-            "packed": (packed, (), np.uint8),
-            "outlier_indices": (outliers, (), np.int64),
-            "outlier_values": (outliers, (), np.float64),
-        }
-        if spec.mode == "dynamic":
-            row = (self.block.n_groups,)
-            dtypes = {"scale": np.float64, "zero": np.int64, "degenerate": bool, "constant": np.float64}
-            self._fields.update((name, (1, row, dtype)) for name, dtype in dtypes.items())
-        self._store = {name: np.empty((0, *row), dtype) for name, (_, row, dtype) in self._fields.items()}
+        self.stacks: list[QuantizedTensor] = []
         self.pending = np.zeros((0, width))
 
     def extend(self, rows: np.ndarray) -> None:
@@ -112,56 +101,23 @@ class _Side:
             rows = np.concatenate((self.pending, rows))
         full = len(rows) - len(rows) % self.height
         if full:
-            self._put(quantize_tensor(rows[:full].reshape(-1, *self.block.shape), self.spec, params=self.params))
+            stack = rows[:full].reshape(-1, *self.block.shape)
+            self.stacks.append(quantize_tensor(stack, self.spec, params=self.params))
+            self.blocks += len(stack)
         self.pending = rows[full:].copy() if full else rows  # a view would keep the quantized rows alive
-
-    def _put(self, qt: QuantizedTensor) -> None:
-        """Append a stack of blocks to the store."""
-        start, end = self.blocks, self.blocks + qt.shape[0]
-        if end > self._capacity:
-            self._capacity = max(end, 2 * self._capacity)
-            for name, (count, row, dtype) in self._fields.items():
-                grown = np.empty((self._capacity * count, *row), dtype)
-                grown[: start * count] = self._store[name][: start * count]
-                self._store[name] = grown
-        p = qt.params
-        values = (
-            np.frombuffer(qt.packed, dtype=np.uint8),
-            qt.outlier_indices + start * self.block.size,
-            qt.outlier_values,
-            p.scale,
-            p.zero,
-            p.degenerate,
-            p.constant,
-        )
-        for (name, (count, _, _)), value in zip(self._fields.items(), values):  # a static side keeps three
-            self._store[name][start * count : end * count] = value
-        self.blocks = end
 
     def stored(self) -> QuantizedTensor | None:
         """The block store as one [blocks, height, width] stack (``None`` while empty)."""
-        if not self.blocks:
-            return None
-        view = {name: self._store[name][: self.blocks * count] for name, (count, _, _) in self._fields.items()}
-        params = self.params
-        if "scale" in view:
-            params = QuantParams(
-                self.spec, self.block.shape, view["scale"], view["zero"], view["degenerate"], view["constant"]
-            )
-        return QuantizedTensor(
-            (self.blocks, *self.block.shape),
-            params,
-            view["packed"].tobytes(),
-            view["outlier_indices"],
-            view["outlier_values"],
-        )
+        if len(self.stacks) > 1:
+            self.stacks = [join_stacks(self.stacks)]
+        return self.stacks[0] if self.stacks else None
 
     def quantized_rows(self) -> int:
         return self.blocks * self.height
 
     def footprint(self) -> tuple[int, int, int, int]:
-        """(packed bytes, parameter groups, outliers, full-precision rows) held by this side."""
-        return _side_counts(self.spec, self.block, self.blocks, len(self.pending), self.params is not None)
+        """(packed bytes, parameter groups, outliers, full-precision rows), static parameters once a row is held."""
+        return _side_counts(self.spec, self.block, self.blocks, len(self.pending), self.blocks + len(self.pending) > 0)
 
     def pieces(self) -> list[np.ndarray]:
         """Every row in token order as [rows, width] pieces: the store (one ``dequantize``), then ``pending``."""
@@ -273,8 +229,9 @@ class KVCache:
         """Load a whole prefill's K/V for one empty layer.
 
         Equivalent to appending the rows in token order with ``is_sink`` set
-        from ``sinks``; under static schemes with no parameters installed the
-        non-sink rows self-calibrate the layer first.
+        from ``sinks``; a static side with no parameters installed
+        self-calibrates on its non-sink rows first, if there are any (else a
+        later ``append`` of a non-sink row is a ``ConfigError``).
         """
         layer = self._check_layer(cache_layer)
         if self._loaded[layer]:
@@ -289,7 +246,7 @@ class KVCache:
         keep = ~sink_mask
         for side, data in ((self._keys[layer], k_arr), (self._values[layer], v_arr)):
             rows = data[keep]
-            if side.spec.mode == "static" and side.params is None:
+            if side.spec.mode == "static" and side.params is None and len(rows):
                 side.params = calibrate([rows], side.spec)
             side.extend(rows)
         for t in np.flatnonzero(sink_mask).tolist():
@@ -365,7 +322,7 @@ def predict_footprint(
     totals = np.array([0, 0, 0, 2 * sink_tokens], dtype=np.int64)
     for spec in scheme_specs(scheme, bits, group_size, sparse_fraction):
         block = GroupLayout.block(spec, width)
-        totals += _side_counts(spec, block, *divmod(tokens - sink_tokens, block.shape[0]))
+        totals += _side_counts(spec, block, *divmod(tokens - sink_tokens, block.shape[0]), tokens > sink_tokens)
     packed, groups, outliers, fp_rows = totals.tolist()
     total = footprint_bytes(packed, fp_rows * width, groups, outliers)
     return {key: num_layers * value for key, value in total.items()}

@@ -46,8 +46,10 @@ A leading block axis stacks tensors of one shape: ``quantize_tensor`` on a
 in one pass, exactly as one call per block would, and ``dequantize`` decodes
 the stack in one pass. The layout is the block's; the group-major stream,
 the packed codes and fitted parameters ([blocks, n_groups]) follow block
-after block, and given parameters are shared by every block. The KV cache
-encodes and decodes its blocks this way.
+after block, and given parameters are shared by every block.
+``join_stacks`` joins stacks of one block shape into the stack that one call
+on all their rows gives. The KV cache encodes its blocks this way, joins the
+stacks on read and decodes them in one pass.
 
 Parameters carry the one ``QuantSpec`` they were fitted under, which is also
 their ``QuantizedTensor``'s spec; ``check_fits`` refuses (``LayoutError``)
@@ -367,6 +369,29 @@ class QuantizedTensor:
     def _codes(self, layout: GroupLayout) -> np.ndarray:
         stream = unpack_codes(self.packed, layout.stream_sizes(self.shape), self.spec.bits)
         return layout.from_group_major(stream.reshape(self.shape[:-2] + (layout.size,)))
+
+
+def join_stacks(stacks: list[QuantizedTensor]) -> QuantizedTensor:
+    """One [blocks, n, d] stack of ``stacks`` in order: what one ``quantize_tensor`` call on their rows gives.
+
+    Packed codes (whole bytes per group) and outliers join end to end, indices shifted past the blocks
+    before them; per-block parameters join on the block axis, shared ones are the first stack's.
+    The stacks share one block shape and spec, as a cache side's do.
+    """
+    first = stacks[0]
+    blocks = [s.shape[0] for s in stacks]
+    starts = np.cumsum([0] + blocks[:-1]) * (first.shape[1] * first.shape[2])
+    p = first.params
+    if p.scale.ndim > 1:
+        fields = ("scale", "zero", "degenerate", "constant")
+        p = QuantParams(p.spec, p.shape, *(np.concatenate([getattr(s.params, f) for s in stacks]) for f in fields))
+    return QuantizedTensor(
+        (sum(blocks), *first.shape[1:]),
+        p,
+        b"".join(s.packed for s in stacks),
+        np.concatenate([s.outlier_indices + start for s, start in zip(stacks, starts)]),
+        np.concatenate([s.outlier_values for s in stacks]),
+    )
 
 
 def _outlier_mask(x: np.ndarray, layout: GroupLayout, fraction: float) -> np.ndarray:

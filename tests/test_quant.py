@@ -21,6 +21,7 @@ from sinkquant.quant import (
     calibrate,
     compute_params,
     dequantize,
+    join_stacks,
     quantize,
     quantize_scheme,
     _outlier_mask,
@@ -305,6 +306,33 @@ class TestGroupLayout:
             dequantize(misfit)
         with pytest.raises(ShapeError):
             quantize_tensor(rng.normal(size=(1, 2, 2, 8)), spec)
+
+    @pytest.mark.parametrize("given", [False, True], ids=["fitted", "given"])
+    @pytest.mark.parametrize("sparse", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("layout", LAYOUTS, ids="-".join)
+    def test_joined_stacks_are_one_call_on_their_rows(self, layout, sparse, given):
+        axis, mode = layout
+        spec = QuantSpec(3, axis, mode, group_size=3, sparse_fraction=sparse)
+        rng = np.random.default_rng(LAYOUTS.index(layout) * 10 + int(sparse * 5) + given)
+        n, d = (3, 11) if axis == "per_channel" else (1, 11)
+        params = None  # else shared by every block, as a static cache side's are
+        if given:
+            sample = rng.normal(size=(6, d))
+            params = calibrate([sample], spec) if mode == "static" else compute_params(sample[:n], spec)
+        for count in (1, 2, 3):
+            parts = [rng.normal(size=(int(rng.integers(1, 5)), n, d)) for _ in range(count)]
+            stacks = [quantize_tensor(part, spec, params=params) for part in parts]
+            got = join_stacks(stacks)
+            want = quantize_tensor(np.concatenate(parts), spec, params=params)
+            assert got.shape == want.shape
+            assert got.packed == want.packed
+            assert_bitwise(got.outlier_indices, want.outlier_indices)
+            assert_bitwise(got.outlier_values, want.outlier_values)
+            for name in ("scale", "zero", "degenerate", "constant"):
+                assert_bitwise(getattr(got.params, name), getattr(want.params, name))
+            if given:
+                assert got.params is params  # one shared set, not a copy
+            assert_bitwise(dequantize(got), dequantize(want))
 
     @pytest.mark.parametrize("axis", ["per_token", "per_channel"])
     def test_zero_rows_under_static_layouts(self, axis):
