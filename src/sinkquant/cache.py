@@ -8,12 +8,13 @@ fill. They are a block store of whole ``GroupLayout.block`` blocks (one row,
 or ``group_size`` rows for per-channel sides, which stay pending until a
 block completes), then full-precision ``pending`` rows. Rows enter only
 through ``_Side.extend`` (one row from ``append``, all non-sink rows from
-``bulk_load``), which quantizes every complete block it is given with one
-``quantize_tensor`` call on the stack of blocks and keeps the stack it gets
-back, so a bulk-loaded layer stores and reconstructs exactly what the
-corresponding appends do. A read joins a side's stacks into one
-(``join_stacks``) and keeps it; ``reconstruct`` makes one ``dequantize``
-call per side.
+``bulk_load``), which queues them. The next read encodes every complete
+block queued since the last one with one ``quantize_tensor`` call on their
+stack and joins it onto the stored stack (``join_stacks``); each block is
+encoded on its own, so a bulk-loaded layer stores and reconstructs exactly
+what the corresponding appends do, whenever the reads come. ``reconstruct``
+makes at most one ``quantize_tensor`` and one ``dequantize`` call per side.
+Queued rows are held as float64 until that read and are not charged below.
 
 Byte accounting (``footprint_bytes``, behind every footprint report):
 
@@ -23,8 +24,9 @@ Byte accounting (``footprint_bytes``, behind every footprint report):
   parameters are shared and counted once per layer side that holds a row,
 * sparse outliers: 6 bytes each (uint32 flat index + 16-bit value).
 
-A side's counts follow from its block count and pending rows alone
-(``_side_counts``), so ``predict_footprint`` is exact for every cache.
+A side's counts follow from its row count alone (``divmod`` by the block
+height into ``_side_counts``), so ``predict_footprint`` is exact for every
+cache, and no count waits for a read.
 """
 
 from __future__ import annotations
@@ -78,9 +80,14 @@ def _side_counts(
 class _Side:
     """One layer side's non-sink rows in token order: the block store, then ``pending``.
 
-    The store is the list of [blocks, height, width] stacks that ``extend``
-    got from ``quantize_tensor``, in order; ``stored`` joins them into one
-    (``join_stacks``) and keeps the joined stack.
+    ``extend`` only queues the rows it is handed and counts them. The first
+    read after that (``stored``) encodes every complete block queued since
+    the last read with one ``quantize_tensor`` call on their
+    [blocks, height, width] stack and joins it onto the stack the last read
+    left (``join_stacks``); the rows short of a block stay ``pending``. The
+    counts (``blocks``, ``quantized_rows``, ``pending_rows``, ``footprint``)
+    follow from the row count alone, so a block counts as quantized from the
+    moment its last row is queued, and no count triggers an encode.
     """
 
     def __init__(self, spec: QuantSpec, width: int):
@@ -88,36 +95,42 @@ class _Side:
         self.params: QuantParams | None = None
         self.block = GroupLayout.block(spec, width)
         self.height = self.block.shape[0]
-        self.blocks = 0
-        self.stacks: list[QuantizedTensor] = []
+        self.rows = 0
+        self.queue: list[np.ndarray] = []
+        self.store: QuantizedTensor | None = None
         self.pending = np.zeros((0, width))
 
     def extend(self, rows: np.ndarray) -> None:
-        """Quantize the complete blocks of ``pending`` + ``rows`` in one call; the rest stays pending.
-
-        ``rows`` is handed over, not copied.
-        """
-        if len(self.pending):
-            rows = np.concatenate((self.pending, rows))
-        full = len(rows) - len(rows) % self.height
-        if full:
-            stack = rows[:full].reshape(-1, *self.block.shape)
-            self.stacks.append(quantize_tensor(stack, self.spec, params=self.params))
-            self.blocks += len(stack)
-        self.pending = rows[full:].copy() if full else rows  # a view would keep the quantized rows alive
+        """Queue ``rows`` ([r, width], handed over, not copied) for the next read."""
+        self.queue.append(rows)
+        self.rows += len(rows)
 
     def stored(self) -> QuantizedTensor | None:
-        """The block store as one [blocks, height, width] stack (``None`` while empty)."""
-        if len(self.stacks) > 1:
-            self.stacks = [join_stacks(self.stacks)]
-        return self.stacks[0] if self.stacks else None
+        """The block store as one [blocks, height, width] stack (``None`` while it holds no block)."""
+        if self.queue:
+            parts = [self.pending, *self.queue] if len(self.pending) else self.queue
+            rows = np.concatenate(parts) if len(parts) > 1 else parts[0]
+            self.queue = []
+            full = len(rows) - len(rows) % self.height
+            if full:
+                stack = quantize_tensor(rows[:full].reshape(-1, *self.block.shape), self.spec, params=self.params)
+                self.store = stack if self.store is None else join_stacks([self.store, stack])
+            self.pending = rows[full:].copy() if full else rows  # a view would keep the quantized rows alive
+        return self.store
+
+    @property
+    def blocks(self) -> int:
+        return self.rows // self.height
 
     def quantized_rows(self) -> int:
         return self.blocks * self.height
 
+    def pending_rows(self) -> int:
+        return self.rows % self.height
+
     def footprint(self) -> tuple[int, int, int, int]:
         """(packed bytes, parameter groups, outliers, full-precision rows), static parameters once a row is held."""
-        return _side_counts(self.spec, self.block, self.blocks, len(self.pending), self.blocks + len(self.pending) > 0)
+        return _side_counts(self.spec, self.block, *divmod(self.rows, self.height), self.rows > 0)
 
     def pieces(self) -> list[np.ndarray]:
         """Every row in token order as [rows, width] pieces: the store (one ``dequantize``), then ``pending``."""
@@ -164,7 +177,7 @@ class KVCache:
 
     def pending_tokens(self, layer: int) -> int:
         layer = self._check_layer(layer)
-        return max(len(self._keys[layer].pending), len(self._values[layer].pending))
+        return max(self._keys[layer].pending_rows(), self._values[layer].pending_rows())
 
     def region_counts(self, layer: int) -> dict:
         """Token counts per storage region of the key side (partition of n)."""
@@ -172,7 +185,7 @@ class KVCache:
         side = self._keys[layer]
         return {
             "quantized": side.quantized_rows(),
-            "pending": len(side.pending),
+            "pending": side.pending_rows(),
             "sink": len(self._sinks[layer]),
         }
 

@@ -12,7 +12,15 @@ from sinkquant.cache import (
     predict_footprint,
     save_snapshot,
 )
-from sinkquant.errors import BoundsError, ConfigError, FormatError, LayoutError, ShapeError, StateError
+from sinkquant.errors import (
+    BoundsError,
+    ConfigError,
+    FormatError,
+    LayoutError,
+    NumericError,
+    ShapeError,
+    StateError,
+)
 from sinkquant.quant import (
     SCHEME_PRESETS,
     GroupLayout,
@@ -492,8 +500,8 @@ class TestBlockStore:
         params = calibrated._keys[0].params, calibrated._values[0].params
         seq.set_static_params(0, key_params=params[0], value_params=params[1])
         sides = {"k": seq._keys[0], "v": seq._values[0]}
-        joined = {name: None for name in sides}  # each side's stack as its last read left it
-        grown = set()  # sides read as a joined stack plus new stacks
+        joined = {name: None for name in sides}  # each side's stored stack as its last read left it
+        grown = set()  # sides read as a stored stack plus newly queued blocks
         follow = None  # one append after the last check
         for t in range(n):
             seq.append(0, k[t], v[t], is_sink=t in sinks)
@@ -502,7 +510,10 @@ class TestBlockStore:
             if not (first or t % 29 == 0 or t == follow or t == n - 1):
                 continue
             follow = t + 1 if t != follow else None
-            grown |= {name for name, side in sides.items() if len(side.stacks) > 1 and side.stacks[0] is joined[name]}
+            grown |= {
+                name for name, side in sides.items()
+                if side.store is not None and side.store is joined[name] and side.blocks > side.store.shape[0]
+            }
             sub = {s for s in sinks if s <= t}
             recon, footprint, counts = expected_layer(k[: t + 1], v[: t + 1], sub, seq)
             for _ in range(2):  # the second read finds the one stack the first joined
@@ -510,8 +521,9 @@ class TestBlockStore:
                     np.testing.assert_array_equal(got, want)
                 assert seq.memory_footprint() == footprint
                 assert seq.region_counts(0) == counts
-            assert all(len(side.stacks) <= 1 for side in sides.values())
-            joined = {name: side.stacks[0] if side.stacks else None for name, side in sides.items()}
+            assert all(not side.queue for side in sides.values())
+            assert all((side.store.shape[0] if side.store else 0) == side.blocks for side in sides.values())
+            joined = {name: side.store for name, side in sides.items()}
             bulk = KVCache(1, width, scheme=scheme, bits=bits, group_size=group_size, sparse_fraction=0.1)
             bulk.set_static_params(0, key_params=params[0], value_params=params[1])
             bulk.bulk_load(0, k[: t + 1], v[: t + 1], sinks=sub)
@@ -522,31 +534,137 @@ class TestBlockStore:
         assert grown == {"k", "v"}
 
     @pytest.mark.parametrize("scheme", sorted(SCHEME_PRESETS))
-    def test_one_encode_per_extend_and_one_decode_per_side(self, monkeypatch, scheme):
-        calls = {"quantize_tensor": 0, "dequantize": 0}
-        for name in calls:
-            original = getattr(cache_module, name)
-
-            def counted(*args, _original=original, _name=name, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(cache_module, name, counted)
+    def test_no_encode_before_a_read_and_one_call_each_way_per_side(self, monkeypatch, scheme):
+        calls = count_calls(monkeypatch)
         k, v = rand_kv(4096 + 48, 32, seed=41)
         cache = KVCache(1, 32, scheme=scheme, bits=2, group_size=16)
+        sides = (cache._keys[0], cache._values[0])
         cache.bulk_load(0, k[:4096], v[:4096], sinks=[0, 700])
-        assert calls["quantize_tensor"] == 2  # one stacked call per side
+        assert calls["quantize_tensor"] == 0  # the rows are queued
         cache.reconstruct(0)
-        assert calls["dequantize"] == 2
-        specs = (cache.key_spec, cache.value_spec)
-        per_token = sum(spec.axis == "per_token" for spec in specs)
-        for round_ in range(3):
+        assert calls == {"quantize_tensor": 2, "dequantize": 2}  # one stacked call per side
+        for round_, tokens in enumerate((range(4096, 4112), range(4112, 4128), range(4128, 4130))):
             calls.update(quantize_tensor=0, dequantize=0)
-            tokens = range(4096 + 16 * round_, 4096 + 16 * (round_ + 1))
+            read = [side.blocks for side in sides]
             for t in tokens:
                 cache.append(0, k[t], v[t], is_sink=round_ == 1 and t == tokens[5])
-            # A per-token side encodes each non-sink row; a per-channel side its one completed block.
-            rows = 16 - (round_ == 1)
-            assert calls["quantize_tensor"] == per_token * rows + (2 - per_token)
+            assert calls["quantize_tensor"] == 0
             cache.reconstruct(0)
-            assert calls["dequantize"] == 2  # one decode per side
+            # A side encodes the blocks completed since the last read in one call, or makes no call.
+            grew = sum(side.blocks > before for side, before in zip(sides, read))
+            assert calls == {"quantize_tensor": grew, "dequantize": 2}
+            # The last round's two rows complete no per-channel block.
+            assert grew == (2 if round_ < 2 else sum(side.height == 1 for side in sides))
+        calls.update(quantize_tensor=0, dequantize=0)
+        cache.reconstruct(0)  # nothing queued since the last read
+        assert calls == {"quantize_tensor": 0, "dequantize": 2}
+
+
+class TestDeferredEncode:
+    """Appended rows wait in a queue for the next read; nothing observable depends on when it comes."""
+
+    @pytest.mark.parametrize("scheme", ["pt_kv_static", "pc_key_pt_value_static", "kvquant_like"])
+    def test_parameters_refused_once_a_block_completes_without_a_read(self, monkeypatch, scheme):
+        calls = count_calls(monkeypatch)
+        cache = KVCache(1, 8, scheme=scheme, bits=3, group_size=4, sparse_fraction=0.0)
+        sample = np.random.default_rng(47).normal(size=(8, 8))
+        params = {
+            side: calibrate([sample], spec) if spec.mode == "static" else None
+            for side, spec in (("key_params", cache.key_spec), ("value_params", cache.value_spec))
+        }
+        cache.set_static_params(0, **params)
+        height = max(side.height for side in (cache._keys[0], cache._values[0]))
+        k, v = rand_kv(height, 8, seed=48)
+        for t in range(height):
+            # Parameters stay open while the static sides hold no complete block.
+            if not any(side.quantized_rows() for side in (cache._keys[0], cache._values[0]) if side.spec.mode == "static"):
+                cache.set_static_params(0, **params)
+            cache.append(0, k[t], v[t])
+        with pytest.raises(StateError):
+            cache.set_static_params(0, **params)
+        assert calls["quantize_tensor"] == 0  # refused from the row count alone, with nothing encoded
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEME_PRESETS))
+    @pytest.mark.parametrize("sparse", [0.0, 0.1, 1.0])
+    def test_read_after_every_append_stores_what_one_read_at_the_end_stores(self, scheme, sparse):
+        width, n = 12, 70
+        rng = np.random.default_rng(sorted(SCHEME_PRESETS).index(scheme) * 10 + int(sparse * 10))
+        k, v = rng.normal(size=(n, width)), rng.normal(size=(n, width)) * 2
+        sinks = {1, 20, 33}
+        caches = []
+        for _ in range(2):
+            cache = KVCache(1, width, scheme=scheme, bits=3, group_size=5, sparse_fraction=sparse)
+            cache.bulk_load(0, k[:9], v[:9], sinks={1})  # static sides self-calibrate on the prefix
+            caches.append(cache)
+        often, once = caches
+        for t in range(9, n):
+            for cache in caches:
+                cache.append(0, k[t], v[t], is_sink=t in sinks)
+            often.reconstruct(0)
+        for got, want in zip(often.reconstruct(0), once.reconstruct(0)):
+            np.testing.assert_array_equal(got, want)
+        for a, b in ((often._keys[0], once._keys[0]), (often._values[0], once._values[0])):
+            x, y = a.stored(), b.stored()
+            assert x.shape == y.shape and x.packed == y.packed
+            for field in ("scale", "zero", "degenerate", "constant"):
+                np.testing.assert_array_equal(getattr(x.params, field), getattr(y.params, field))
+            np.testing.assert_array_equal(x.outlier_indices, y.outlier_indices)
+            np.testing.assert_array_equal(x.outlier_values, y.outlier_values)
+            np.testing.assert_array_equal(a.pending, b.pending)
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEME_PRESETS))
+    def test_counts_between_reads_need_no_encode(self, monkeypatch, scheme):
+        calls = count_calls(monkeypatch)
+        width, n, sinks = 16, 60, {0, 11, 12, 40}
+        options = dict(scheme=scheme, bits=2, group_size=4, sparse_fraction=0.1)
+        k, v = rand_kv(n, width, seed=53)
+        cache = KVCache(1, width, **options)
+        cache.bulk_load(0, k[:5], v[:5], sinks={0})
+        heights = [side.height for side in (cache._keys[0], cache._values[0])]
+        for t in range(5, n):
+            cache.append(0, k[t], v[t], is_sink=t in sinks)
+            held = sum(s <= t for s in sinks)
+            rows = t + 1 - held
+            assert cache.memory_footprint() == predict_footprint(1, t + 1, width, sink_tokens=held, **options)
+            key_pending = rows % heights[0]
+            assert cache.region_counts(0) == {"quantized": rows - key_pending, "pending": key_pending, "sink": held}
+            assert cache.pending_tokens(0) == max(rows % h for h in heights)
+        assert calls["quantize_tensor"] == 0
+
+    @pytest.mark.parametrize("bad", ["width", "nan", "params"])
+    def test_failed_append_leaves_the_queue_unchanged(self, bad):
+        # Only the key side has parameters, so a value-side refusal is a ConfigError.
+        cache = KVCache(1, 8, scheme="pc_key_pt_value_static", bits=4, group_size=4)
+        sample = np.random.default_rng(59).normal(size=(8, 8))
+        cache.set_static_params(0, key_params=calibrate([sample], cache.key_spec),
+                                value_params=calibrate([sample], cache.value_spec))
+        k, v = rand_kv(7, 8, seed=61)
+        for t in range(6):
+            cache.append(0, k[t], v[t])
+        sides = (cache._keys[0], cache._values[0])
+        before = [(list(side.queue), side.rows) for side in sides]
+        counts = (cache.layer_tokens(0), cache.region_counts(0), cache.pending_tokens(0), cache.memory_footprint())
+        error = {"width": ShapeError, "nan": NumericError, "params": ConfigError}[bad]
+        if bad == "params":
+            cache._values[0].params = None
+        row = {"width": np.zeros(9), "nan": np.full(8, np.nan), "params": v[6]}[bad]
+        with pytest.raises(error):
+            cache.append(0, k[6], row)
+        assert [(list(side.queue), side.rows) for side in sides] == before
+        assert all(a is b for side, (queue, _) in zip(sides, before) for a, b in zip(side.queue, queue))
+        assert (cache.layer_tokens(0), cache.region_counts(0), cache.pending_tokens(0),
+                cache.memory_footprint()) == counts
+
+
+def count_calls(monkeypatch) -> dict:
+    """Count the cache's ``quantize_tensor`` and ``dequantize`` calls."""
+    calls = {"quantize_tensor": 0, "dequantize": 0}
+    for name in calls:
+        original = getattr(cache_module, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cache_module, name, counted)
+    return calls
