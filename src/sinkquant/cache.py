@@ -195,9 +195,10 @@ class KVCache:
         """Install parameters for a layer's static sides.
 
         ``ConfigError`` for a dynamic side, which fits every block itself;
-        ``StateError`` once a side holds quantized rows, which the store
-        decodes with the side's one parameter set; ``LayoutError`` unless
-        they fit the side's spec and block.
+        ``StateError`` once a side holds a complete block, encoded yet or
+        not, which the store encodes and decodes with the side's one
+        parameter set; ``LayoutError`` unless they fit the side's spec and
+        block.
         """
         layer = self._check_layer(layer)
         pairs = ((self._keys[layer], key_params), (self._values[layer], value_params))

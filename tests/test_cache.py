@@ -12,15 +12,7 @@ from sinkquant.cache import (
     predict_footprint,
     save_snapshot,
 )
-from sinkquant.errors import (
-    BoundsError,
-    ConfigError,
-    FormatError,
-    LayoutError,
-    NumericError,
-    ShapeError,
-    StateError,
-)
+from sinkquant.errors import BoundsError, ConfigError, FormatError, LayoutError, NumericError, ShapeError, StateError
 from sinkquant.quant import (
     SCHEME_PRESETS,
     GroupLayout,
@@ -573,12 +565,11 @@ class TestDeferredEncode:
             for side, spec in (("key_params", cache.key_spec), ("value_params", cache.value_spec))
         }
         cache.set_static_params(0, **params)
-        height = max(side.height for side in (cache._keys[0], cache._values[0]))
+        # The first static block completes at this row.
+        height = min(side.height for side in (cache._keys[0], cache._values[0]) if side.spec.mode == "static")
         k, v = rand_kv(height, 8, seed=48)
         for t in range(height):
-            # Parameters stay open while the static sides hold no complete block.
-            if not any(side.quantized_rows() for side in (cache._keys[0], cache._values[0]) if side.spec.mode == "static"):
-                cache.set_static_params(0, **params)
+            cache.set_static_params(0, **params)  # open while no static side holds a complete block
             cache.append(0, k[t], v[t])
         with pytest.raises(StateError):
             cache.set_static_params(0, **params)
