@@ -13,6 +13,8 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -35,8 +37,6 @@ def _read_matrix(path: str, name: str) -> np.ndarray:
 
 
 def _load_sinks(args, tokens: int) -> SinkSet:
-    if args.sinks and args.pfn is not None:
-        raise UsageError("--sinks and --pfn are mutually exclusive")
     if args.sinks:
         return dumpio.record_from_json(SinkSet, dumpio.read_json(args.sinks))
     if args.pfn is not None:
@@ -114,15 +114,21 @@ def _cmd_quantize(args) -> dict:
 
 
 def _specs_from_flags(args) -> list[QuantSpec]:
-    bits = _int_list(args.bits, "--bits")
-    axes = _str_list(args.axes) if hasattr(args, "axes") else [args.axis]
-    modes = _str_list(args.modes) if hasattr(args, "modes") else [args.mode]
+    """Every spec of the grid flags: each bit width, axis and mode."""
     return [
         QuantSpec(b, axis, mode, args.group, args.clip, args.sparse or 0.0)
-        for b in bits
-        for axis in axes
-        for mode in modes
+        for b in _int_list(args.bits, "--bits")
+        for axis in _str_list(args.axes)
+        for mode in _str_list(args.modes)
     ]
+
+
+def _with_csv(args, report: dict) -> dict:
+    """``report``; with ``--csv``, its rows are also written to that file, which it names under ``"csv"``."""
+    if args.csv:
+        analysis.write_rows_csv(report["rows"], args.csv)
+        report["csv"] = args.csv
+    return report
 
 
 def _cmd_analyze_error(args) -> dict:
@@ -133,11 +139,7 @@ def _cmd_analyze_error(args) -> dict:
     if any(s.mode == "static" for s in specs):
         cal = CalibrationSet([arr], sinks=[sinks])
     report = analysis.error_decomposition(arr, sinks, specs, cal=cal)
-    result = report.to_json_dict(display_scale=args.display_scale)
-    if args.csv:
-        analysis.write_rows_csv(result["rows"], args.csv)
-        result["csv"] = args.csv
-    return result
+    return _with_csv(args, report.to_json_dict(display_scale=args.display_scale))
 
 
 def _cmd_analyze_bias(args) -> dict:
@@ -145,9 +147,7 @@ def _cmd_analyze_bias(args) -> dict:
     v = dumpio.read_dump(args.values)
     sinks = _load_sinks(args, a.shape[1])
     rows = analysis.bias_report_from_heads(a, v, sinks, layer=args.layer, method=args.method)
-    if args.csv:
-        analysis.write_rows_csv(rows, args.csv)
-    return {"sinks": dumpio.record_to_json(sinks), "method": args.method, "rows": rows}
+    return _with_csv(args, {"sinks": dumpio.record_to_json(sinks), "method": args.method, "rows": rows})
 
 
 def _cmd_analyze_disruption(args) -> dict:
@@ -159,9 +159,7 @@ def _cmd_analyze_disruption(args) -> dict:
     rows = analysis.bias_disruption(
         keys, values, queries, sinks, specs, num_heads=args.heads, preserve_sinks=args.preserve_sinks
     )
-    if args.csv:
-        analysis.write_rows_csv(rows, args.csv)
-    return {"sinks": dumpio.record_to_json(sinks), "rows": rows}
+    return _with_csv(args, {"sinks": dumpio.record_to_json(sinks), "rows": rows})
 
 
 def _cmd_analyze_qk(args) -> dict:
@@ -170,9 +168,7 @@ def _cmd_analyze_qk(args) -> dict:
     values = dumpio.read_dump(args.values) if args.values else None
     sinks = _load_sinks(args, queries.shape[1])
     rows = analysis.qk_sink_diagnostics(queries, keys, sinks, V=values)
-    if args.csv:
-        analysis.write_rows_csv(rows, args.csv)
-    return {"sinks": dumpio.record_to_json(sinks), "rows": rows}
+    return _with_csv(args, {"sinks": dumpio.record_to_json(sinks), "rows": rows})
 
 
 def _cmd_analyze_stages(args) -> dict:
@@ -191,19 +187,13 @@ def _cmd_analyze_stages(args) -> dict:
     return report.to_json_dict()
 
 
-def _load_plant(path: str) -> tuple[list, int, int]:
-    """Planted outliers: (token, channel, magnitude) targets, emergence and dissipation layers."""
-    plant = dumpio.read_json(path)
-    try:
-        targets = [(t, c, m) for t, c, m in plant["targets"]]
-        layers = plant["emerge_layer"], plant["dissipate_layer"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("malformed plant file", path=path, reason=repr(exc)) from None
-    typed = [(v, kind) for target in targets for v, kind in zip(target, ("int", "int", "float"))]
-    typed += [(layer, "int") for layer in layers]
-    if not all(dumpio.json_fits(v, kind) for v, kind in typed):
-        raise ConfigError("plant tokens, channels and layers must be integers, magnitudes numbers", path=path)
-    return targets, *layers
+@dataclass(frozen=True)
+class _Plant:
+    """A ``--plant`` file: (token, channel, magnitude) outliers, planted at one layer and cancelled at another."""
+
+    targets: tuple[tuple[int, int, float], ...]
+    emerge_layer: int
+    dissipate_layer: int
 
 
 def _cmd_simulate(args) -> dict:
@@ -211,8 +201,8 @@ def _cmd_simulate(args) -> dict:
     hooks = ()
     plant = None
     if args.plant:
-        plant = _load_plant(args.plant)
-        weights, hooks = decoder.synthesize_sink_model(cfg, *plant)
+        plant = dumpio.record_from_json(_Plant, dumpio.read_json(args.plant), partial(ConfigError, path=args.plant))
+        weights, hooks = decoder.synthesize_sink_model(cfg, plant.targets, plant.emerge_layer, plant.dissipate_layer)
     else:
         weights = decoder.init_weights(cfg)
 
@@ -220,13 +210,12 @@ def _cmd_simulate(args) -> dict:
     if args.profile:
         profile = profiles.load_profile(args.profile)
     elif plant is not None:
-        targets, emerge_layer, _ = plant
         profile = SinkProfile(
             model_name="synthetic",
             total_layers=cfg.num_layers,
-            emergence_layer=emerge_layer,
+            emergence_layer=plant.emerge_layer,
             hidden_size=cfg.hidden,
-            outlier_channels=tuple(sorted({c for _, c, _ in targets})),
+            outlier_channels=tuple(sorted({c for _, c, _ in plant.targets})),
         )
     if args.mode == "kvsink" and profile is None:
         raise ConfigError("kvsink mode needs --profile or --plant")
@@ -284,9 +273,28 @@ def _cmd_bench(args) -> dict:
     return report.to_json_dict()
 
 
+def _grid_flags(bits: str) -> argparse.ArgumentParser:
+    """The spec-grid flags, as a parent parser: every bit width x axis x mode is measured."""
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--bits", default=bits, help=f"comma-separated bit widths (default {bits})")
+    grid.add_argument("--axes", "--axis", dest="axes", default="per_token", help="comma-separated axes")
+    grid.add_argument("--modes", "--mode", dest="modes", default="dynamic", help="comma-separated modes")
+    grid.add_argument("--group", type=int, default=16)
+    grid.add_argument("--sparse", type=float, default=None)
+    grid.add_argument("--clip", type=float, default=None)
+    return grid
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="sinkquant", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+
+    sinks = argparse.ArgumentParser(add_help=False)
+    preserved = sinks.add_mutually_exclusive_group()
+    preserved.add_argument("--sinks", help="sink-set JSON file")
+    preserved.add_argument("--pfn", type=int, default=None, help="preserve the first N tokens instead")
+    csv = argparse.ArgumentParser(add_help=False)
+    csv.add_argument("--csv", help="also write the report rows to this CSV file")
 
     p = sub.add_parser("detect", help="predict sink tokens from a hidden-state dump")
     p.add_argument("--dump", required=True, help="emergence-layer output (.kvsd, [tokens, hidden])")
@@ -295,14 +303,12 @@ def build_parser() -> _Parser:
     p.add_argument("--ratio", type=float, default=None, help="optional magnitude-ratio filter")
     p.set_defaults(handler=_cmd_detect)
 
-    p = sub.add_parser("quantize", help="quantize a K/V pair under a scheme preset")
+    p = sub.add_parser("quantize", parents=[sinks], help="quantize a K/V pair under a scheme preset")
     p.add_argument("--keys", required=True)
     p.add_argument("--values", required=True)
     p.add_argument("--scheme", required=True, choices=sorted(SCHEME_PRESETS))
     p.add_argument("--bits", type=int, default=4)
     p.add_argument("--group", type=int, default=16)
-    p.add_argument("--sinks", help="sink-set JSON file")
-    p.add_argument("--pfn", type=int, default=None, help="preserve the first N tokens instead")
     p.add_argument("--sparse", type=float, default=None)
     p.add_argument("--calib", help="directory with keys/ and values/ calibration dumps")
     p.add_argument("--out", required=True)
@@ -311,54 +317,34 @@ def build_parser() -> _Parser:
     pa = sub.add_parser("analyze", help="measurement reports")
     asub = pa.add_subparsers(dest="analysis", required=True)
 
-    p = asub.add_parser("error", help="quantization-error decomposition by sink membership")
+    p = asub.add_parser(
+        "error", parents=[sinks, _grid_flags("4"), csv], help="quantization-error decomposition by sink membership"
+    )
     p.add_argument("--tensor", required=True)
-    p.add_argument("--sinks")
-    p.add_argument("--pfn", type=int, default=None)
-    p.add_argument("--bits", default="4")
-    p.add_argument("--axes", default="per_token")
-    p.add_argument("--modes", default="dynamic")
-    p.add_argument("--group", type=int, default=16)
-    p.add_argument("--sparse", type=float, default=None)
-    p.add_argument("--clip", type=float, default=None)
     p.add_argument("--display-scale", type=float, default=None)
-    p.add_argument("--csv")
     p.set_defaults(handler=_cmd_analyze_error)
 
-    p = asub.add_parser("bias", help="sink-bias consistency per head")
+    p = asub.add_parser("bias", parents=[sinks, csv], help="sink-bias consistency per head")
     p.add_argument("--attention", required=True, help="[heads, n, n] attention dump")
     p.add_argument("--values", required=True, help="[kv_heads, n, head_dim] value dump")
-    p.add_argument("--sinks")
-    p.add_argument("--pfn", type=int, default=None)
     p.add_argument("--layer", type=int, default=0)
     p.add_argument("--method", choices=("pairwise", "centroid"), default="pairwise")
-    p.add_argument("--csv")
     p.set_defaults(handler=_cmd_analyze_bias)
 
-    p = asub.add_parser("disruption", help="bias/logit deltas under quantization")
+    p = asub.add_parser(
+        "disruption", parents=[sinks, _grid_flags("2,3,4,8"), csv], help="bias/logit deltas under quantization"
+    )
     p.add_argument("--keys", required=True)
     p.add_argument("--values", required=True)
     p.add_argument("--queries", required=True)
-    p.add_argument("--sinks")
-    p.add_argument("--pfn", type=int, default=None)
-    p.add_argument("--bits", default="2,3,4,8")
-    p.add_argument("--axis", choices=("per_token", "per_channel", "per_tensor"), default="per_token")
-    p.add_argument("--mode", choices=("dynamic", "static"), default="dynamic")
-    p.add_argument("--group", type=int, default=16)
-    p.add_argument("--sparse", type=float, default=None)
-    p.add_argument("--clip", type=float, default=None)
     p.add_argument("--heads", type=int, default=1)
     p.add_argument("--preserve-sinks", action="store_true")
-    p.add_argument("--csv")
     p.set_defaults(handler=_cmd_analyze_disruption)
 
-    p = asub.add_parser("qk", help="query-to-sink-key cosines and norm ratios")
+    p = asub.add_parser("qk", parents=[sinks, csv], help="query-to-sink-key cosines and norm ratios")
     p.add_argument("--queries", required=True)
     p.add_argument("--keys", required=True)
     p.add_argument("--values")
-    p.add_argument("--sinks")
-    p.add_argument("--pfn", type=int, default=None)
-    p.add_argument("--csv")
     p.set_defaults(handler=_cmd_analyze_qk)
 
     p = asub.add_parser("stages", help="cross-layer outlier stage classification")

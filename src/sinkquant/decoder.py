@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import erf, expit
@@ -361,6 +362,18 @@ def synthesize_sink_model(
     return weights, hooks
 
 
+@dataclass(frozen=True)
+class _WeightsManifest:
+    """A ``weights.json``: the ``DecoderConfig`` object, then one ``_LayerFiles`` object per layer."""
+
+    config: dict
+    layers: list
+
+
+#: One layer's entry in a ``weights.json``: the dump file of every role.
+_LayerFiles = make_dataclass("_LayerFiles", [(role, "str") for role in LayerWeights.MATRIX_ROLES], frozen=True)
+
+
 def save_weights(directory: str, weights: DecoderWeights, cfg: DecoderConfig) -> None:
     """Write each matrix as a tensor dump plus a manifest naming roles."""
     os.makedirs(directory, exist_ok=True)
@@ -378,35 +391,33 @@ def save_weights(directory: str, weights: DecoderWeights, cfg: DecoderConfig) ->
 def load_weights(directory: str) -> tuple[DecoderWeights, DecoderConfig]:
     """Weights and config from a ``save_weights`` directory.
 
-    A layer count or a matrix shape that does not fit the config is a ``FormatError``.
+    A manifest key or role the format does not name, a layer count or a matrix shape that does
+    not fit the config is a ``FormatError``.
     """
     path = os.path.join(directory, "weights.json")
-    manifest = dumpio.read_json(path)
-    try:
-        config = manifest["config"]
-        files = [
-            {role: os.path.join(directory, entry[role]) for role in LayerWeights.MATRIX_ROLES}
-            for entry in manifest["layers"]
-        ]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"malformed weights manifest: {exc!r}", path=path) from exc
-    cfg = DecoderConfig.from_json_dict(config)
-    if len(files) != cfg.num_layers:
+    manifest = dumpio.record_from_json(_WeightsManifest, dumpio.read_json(path), partial(FormatError, path=path))
+    entries = [
+        dumpio.record_from_json(_LayerFiles, entry, partial(FormatError, path=path, layer=l))
+        for l, entry in enumerate(manifest.layers)
+    ]
+    cfg = DecoderConfig.from_json_dict(manifest.config)
+    if len(entries) != cfg.num_layers:
         raise FormatError(
             "weights manifest layer count does not match its config",
             path=path,
-            layers=len(files),
+            layers=len(entries),
             num_layers=cfg.num_layers,
         )
     shapes = _weight_shapes(cfg)
     layers = []
-    for l, entry in enumerate(files):
-        arrays = {role: np.asarray(dumpio.read_dump(f), dtype=np.float64) for role, f in entry.items()}
+    for l, entry in enumerate(entries):
+        files = {role: os.path.join(directory, name) for role, name in dumpio.record_to_json(entry).items()}
+        arrays = {role: np.asarray(dumpio.read_dump(f), dtype=np.float64) for role, f in files.items()}
         for role, arr in arrays.items():
             if arr.shape != shapes[role]:
                 raise FormatError(
                     f"layer {l} {role} has shape {list(arr.shape)}, the config needs {list(shapes[role])}",
-                    path=entry[role],
+                    path=files[role],
                     layer=l,
                     role=role,
                     expected=list(shapes[role]),

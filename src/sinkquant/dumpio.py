@@ -12,22 +12,24 @@ Tensor dump format (``.kvsd``), all integers little-endian:
 
 Quantized tensor format (``.kvsq``): magic ``KVSQ``, version, a
 length-prefixed JSON header describing the quantization settings, group
-layout, and section byte lengths, then raw little-endian sections in order:
-scales (f64), zeros (i64), degenerate flags (u8), constants (f64), outlier
-indices (u64), outlier values (f64), packed codes. ``spec`` is also the
-parameters' spec. A header or section that does not fit the layout of
-``shape`` under ``spec`` is a ``FormatError``.
+layout, and section byte lengths, then raw little-endian sections: the six
+of the table ``_QSECTIONS``, which the writer and the reader share (scales,
+zeros, degenerate flags, constants, outlier indices, outlier values), then
+the packed codes. ``spec`` is also the parameters' spec. A header or section
+that does not fit the layout of ``shape`` under ``spec`` is a ``FormatError``.
 
 JSON records: every dataclass that goes to or from a JSON file (decoder
-configs, sink sets, sink profiles, manifest entries, the ``.kvsq`` spec, and
-the bench, stage and error reports) is written by ``record_to_json``; those
+configs, sink sets, sink profiles, manifest entries, the ``.kvsq`` spec,
+snapshot sidecars, weights manifests, plant files, and the bench, stage and
+error reports) is written by ``record_to_json``; those
 read back are read by ``record_from_json``. Both are driven by the
 dataclass's field annotations. The reader's one rule: JSON types must match
 exactly (an ``int`` field rejects floats, strings and bools; a ``float``
-field takes ints; a ``tuple[int, ...]`` field takes a list of ints and a
-``list`` field any list), unknown
-keys are rejected, and so are missing fields without a default. Each caller
-names the typed error to raise.
+field takes ints; a ``tuple[int, ...]`` field takes a list of ints, a
+``tuple[int, float]`` field a list of exactly one int and one number, and a
+``list`` or ``dict`` field any list or object), unknown keys are rejected,
+and so are missing fields without a default. Each caller names the typed
+error to raise.
 
 All writes go through a temp file and ``os.replace`` so readers never see a
 partial file.
@@ -59,13 +61,27 @@ CAPTURE_KINDS = ("H", "H_prime", "X_d_in", "X_d_out", "Q", "K", "V", "A")
 
 _QHEADER_KEYS = ["n_groups", "params_shape", "sections", "shape", "spec"]
 _QSPEC_KEYS = sorted(f.name for f in fields(QuantSpec))
-_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool, "None": type(None), "list": list}
+#: The ``.kvsq`` sections ahead of the packed codes, in file order: (field, stored dtype, dtype read back,
+#: one entry per). ``group`` fields belong to ``QuantParams``, ``outlier`` fields to ``QuantizedTensor``.
+_QSECTIONS = (
+    ("scale", "<f8", np.float64, "group"),
+    ("zero", "<i8", np.int64, "group"),
+    ("degenerate", "u1", bool, "group"),
+    ("constant", "<f8", np.float64, "group"),
+    ("outlier_indices", "<u8", np.int64, "outlier"),
+    ("outlier_values", "<f8", np.float64, "outlier"),
+)
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool, "list": list, "dict": dict}
+_JSON_TYPES["None"] = type(None)  # for ``X | None``
 
 
 def json_fits(value, annotation: str) -> bool:
-    """Whether a parsed JSON value fits a field annotation such as ``int``, ``int | None`` or ``tuple[int, ...]``."""
+    """Whether a parsed JSON value fits an annotation: ``int | None``, ``tuple[int, ...]``, ``tuple[int, float]``."""
     if annotation.startswith("tuple[") and annotation.endswith(", ...]"):
         return isinstance(value, list) and all(json_fits(v, annotation[6:-6]) for v in value)
+    if annotation.startswith("tuple["):
+        kinds = annotation[6:-1].split(", ")
+        return isinstance(value, list) and len(value) == len(kinds) and all(map(json_fits, value, kinds))
     kinds = annotation.split(" | ")
     return "bool" in kinds if isinstance(value, bool) else any(isinstance(value, _JSON_TYPES[k]) for k in kinds)
 
@@ -225,21 +241,16 @@ def write_quantized(path: str, qt: QuantizedTensor) -> None:
     """Write a 2-D quantized tensor to a ``.kvsq`` file; a [blocks, n, d] stack is a ``ShapeError``."""
     if len(qt.shape) != 2:
         raise ShapeError("a .kvsq file holds one 2-D tensor, not a stack of blocks", shape=list(qt.shape))
-    p = qt.params
+    owner = {"group": qt.params, "outlier": qt}
     sections = [
-        np.ascontiguousarray(p.scale, dtype="<f8").tobytes(),
-        np.ascontiguousarray(p.zero, dtype="<i8").tobytes(),
-        np.ascontiguousarray(p.degenerate, dtype=np.uint8).tobytes(),
-        np.ascontiguousarray(p.constant, dtype="<f8").tobytes(),
-        np.ascontiguousarray(qt.outlier_indices, dtype="<u8").tobytes(),
-        np.ascontiguousarray(qt.outlier_values, dtype="<f8").tobytes(),
-        qt.packed,
+        np.ascontiguousarray(getattr(owner[per], name), dtype=stored).tobytes() for name, stored, _, per in _QSECTIONS
     ]
+    sections.append(qt.packed)
     header = {
         "shape": list(qt.shape),
         "spec": record_to_json(qt.spec),
-        "params_shape": list(p.shape),
-        "n_groups": p.n_groups,
+        "params_shape": list(qt.params.shape),
+        "n_groups": qt.params.n_groups,
         "sections": [len(s) for s in sections],
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
@@ -265,53 +276,33 @@ def read_quantized(path: str) -> QuantizedTensor:
         raise FormatError(f"corrupt header: {exc}", path=path, offset=12) from exc
     spec, shape, params_shape, sections = _parse_qheader(header, path)
     layout = GroupLayout.for_spec(shape, spec)
-    n_groups, n_out = layout.n_groups, sections[4] // 8
-    packed = layout.packed_nbytes(spec.bits)
-    lengths = [8 * n_groups] * 2 + [n_groups, 8 * n_groups] + [8 * n_out] * 2 + [packed]
-    if header["n_groups"] != n_groups or sections != lengths:
+    counts = {"group": layout.n_groups, "outlier": sections[4] // 8}  # the outlier index section's entries
+    lengths = [counts[per] * np.dtype(stored).itemsize for _, stored, _, per in _QSECTIONS]
+    lengths.append(layout.packed_nbytes(spec.bits))
+    if header["n_groups"] != layout.n_groups or sections != lengths:
         raise FormatError(
             "n_groups or section lengths do not match the layout of shape and spec",
             path=path,
-            expected=[n_groups, lengths],
+            expected=[layout.n_groups, lengths],
             actual=[header["n_groups"], sections],
         )
-    expected = 12 + head_len + sum(sections)
-    if len(blob) != expected:
-        raise FormatError("payload length mismatch", path=path, expected=expected, actual=len(blob))
-    offset = 12 + head_len
-    raw = []
-    for size in sections:
-        raw.append(blob[offset : offset + size])
-        offset += size
-
-    def _arr(buf, dtype, count):
-        out = np.frombuffer(buf, dtype=dtype, count=count)
-        return out.astype(out.dtype.newbyteorder("="), copy=True)
-
-    params = QuantParams(
-        spec=spec,
-        shape=params_shape,
-        scale=_arr(raw[0], "<f8", n_groups),
-        zero=_arr(raw[1], "<i8", n_groups),
-        degenerate=np.frombuffer(raw[2], dtype=np.uint8, count=n_groups).astype(bool),
-        constant=_arr(raw[3], "<f8", n_groups),
-    )
+    starts = np.cumsum([12 + head_len, *sections]).tolist()
+    if len(blob) != starts[-1]:
+        raise FormatError("payload length mismatch", path=path, expected=starts[-1], actual=len(blob))
+    read = {"group": {}, "outlier": {}}
+    for (name, stored, native, per), start in zip(_QSECTIONS, starts):
+        read[per][name] = np.frombuffer(blob, stored, counts[per], start).astype(native)
+    params = QuantParams(spec=spec, shape=params_shape, **read["group"])
     try:
         params.check_fits(spec, layout)
     except LayoutError as exc:
         raise FormatError(f"parameters do not fit the tensor: {exc.message}", path=path) from exc
-    indices = _arr(raw[4], "<u8", n_out)
-    if n_out and indices.max() >= shape[0] * shape[1]:
+    stored_indices = read["outlier"]["outlier_indices"].view(np.uint64)
+    if stored_indices.size and stored_indices.max() >= shape[0] * shape[1]:
         raise FormatError(
-            "outlier index outside the tensor", path=path, shape=list(shape), index=int(indices.max())
+            "outlier index outside the tensor", path=path, shape=list(shape), index=int(stored_indices.max())
         )
-    return QuantizedTensor(
-        shape=shape,
-        params=params,
-        packed=raw[6],
-        outlier_indices=indices.astype(np.int64),
-        outlier_values=_arr(raw[5], "<f8", n_out),
-    )
+    return QuantizedTensor(shape=shape, params=params, packed=blob[starts[-2] :], **read["outlier"])
 
 
 def _parse_qheader(header, path: str):
@@ -330,7 +321,8 @@ def _parse_qheader(header, path: str):
         spec = record_from_json(QuantSpec, raw, partial(FormatError, path=path))
     except ConfigError as exc:
         raise FormatError(f"invalid spec: {exc.message}", path=path) from exc
-    for key, length, limit in (("shape", 2, 2**32), ("params_shape", 2, 2**32), ("sections", 7, None)):
+    checks = (("shape", 2, 2**32), ("params_shape", 2, 2**32), ("sections", len(_QSECTIONS) + 1, None))
+    for key, length, limit in checks:
         if not counts(header[key], length, limit):
             raise FormatError(
                 f"{key} must be {length} non-negative integers", path=path, below=limit, actual=header[key]

@@ -121,17 +121,12 @@ def detect_sinks(h, profile: SinkProfile, k: int, magnitude_ratio: float | None 
     k = integer_at_least(k, 0, "k")
     if k == 0 or arr.shape[0] == 0:
         return SinkSet.empty(k)
-    channels = list(profile.outlier_channels)
-    mag = np.abs(arr[:, channels])
-    if magnitude_ratio is not None:
-        thresholds = magnitude_ratio * np.median(mag, axis=0)
-        qualified = mag >= thresholds[None, :]
-        score = np.where(qualified, mag, -1.0).max(axis=1)
-        eligible = qualified.any(axis=1)
-    else:
-        score = mag.max(axis=1)
-        eligible = np.ones(arr.shape[0], dtype=bool)
-    candidates = np.flatnonzero(eligible)
+    mag = np.abs(arr[:, list(profile.outlier_channels)])
+    # Without a ratio the threshold is -inf, so every entry qualifies and this is pure top-k.
+    threshold = -np.inf if magnitude_ratio is None else magnitude_ratio * np.median(mag, axis=0)
+    qualified = mag >= threshold
+    score = np.where(qualified, mag, -1.0).max(axis=1)
+    candidates = np.flatnonzero(qualified.any(axis=1))
     if candidates.size == 0:
         return SinkSet.empty(k)
     order = candidates[np.argsort(-score[candidates], kind="stable")]
@@ -291,22 +286,17 @@ def classify_stages(layer_dumps, profile: SinkProfile, ratio: float = 100.0) -> 
             elif h_hot:
                 stage = "emergence"
                 warnings.append(f"layer {l}: hidden outliers without a down-projection crossing")
-        elif stage == "emergence":
+        elif stage in ("emergence", "stabilization"):
             if flipped and not h_hot:
                 stage = "dissipation"
-            elif hits and not flipped:
-                signs.update(hits)
+            elif hits and not flipped:  # a same-sign crossing extends emergence, and is unexpected later
+                if stage == "emergence":
+                    signs.update(hits)
+                else:
+                    warnings.append(f"layer {l}: same-sign re-crossing during stabilization")
             elif h_hot or hp_hot:
                 stage = "stabilization"
             else:
-                stage = "final"
-                warnings.append(f"layer {l}: outliers vanished without a dissipation crossing")
-        elif stage == "stabilization":
-            if flipped and not h_hot:
-                stage = "dissipation"
-            elif hits and not flipped:
-                warnings.append(f"layer {l}: same-sign re-crossing during stabilization")
-            elif not (h_hot or hp_hot):
                 stage = "final"
                 warnings.append(f"layer {l}: outliers vanished without a dissipation crossing")
         elif stage == "dissipation":

@@ -1,11 +1,14 @@
+import csv
+import io
 import json
 import os
+import shlex
 
 import numpy as np
 import pytest
 
 from sinkquant.analysis import attention_bias, error_decomposition, qk_sink_diagnostics, rows_to_csv_text
-from sinkquant.cli import main
+from sinkquant.cli import build_parser, main
 from sinkquant.dumpio import ManifestEntry, read_dump, write_dump, write_json, write_manifest
 from sinkquant.quant import QuantSpec
 from sinkquant.sinks import SinkSet
@@ -358,6 +361,51 @@ class TestAnalyze:
             assert csv_path.read_bytes() == rows_to_csv_text(expected[name]).encode()
         assert not [p for p in os.listdir(workspace) if p.startswith(".tmp-")]
 
+    @staticmethod
+    def sink_commands(workspace):
+        """Every analyze subcommand that takes ``--sinks``/``--pfn``, with its input flags."""
+        rng = np.random.default_rng(2)
+        attn = np.tril(rng.uniform(size=(2, 32, 32)))
+        write_dump(str(workspace / "attn.kvsd"), attn / attn.sum(axis=2, keepdims=True))
+        write_dump(str(workspace / "vheads.kvsd"), rng.normal(size=(2, 32, 4)))
+        kvq = ["--keys", str(workspace / "keys.kvsd"), "--values", str(workspace / "values.kvsd")]
+        return {
+            "error": ["--tensor", str(workspace / "keys.kvsd"), "--bits", "2"],
+            "bias": ["--attention", str(workspace / "attn.kvsd"), "--values", str(workspace / "vheads.kvsd")],
+            "disruption": [*kvq, "--queries", str(workspace / "queries.kvsd"), "--bits", "2"],
+            "qk": ["--queries", str(workspace / "queries.kvsd"), *kvq],
+        }
+
+    def test_sinks_and_pfn_conflict_in_every_subcommand(self, workspace, capsys):
+        for name, argv in self.sink_commands(workspace).items():
+            code, out, err = run_cli(
+                capsys, "analyze", name, *argv, "--sinks", str(workspace / "sinks.json"), "--pfn", "3"
+            )
+            assert (code, out, err["code"]) == (2, None, "usage"), name
+
+    def test_every_csv_report_names_its_file(self, workspace, capsys):
+        for name, argv in self.sink_commands(workspace).items():
+            csv_path = workspace / f"{name}.csv"
+            code, out, _ = run_cli(capsys, "analyze", name, *argv, "--pfn", "2", "--csv", str(csv_path))
+            assert code == 0 and out["csv"] == str(csv_path), name
+            # The report's keys are sorted, the file's columns are in row order.
+            with open(csv_path, newline="") as fh:
+                written = list(csv.DictReader(fh))
+            assert written == list(csv.DictReader(io.StringIO(rows_to_csv_text(out["rows"])))), name
+            _, plain, _ = run_cli(capsys, "analyze", name, *argv, "--pfn", "2")
+            assert "csv" not in plain and plain["rows"] == out["rows"], name
+
+    def test_disruption_takes_the_spec_grid(self, workspace, capsys):
+        argv = [*self.sink_commands(workspace)["disruption"], "--pfn", "2"]
+        code, out, _ = run_cli(
+            capsys, "analyze", "disruption", *argv, "--axes", "per_token,per_channel", "--modes", "dynamic,static"
+        )
+        assert code == 0
+        grid = [(2, axis, mode) for axis in ("per_token", "per_channel") for mode in ("dynamic", "static")]
+        assert [(r["bits"], r["axis"], r["mode"]) for r in out["rows"]] == grid
+        _, single, _ = run_cli(capsys, "analyze", "disruption", *argv, "--axis", "per_channel", "--mode", "static")
+        assert single["rows"] == [out["rows"][3]]
+
     def test_disruption_report(self, workspace, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -513,6 +561,8 @@ class TestSimulate:
             pytest.param(None, {"emerge_layer": 1.5}, id="float-emerge-layer"),
             pytest.param(None, {"dissipate_layer": "3"}, id="string-dissipate-layer"),
             pytest.param(None, {"emerge_layer": True}, id="bool-emerge-layer"),
+            pytest.param(None, {"bogus": 3}, id="unknown-key"),
+            pytest.param(None, {"targets": [[0, 11]]}, id="short-target"),
         ],
     )
     def test_plant_missing_field_is_config_error(self, workspace, capsys, dropped, changed):
@@ -582,3 +632,27 @@ class TestBench:
             capsys, "bench", "--config", str(workspace / "bad_config.json"), "--tokens", "64", "--repeat", "1"
         )
         assert code == 2 and err["code"] == "config"
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def readme_commands() -> dict:
+    """README's command-line block: each ``sinkquant`` command's argv, by subcommand, continuation lines joined."""
+    with open(README, encoding="utf-8") as fh:
+        block = fh.read().split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line.startswith("sinkquant ")]
+    return {" ".join(argv[1:3] if argv[1] == "analyze" else argv[1:2]): argv[1:] for argv in commands}
+
+
+def test_readme_commands_parse():
+    # Parsing only: no handler runs and no file is read.
+    parser = build_parser()
+    parsed = {name: parser.parse_args(argv) for name, argv in readme_commands().items()}
+    analyses = ["analyze " + name for name in ("error", "bias", "disruption", "qk", "stages")]
+    assert sorted(parsed) == sorted(["detect", "quantize", *analyses, "simulate", "bench"])
+    for name in ("quantize", "analyze error", "analyze bias", "analyze disruption", "analyze qk"):
+        assert (parsed[name].sinks, parsed[name].pfn) == ("sinks.json", None), name
+    error, disruption = parsed["analyze error"], parsed["analyze disruption"]
+    assert (error.bits, error.axes, error.modes, error.csv) == ("2,3,4", "per_token,per_channel", "dynamic,static", "table.csv")
+    assert (disruption.bits, disruption.axes, disruption.modes) == ("2,3,4,8", "per_token", "static")

@@ -232,6 +232,22 @@ class TestWeightsManifest:
         }
         assert f"layer 1 {role}" in info.value.message
 
+    @pytest.mark.parametrize(
+        "edit, unknown",
+        [
+            (lambda manifest: dict(manifest, bogus=3), "bogus"),
+            (lambda manifest: dict(manifest, layers=[manifest["layers"][0], dict(manifest["layers"][1], wz="w")]), "wz"),
+        ],
+        ids=["top-level-key", "role"],
+    )
+    def test_unknown_keys_are_refused(self, tmp_path, edit, unknown):
+        save_weights(str(tmp_path), init_weights(self.cfg), self.cfg)
+        manifest = read_json(str(tmp_path / "weights.json"))
+        write_json(str(tmp_path / "weights.json"), edit(manifest))
+        with pytest.raises(FormatError) as info:
+            load_weights(str(tmp_path))
+        assert info.value.context["unknown"] == [unknown]
+
     def test_layer_norm_epsilon_is_not_a_config_key(self):
         obj = dict(self.cfg.to_json_dict(), ln_epsilon=1e-5)
         with pytest.raises(ConfigError):

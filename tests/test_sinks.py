@@ -285,6 +285,67 @@ class TestStages:
         ranks = [order[s] for s in report.stages]
         assert ranks == sorted(ranks)
 
+    INIT, EMERGE, STABLE, DISSIPATE, FINAL = "initial", "emergence", "stabilization", "dissipation", "final"
+
+    @pytest.mark.parametrize(
+        "layers, emerge, dissipate, edits, stages, warnings",
+        [
+            pytest.param(
+                6, 1, 4, [(1, "X_d_out", 0.0)],
+                [INIT, EMERGE, STABLE, STABLE, STABLE, FINAL],
+                [
+                    "layer 1: hidden outliers without a down-projection crossing",
+                    "layer 4: same-sign re-crossing during stabilization",
+                    "layer 5: outliers vanished without a dissipation crossing",
+                ],
+                id="hidden-without-crossing",
+            ),
+            pytest.param(
+                4, 1, 2, [(2, "X_d_out", 0.0), (2, "H_prime", 0.0)],
+                [INIT, EMERGE, FINAL, FINAL],
+                ["layer 2: outliers vanished without a dissipation crossing"],
+                id="vanished-in-emergence",
+            ),
+            pytest.param(
+                6, 1, 4, [(4, "X_d_out", 0.0), (4, "H_prime", 0.0)],
+                [INIT, EMERGE, STABLE, STABLE, FINAL, FINAL],
+                ["layer 4: outliers vanished without a dissipation crossing"],
+                id="vanished-in-stabilization",
+            ),
+            pytest.param(
+                6, 1, 4, [(2, "X_d_out", 1500.0)],
+                [INIT, EMERGE, EMERGE, STABLE, DISSIPATE, FINAL],
+                [],
+                id="same-sign-extends-emergence",
+            ),
+            pytest.param(
+                8, 1, 6, [(3, "X_d_out", 1500.0)],
+                [INIT, EMERGE, STABLE, STABLE, STABLE, STABLE, DISSIPATE, FINAL],
+                ["layer 3: same-sign re-crossing during stabilization"],
+                id="same-sign-in-stabilization",
+            ),
+            pytest.param(
+                8, 1, 5, [(6, "H", 1500.0)],
+                [INIT, EMERGE, STABLE, STABLE, STABLE, DISSIPATE, FINAL, FINAL],
+                ["layer 6: outliers persisted past dissipation"],
+                id="persisted-past-dissipation",
+            ),
+            pytest.param(
+                8, 1, 5, [(7, "H", 1500.0)],
+                [INIT, EMERGE, STABLE, STABLE, STABLE, DISSIPATE, FINAL, FINAL],
+                ["layer 7: activity after the final stage began"],
+                id="activity-after-final",
+            ),
+        ],
+    )
+    def test_each_warning_names_its_layer(self, layers, emerge, dissipate, edits, stages, warnings):
+        # Each edit sets the planted entry (token 0, channel 5) of one layer's dump kind.
+        dumps = stage_dumps(layers, emerge=emerge, dissipate=dissipate)
+        for layer, kind, value in edits:
+            dumps[layer][kind][0, 5] = value
+        report = classify_stages(dumps, plain_profile(d=32, channels=(5,), layers=layers), ratio=100.0)
+        assert (report.stages, report.warnings) == (stages, warnings)
+
     def test_missing_kind_rejected(self):
         dumps = stage_dumps(3, emerge=None, dissipate=None)
         del dumps[1]["H_prime"]
