@@ -637,22 +637,24 @@ class TestBench:
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
-def readme_commands() -> dict:
-    """README's command-line block: each ``sinkquant`` command's argv, by subcommand, continuation lines joined."""
+def readme_commands() -> list[list[str]]:
+    """The argv of each ``sinkquant`` command in README's command-line block, continuation lines joined."""
     with open(README, encoding="utf-8") as fh:
         block = fh.read().split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line.startswith("sinkquant ")]
-    return {" ".join(argv[1:3] if argv[1] == "analyze" else argv[1:2]): argv[1:] for argv in commands}
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("sinkquant ")]
 
 
 def test_readme_commands_parse():
     # Parsing only: no handler runs and no file is read.
     parser = build_parser()
-    parsed = {name: parser.parse_args(argv) for name, argv in readme_commands().items()}
+    parsed = {}
+    for argv in readme_commands():
+        parsed[" ".join(argv[:2] if argv[0] == "analyze" else argv[:1])] = parser.parse_args(argv)
     analyses = ["analyze " + name for name in ("error", "bias", "disruption", "qk", "stages")]
     assert sorted(parsed) == sorted(["detect", "quantize", *analyses, "simulate", "bench"])
     for name in ("quantize", "analyze error", "analyze bias", "analyze disruption", "analyze qk"):
         assert (parsed[name].sinks, parsed[name].pfn) == ("sinks.json", None), name
     error, disruption = parsed["analyze error"], parsed["analyze disruption"]
-    assert (error.bits, error.axes, error.modes, error.csv) == ("2,3,4", "per_token,per_channel", "dynamic,static", "table.csv")
+    assert (error.axes, error.modes, error.csv) == ("per_token,per_channel", "dynamic,static", "table.csv")
     assert (disruption.bits, disruption.axes, disruption.modes) == ("2,3,4,8", "per_token", "static")

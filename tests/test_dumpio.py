@@ -235,8 +235,8 @@ class TestWeightsManifest:
     @pytest.mark.parametrize(
         "edit, unknown",
         [
-            (lambda manifest: dict(manifest, bogus=3), "bogus"),
-            (lambda manifest: dict(manifest, layers=[manifest["layers"][0], dict(manifest["layers"][1], wz="w")]), "wz"),
+            (lambda m: dict(m, bogus=3), "bogus"),
+            (lambda m: dict(m, layers=[m["layers"][0], dict(m["layers"][1], wz="wz.kvsd")]), "wz"),
         ],
         ids=["top-level-key", "role"],
     )
