@@ -28,6 +28,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse failures become usage errors
         raise UsageError(message)
 
+    def _get_option_tuples(self, option_string):
+        # a prefix of two spellings of one flag (``--ax`` of ``--axes`` and ``--axis``) names that flag
+        matches = {}
+        for match in super()._get_option_tuples(option_string):
+            matches.setdefault(match[0], match)
+        return list(matches.values())
+
 
 def _read_matrix(path: str, name: str) -> np.ndarray:
     arr = np.asarray(dumpio.read_dump(path), dtype=np.float64)

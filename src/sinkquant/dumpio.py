@@ -37,6 +37,7 @@ partial file.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -71,6 +72,8 @@ _QSECTIONS = (
     ("outlier_indices", "<u8", np.int64, "outlier"),
     ("outlier_values", "<f8", np.float64, "outlier"),
 )
+#: The first ``outlier`` section: its byte length over its item size is the file's outlier count.
+_QOUTLIER_COUNT = next(i for i, (_, _, _, per) in enumerate(_QSECTIONS) if per == "outlier")
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool, "list": list, "dict": dict}
 _JSON_TYPES["None"] = type(None)  # for ``X | None``
 
@@ -276,7 +279,8 @@ def read_quantized(path: str) -> QuantizedTensor:
         raise FormatError(f"corrupt header: {exc}", path=path, offset=12) from exc
     spec, shape, params_shape, sections = _parse_qheader(header, path)
     layout = GroupLayout.for_spec(shape, spec)
-    counts = {"group": layout.n_groups, "outlier": sections[4] // 8}  # the outlier index section's entries
+    n_outliers = sections[_QOUTLIER_COUNT] // np.dtype(_QSECTIONS[_QOUTLIER_COUNT][1]).itemsize
+    counts = {"group": layout.n_groups, "outlier": n_outliers}
     lengths = [counts[per] * np.dtype(stored).itemsize for _, stored, _, per in _QSECTIONS]
     lengths.append(layout.packed_nbytes(spec.bits))
     if header["n_groups"] != layout.n_groups or sections != lengths:
@@ -286,7 +290,7 @@ def read_quantized(path: str) -> QuantizedTensor:
             expected=[layout.n_groups, lengths],
             actual=[header["n_groups"], sections],
         )
-    starts = np.cumsum([12 + head_len, *sections]).tolist()
+    starts = list(itertools.accumulate([12 + head_len, *sections]))  # Python ints: a crafted header cannot wrap them
     if len(blob) != starts[-1]:
         raise FormatError("payload length mismatch", path=path, expected=starts[-1], actual=len(blob))
     read = {"group": {}, "outlier": {}}

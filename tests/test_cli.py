@@ -10,6 +10,7 @@ import pytest
 from sinkquant.analysis import attention_bias, error_decomposition, qk_sink_diagnostics, rows_to_csv_text
 from sinkquant.cli import build_parser, main
 from sinkquant.dumpio import ManifestEntry, read_dump, write_dump, write_json, write_manifest
+from sinkquant.errors import UsageError
 from sinkquant.quant import QuantSpec
 from sinkquant.sinks import SinkSet
 
@@ -658,3 +659,14 @@ def test_readme_commands_parse():
     error, disruption = parsed["analyze error"], parsed["analyze disruption"]
     assert (error.axes, error.modes, error.csv) == ("per_token,per_channel", "dynamic,static", "table.csv")
     assert (disruption.bits, disruption.axes, disruption.modes) == ("2,3,4,8", "per_token", "static")
+
+
+@pytest.mark.parametrize(
+    "argv", [["error", "--tensor", "k.kvsd"], ["disruption", "--keys", "k", "--values", "v", "--queries", "q"]]
+)
+def test_grid_flag_prefixes_name_one_flag(argv):
+    # ``--ax`` and ``--mod`` are prefixes of both spellings of one flag, so they stay unambiguous; parsing only.
+    args = build_parser().parse_args(["analyze", *argv, "--ax", "per_channel", "--mod", "static", "--bi", "3"])
+    assert (args.axes, args.modes, args.bits) == ("per_channel", "static", "3")
+    with pytest.raises(UsageError, match="ambiguous"):
+        build_parser().parse_args(["analyze", *argv, "--s", "sinks.json"])

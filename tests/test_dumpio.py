@@ -385,6 +385,16 @@ class TestQuantizedHeaderChecks:
         header = {**valid[1], "sections": (sections + [0])[:count]}
         assert "sections must be 7" in self.rewrite(valid, header).message
 
+    def test_section_lengths_past_int64(self, valid):
+        # Two outlier sections of 2**63 - 8 bytes each agree with each other; their sum is 2**64 - 16, so a total
+        # kept in 64 bits would wrap round to the length of a file whose body is 16 bytes short of the rest.
+        path, header, body = valid
+        sections = list(header["sections"])
+        kept = sum(sections) - sections[4] - sections[5] - 16
+        sections[4] = sections[5] = 8 * (2**60 - 1)
+        error = self.rewrite((path, header, body[:kept]), {**header, "sections": sections})
+        assert "payload length mismatch" in error.message
+
     def test_n_groups_against_layout(self, tmp_path):
         # The file is self-consistent (8 groups written, 8 declared) but the
         # per-token layout of a (5, 6) tensor at group size 3 has 10 groups.
