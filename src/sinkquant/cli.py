@@ -51,15 +51,19 @@ def _load_sinks(args, tokens: int) -> SinkSet:
     return SinkSet.empty(0)
 
 
+def _str_list(text: str, flag: str) -> list[str]:
+    """The non-empty comma-separated parts of ``text``; none at all is a ``UsageError``."""
+    parts = [part for part in text.split(",") if part != ""]
+    if not parts:
+        raise UsageError(f"{flag} names no value", actual=text)
+    return parts
+
+
 def _int_list(text: str, flag: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        return [int(part) for part in _str_list(text, flag)]
     except ValueError as exc:
         raise UsageError(f"{flag} expects a comma-separated integer list, got {text!r}") from exc
-
-
-def _str_list(text: str) -> list[str]:
-    return [part for part in text.split(",") if part != ""]
 
 
 def _calibration_from_dir(path: str, sub: str) -> CalibrationSet:
@@ -122,12 +126,9 @@ def _cmd_quantize(args) -> dict:
 
 def _specs_from_flags(args) -> list[QuantSpec]:
     """Every spec of the grid flags: each bit width, axis and mode."""
-    return [
-        QuantSpec(b, axis, mode, args.group, args.clip, args.sparse or 0.0)
-        for b in _int_list(args.bits, "--bits")
-        for axis in _str_list(args.axes)
-        for mode in _str_list(args.modes)
-    ]
+    bits, axes, modes = _int_list(args.bits, "--bits"), _str_list(args.axes, "--axes"), _str_list(args.modes, "--modes")
+    sparse = args.sparse or 0.0
+    return [QuantSpec(b, axis, mode, args.group, args.clip, sparse) for b in bits for axis in axes for mode in modes]
 
 
 def _with_csv(args, report: dict) -> dict:

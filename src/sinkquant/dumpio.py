@@ -326,6 +326,8 @@ def _parse_qheader(header, path: str):
     except ConfigError as exc:
         raise FormatError(f"invalid spec: {exc.message}", path=path) from exc
     checks = (("shape", 2, 2**32), ("params_shape", 2, 2**32), ("sections", len(_QSECTIONS) + 1, None))
+    if not counts([header["n_groups"]], 1):
+        raise FormatError("n_groups must be a non-negative integer", path=path, actual=header["n_groups"])
     for key, length, limit in checks:
         if not counts(header[key], length, limit):
             raise FormatError(

@@ -407,6 +407,16 @@ class TestAnalyze:
         _, single, _ = run_cli(capsys, "analyze", "disruption", *argv, "--axis", "per_channel", "--mode", "static")
         assert single["rows"] == [out["rows"][3]]
 
+    @pytest.mark.parametrize("flag", ["--bits", "--axes", "--modes"])
+    @pytest.mark.parametrize("empty", ["", ","], ids=["blank", "comma"])
+    def test_empty_grid_list_is_usage_error(self, workspace, capsys, flag, empty):
+        for name in ("error", "disruption"):
+            csv_path = workspace / f"{name}.csv"
+            argv = [*self.sink_commands(workspace)[name], "--pfn", "2", flag, empty, "--csv", str(csv_path)]
+            code, out, err = run_cli(capsys, "analyze", name, *argv)
+            assert (code, out, err["code"]) == (2, None, "usage"), name
+            assert flag in err["message"] and not csv_path.exists(), name
+
     def test_disruption_report(self, workspace, capsys):
         code, out, _ = run_cli(
             capsys,

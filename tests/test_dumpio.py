@@ -395,6 +395,18 @@ class TestQuantizedHeaderChecks:
         error = self.rewrite((path, header, body[:kept]), {**header, "sections": sections})
         assert "payload length mismatch" in error.message
 
+    @pytest.mark.parametrize("field", ["n_groups", "shape", "params_shape", "sections", "bits", "group_size"])
+    @pytest.mark.parametrize("retype", [float, bool], ids=["float", "bool"])
+    def test_integer_field_of_another_type(self, valid, field, retype):
+        header = json.loads(json.dumps(valid[1]))
+        target = header["spec"] if field in header["spec"] else header
+        value = target[field]
+        if isinstance(value, list):
+            value[0] = retype(value[0])
+        else:
+            target[field] = retype(value)
+        self.rewrite(valid, header)
+
     def test_n_groups_against_layout(self, tmp_path):
         # The file is self-consistent (8 groups written, 8 declared) but the
         # per-token layout of a (5, 6) tensor at group size 3 has 10 groups.
@@ -439,13 +451,31 @@ JSON_VALUES = st.recursive(
 )
 
 
+def integer_fields(target):
+    """Keys of a header (or its spec) whose value is an integer or a list of integers."""
+    ints = lambda v: type(v) is int or (isinstance(v, list) and v and all(type(i) is int for i in v))
+    return sorted(key for key, value in target.items() if ints(value))
+
+
 @st.composite
 def mutated_headers(draw, header):
-    """One mutation of a valid header: a key dropped or added, or a value replaced or nudged."""
+    """One mutation of a valid header and whether the reader must refuse it.
+
+    A key is dropped or added, a value replaced or nudged, or an integer
+    written as the equal float (``8.0`` for ``8``), which must be refused.
+    """
     header = json.loads(json.dumps(header))
     target = draw(st.sampled_from([header, header["spec"]]))
     key = draw(st.sampled_from(sorted(target)))
-    action = draw(st.sampled_from(["drop", "add", "replace", "nudge"]))
+    action = draw(st.sampled_from(["drop", "add", "replace", "nudge", "float"]))
+    if action == "float":
+        key = draw(st.sampled_from(integer_fields(target)))
+        if isinstance(target[key], list):
+            i = draw(st.integers(0, len(target[key]) - 1))
+            target[key][i] = float(target[key][i])
+        else:
+            target[key] = float(target[key])
+        return header, True
     if action == "drop":
         del target[key]
     elif action == "add":
@@ -462,7 +492,7 @@ def mutated_headers(draw, header):
             target[key] = value + step
         else:
             target[key] = draw(st.sampled_from(["per_token", "per_channel", "per_tensor", "static"]))
-    return header
+    return header, False
 
 
 BASE_TENSORS = {
@@ -477,11 +507,13 @@ def test_mutated_headers_fail_typed(tmp_path, data, kind):
     path = tmp_path / "q.kvsq"
     write_quantized(str(path), BASE_TENSORS[kind]())
     header, body = split_kvsq(path.read_bytes())
-    path.write_bytes(join_kvsq(data.draw(mutated_headers(header)), body))
+    mutated, refused = data.draw(mutated_headers(header))
+    path.write_bytes(join_kvsq(mutated, body))
     try:
         back = read_quantized(str(path))
     except SinkQuantError:
         return
+    assert not refused, "an integer field written as a float was read"
     # A header the reader accepts describes a tensor that decodes.
     assert dequantize(back).shape == back.shape == back.codes().shape
 

@@ -160,13 +160,14 @@ def dense_reference(shape, axis, mode, gs):
 
 
 def argsort_outlier_mask(x, spec):
-    """Reference selection: the first k entries of a stable descending sort of |x| per vector."""
-    layout = GroupLayout.for_spec(x.shape, spec)
+    """Reference selection: the first k entries of a stable descending sort of |x| per vector (and block)."""
+    layout = GroupLayout.for_spec(x.shape[-2:], spec)
     mask = np.zeros(x.shape, dtype=bool)
     k = layout.outliers_per_vector(spec.sparse_fraction)
     if k and x.size:
-        picked = np.argsort(-np.abs(layout.vectors(x)), axis=1, kind="stable")[:, :k]
-        np.put_along_axis(layout.vectors(mask), picked, True, axis=1)
+        vectors = (lambda a: a) if layout.by_rows else (lambda a: a.swapaxes(-1, -2))
+        picked = np.argsort(-np.abs(vectors(x)), axis=-1, kind="stable")[..., :k]
+        np.put_along_axis(vectors(mask), picked, True, axis=-1)
     return mask
 
 
@@ -194,7 +195,70 @@ class TestOutlierMask:
         assert got.sum() == grouping.outliers_per_vector(fraction) * grouping.n_vectors
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        layout=st.sampled_from(LAYOUTS),
+        blocks=st.sampled_from([(), (1,), (3,)]),
+        length=st.integers(2, 300),
+        width=st.integers(1, 7),
+        k=st.sampled_from(["one", "last", "few"]),
+        spread=st.sampled_from([0, 1, 3, None]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_long_lanes_and_stacks_match_stable_argsort(self, layout, blocks, length, width, k, spread, seed):
+        # Lanes long enough that columns are ranked through chunk maxima, most with rows past the last chunk;
+        # integer values (spread 0 is all zeros) tie at the k-th magnitude, None draws continuous values.
+        axis, mode = layout
+        n, d = (width, length) if axis != "per_channel" else (length, width)
+        rng = np.random.default_rng(seed)
+        shape = (*blocks, n, d)
+        x = rng.normal(size=shape) if spread is None else rng.integers(-spread, spread + 1, size=shape) * 1.0
+        grouping = GroupLayout((n, d), axis, mode, 4)
+        want = {"one": 1, "last": length - 1, "few": min(2 + seed % 7, length - 1)}[k]
+        fraction = want / length
+        assert grouping.outliers_per_vector(fraction) == want
+        got = _outlier_mask(x, grouping, fraction)
+        spec = QuantSpec(3, axis, mode, 4, sparse_fraction=fraction)
+        np.testing.assert_array_equal(got, argsort_outlier_mask(x, spec))
+        if blocks:
+            np.testing.assert_array_equal(got, np.stack([_outlier_mask(block, grouping, fraction) for block in x]))
+
+    @pytest.mark.parametrize("where", ["first chunk", "last full chunk", "past the last chunk", "spread"])
+    def test_column_outliers_wherever_they_lie(self, where):
+        # 203 rows at k = 5 rank chunks of 10 rows, with 3 rows past the last one; outliers packed into one
+        # chunk leave the chunk-maxima bound far below them.
+        x = np.random.default_rng(5).normal(size=(203, 4))
+        rows = {"first chunk": [0, 2, 4, 6, 8], "last full chunk": [190, 191, 195, 198, 199],
+                "past the last chunk": [200, 201, 202, 3, 4], "spread": [7, 50, 120, 160, 202]}[where]
+        x[rows, 1] = [-50.0, 60.0, 55.0, -70.0, 65.0]
+        x[rows, 2] = 9.0  # five ties at the top, three more ties just below them, and a column of ties
+        x[[10, 11, 12], 2] = -8.0
+        x[:, 3] = -1.0
+        layout = GroupLayout(x.shape, "per_channel", "static", 16)
+        spec = QuantSpec(3, "per_channel", "static", 16, sparse_fraction=5 / 203)
+        got = _outlier_mask(x, layout, spec.sparse_fraction)
+        np.testing.assert_array_equal(got, argsort_outlier_mask(x, spec))
+        np.testing.assert_array_equal(np.flatnonzero(got[:, 1]), sorted(rows))
+        np.testing.assert_array_equal(np.flatnonzero(got[:, 2]), sorted(rows))
+        np.testing.assert_array_equal(np.flatnonzero(got[:, 3]), range(5))
+
+
 class TestGroupLayout:
+    @pytest.mark.parametrize("blocks", [(), (3,)], ids=["tensor", "stack"])
+    @pytest.mark.parametrize("mode", ["dynamic", "static"])
+    @pytest.mark.parametrize("d", [7, quant_module.TRANSPOSE_ROWS + 1])
+    @pytest.mark.parametrize("step", [-1, 0, 1, quant_module.TRANSPOSE_ROWS + 1])
+    def test_channel_codes_reorder_as_one_transposing_copy(self, blocks, mode, d, step):
+        # Row counts just under, at and over one copy block (63, 64, 65 and 129 rows at 64 rows a block).
+        n = quant_module.TRANSPOSE_ROWS + step
+        codes = np.random.default_rng(n * d).integers(0, 256, size=(*blocks, n, d), dtype=np.uint8)
+        layout = GroupLayout((n, d), "per_channel", mode, 16)
+        stream = layout.to_group_major(codes)
+        np.testing.assert_array_equal(stream, codes.swapaxes(-1, -2).reshape(*blocks, n * d))
+        back = layout.from_group_major(stream)
+        assert back.dtype == np.uint8 and back.flags.c_contiguous
+        np.testing.assert_array_equal(back, codes)
+
     @settings(max_examples=400, deadline=None)
     @given(
         layout=st.sampled_from(LAYOUTS),

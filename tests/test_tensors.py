@@ -12,6 +12,7 @@ from sinkquant.errors import NumericError, ShapeError
 from sinkquant.tensors import (
     ATTENTION_TILE,
     causal_attention,
+    kth_largest,
     l2_norm_per_token,
     merge_heads,
     softmax_row,
@@ -118,6 +119,19 @@ class TestTopKAbs:
     def test_full_k_returns_every_index_once(self, seed):
         v = np.random.default_rng(seed).normal(size=12)
         assert self.picked(v, v.size) == list(range(v.size))
+
+    @given(seed=st.integers(0, 2**16), n=st.integers(2, 250), k=st.integers(1, 12), spread=st.sampled_from([0, 2, 50]))
+    @settings(max_examples=100, deadline=None)
+    def test_columns_rank_as_rows_of_the_transpose(self, seed, n, k, spread):
+        k = min(k, n - 1)
+        scores = np.random.default_rng(seed).integers(0, spread + 1, size=(2, n, 3)) * 1.0
+        rows = np.ascontiguousarray(scores.swapaxes(-1, -2))
+        kept = scores.copy()
+        np.testing.assert_array_equal(kth_largest(scores, k, axis=-2).swapaxes(-1, -2), kth_largest(rows, k))
+        np.testing.assert_array_equal(top_k_mask(scores, k, axis=-2), top_k_mask(rows, k).swapaxes(-1, -2))
+        np.testing.assert_array_equal(scores, kept)
+        kth = kth_largest(rows, k, overwrite=True)  # the one call that may reorder its input
+        np.testing.assert_array_equal(kth[..., 0], np.sort(kept.swapaxes(-1, -2), axis=-1)[..., n - k])
 
 
 class TestSoftmax:
