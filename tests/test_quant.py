@@ -194,7 +194,6 @@ class TestOutlierMask:
         np.testing.assert_array_equal(got, argsort_outlier_mask(x, spec))
         assert got.sum() == grouping.outliers_per_vector(fraction) * grouping.n_vectors
 
-
     @settings(max_examples=300, deadline=None)
     @given(
         layout=st.sampled_from(LAYOUTS),
