@@ -126,9 +126,12 @@ def _cmd_quantize(args) -> dict:
 
 def _specs_from_flags(args) -> list[QuantSpec]:
     """Every spec of the grid flags: each bit width, axis and mode."""
-    bits, axes, modes = _int_list(args.bits, "--bits"), _str_list(args.axes, "--axes"), _str_list(args.modes, "--modes")
-    sparse = args.sparse or 0.0
-    return [QuantSpec(b, axis, mode, args.group, args.clip, sparse) for b in bits for axis in axes for mode in modes]
+    return [
+        QuantSpec(b, axis, mode, args.group, args.clip, args.sparse or 0.0)
+        for b in _int_list(args.bits, "--bits")
+        for axis in _str_list(args.axes, "--axes")
+        for mode in _str_list(args.modes, "--modes")
+    ]
 
 
 def _with_csv(args, report: dict) -> dict:

@@ -35,7 +35,7 @@ for per-token and per-tensor layouts, channel columns for per-channel),
 stores them at full precision, and computes parameters on the remainder.
 The ranking runs on one ``|x|`` array in the tensor's own order: rows
 partition it in place, columns rank through chunk maxima
-(``tensors.kth_largest``), and ties go to the lower index.
+(``tensors.top_k_mask``), and ties go to the lower index.
 Token rows listed in an exclusion set contribute to no group statistics.
 
 ``quantize_tensor`` is the one encode path (``quantize`` is the same call
@@ -81,7 +81,7 @@ from .errors import (
     ShapeError,
 )
 from .packing import pack_codes, packed_nbytes, unpack_codes
-from .tensors import as_tensor, integer_at_least, kth_largest, row_mask, top_k_mask
+from .tensors import as_tensor, integer_at_least, row_mask, top_k_mask
 
 AXES = ("per_token", "per_channel", "per_tensor")
 MODES = ("dynamic", "static")
@@ -409,14 +409,7 @@ def join_stacks(stacks: list[QuantizedTensor]) -> QuantizedTensor:
 
 def _outlier_mask(x: np.ndarray, layout: GroupLayout, fraction: float) -> np.ndarray:
     """Mask of the per-vector top-|.| entries that dense-and-sparse isolation removes."""
-    k = layout.outliers_per_vector(fraction)
-    if k in (0, layout.length):  # nothing to rank: skip the magnitude copy
-        return np.full(x.shape, k > 0)
-    mags = np.abs(x)
-    if not layout.by_rows:
-        return top_k_mask(mags, k, axis=-2)
-    kth = kth_largest(mags, k, overwrite=True)  # rows partition the one |x| copy in place
-    return top_k_mask(np.abs(x, out=mags), k, kth=kth)
+    return top_k_mask(x, layout.outliers_per_vector(fraction), axis=-1 if layout.by_rows else -2)
 
 
 def _valid_entries(x: np.ndarray, layout: GroupLayout, spec: QuantSpec, exclude) -> np.ndarray:

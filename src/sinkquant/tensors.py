@@ -68,32 +68,31 @@ def l2_norm_per_token(x) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", arr, arr))
 
 
-def kth_largest(scores: np.ndarray, k: int, axis: int = -1, overwrite: bool = False) -> np.ndarray:
+def _kth_largest(mags: np.ndarray, k: int, axis: int) -> np.ndarray:
     """Each vector's ``k``-th largest entry, ``0 < k < length``, with the ranked axis kept at length 1.
 
     Vectors run along ``axis`` of an [..., n, d] array: -1 for rows, -2 for
-    columns. Rows take one ``np.partition`` of a copy, or with ``overwrite``
-    of ``scores`` itself, whose rows are then left reordered. Columns are
-    ranked in tensor order, never copied (partitioning a transposed view is
-    ~7x slower than rows): the k-th largest of ~4k chunk maxima per column
-    is a lower bound, and only the entries above it are sorted.
+    columns. Rows take one ``np.partition`` of ``mags`` itself, whose rows
+    are left reordered. Columns are ranked in tensor order, never copied
+    (partitioning a transposed view is ~7x slower than rows): the k-th
+    largest of ~4k chunk maxima per column is a lower bound, and only the
+    entries above it are sorted.
     """
     if axis == -1:
-        part = scores if overwrite else scores.copy()
-        n = part.shape[-1]
-        part.partition(n - k, axis=-1)
-        return part[..., n - k : n - k + 1].copy()
-    *lead, n, d = scores.shape
+        n = mags.shape[-1]
+        mags.partition(n - k, axis=-1)
+        return mags[..., n - k : n - k + 1].copy()
+    *lead, n, d = mags.shape
     size = max(1, n // (4 * k))  # rows per chunk: at least 4k whole chunks, or one per row if fewer fit
     m = n // size
-    maxima = scores[..., : m * size, :].reshape(*lead, m, size, d).max(axis=-2)
+    maxima = mags[..., : m * size, :].reshape(*lead, m, size, d).max(axis=-2)
     # k chunk maxima reach the bound, so the k-th largest entry does too. An entry above the bound lies in
     # one of the fewer than k chunks whose maximum is above it, or in the rows past the last chunk: fewer
     # than k * size entries per column.
     bound = np.partition(maxima, m - k, axis=-2)[..., m - k, :].reshape(-1)
     kth = bound.reshape(*lead, 1, d)  # a view: the exact values written to ``bound`` below land in it
-    above = np.flatnonzero(scores > kth)
-    vals = scores.reshape(-1)[above]
+    above = np.flatnonzero(mags > kth)
+    vals = mags.reshape(-1)[above]
     # Column ids in the narrowest unsigned type: numpy sorts keys of up to 16 bits stably by radix.
     column = (above // (n * d) * d + above % d).astype(np.min_scalar_type(bound.size))
     counts = np.bincount(column, minlength=bound.size)
@@ -107,25 +106,27 @@ def kth_largest(scores: np.ndarray, k: int, axis: int = -1, overwrite: bool = Fa
     return kth
 
 
-def top_k_mask(scores: np.ndarray, k: int, axis: int = -1, kth: np.ndarray | None = None) -> np.ndarray:
-    """Mask of the ``k`` largest entries in each vector of an [..., n, d] array.
+def top_k_mask(scores: np.ndarray, k: int, axis: int = -1) -> np.ndarray:
+    """Mask of the ``k`` largest-magnitude entries in each vector of an [..., n, d] array.
 
     Vectors run along ``axis``: -1 for rows, -2 for columns. Ties at the
-    k-th largest value go to the lowest indices, so the mask marks the first
-    ``k`` entries of a stable descending sort. ``kth`` is each vector's k-th
-    largest value, shaped as :func:`kth_largest` returns it, which finds it
-    when it is not given. One comparison in tensor order marks every entry at
-    or above it; only vectors that mark more than ``k`` drop their surplus ties.
+    k-th largest ``|score|`` go to the lowest indices, so the mask marks the
+    first ``k`` entries of a stable descending sort of ``|scores|``. One
+    ``|scores|`` array is made and ranked in tensor order; one comparison
+    then marks every entry at or above each vector's k-th largest, and only
+    vectors that mark more than ``k`` drop their surplus ties.
     """
     n = scores.shape[axis]
     if k <= 0 or k >= n:
         return np.full(scores.shape, k > 0)
-    if kth is None:
-        kth = kth_largest(scores, k, axis)
-    mask = scores >= kth
+    mags = np.abs(scores)
+    kth = _kth_largest(mags, k, axis)
+    if axis == -1:
+        np.abs(scores, out=mags)  # the row partition left ``mags`` reordered
+    mask = mags >= kth
     if np.count_nonzero(mask) > k * (mask.size // n):  # each vector marks at least k; some mark more
         # Vectors along the last axis; ``marked`` is a view, so what is written to it lands in ``mask``.
-        vectors, marked, kth = (a if axis == -1 else a.swapaxes(-1, -2) for a in (scores, mask, kth))
+        vectors, marked, kth = (a if axis == -1 else a.swapaxes(-1, -2) for a in (mags, mask, kth))
         crowded = np.add.reduce(marked, axis=-1) > k
         rows, kth = vectors[crowded], kth[crowded]
         above, ties = rows > kth, rows == kth

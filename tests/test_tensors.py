@@ -12,7 +12,6 @@ from sinkquant.errors import NumericError, ShapeError
 from sinkquant.tensors import (
     ATTENTION_TILE,
     causal_attention,
-    kth_largest,
     l2_norm_per_token,
     merge_heads,
     softmax_row,
@@ -124,14 +123,15 @@ class TestTopKAbs:
     @settings(max_examples=100, deadline=None)
     def test_columns_rank_as_rows_of_the_transpose(self, seed, n, k, spread):
         k = min(k, n - 1)
-        scores = np.random.default_rng(seed).integers(0, spread + 1, size=(2, n, 3)) * 1.0
+        scores = np.random.default_rng(seed).integers(-spread, spread + 1, size=(2, n, 3)) * 1.0
         rows = np.ascontiguousarray(scores.swapaxes(-1, -2))
-        kept = scores.copy()
-        np.testing.assert_array_equal(kth_largest(scores, k, axis=-2).swapaxes(-1, -2), kth_largest(rows, k))
-        np.testing.assert_array_equal(top_k_mask(scores, k, axis=-2), top_k_mask(rows, k).swapaxes(-1, -2))
-        np.testing.assert_array_equal(scores, kept)
-        kth = kth_largest(rows, k, overwrite=True)  # the one call that may reorder its input
-        np.testing.assert_array_equal(kth[..., 0], np.sort(kept.swapaxes(-1, -2), axis=-1)[..., n - k])
+        kept = scores.copy(), rows.copy()
+        expected = np.zeros(rows.shape, dtype=bool)
+        np.put_along_axis(expected, np.argsort(-np.abs(rows), axis=-1, kind="stable")[..., :k], True, axis=-1)
+        np.testing.assert_array_equal(top_k_mask(rows, k), expected)
+        np.testing.assert_array_equal(top_k_mask(scores, k, axis=-2), expected.swapaxes(-1, -2))
+        np.testing.assert_array_equal(scores, kept[0])  # the inputs are left as they were
+        np.testing.assert_array_equal(rows, kept[1])
 
 
 class TestSoftmax:
