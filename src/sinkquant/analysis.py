@@ -158,17 +158,19 @@ class BiasResult:
     pairs: int
 
 
+def _units(x: np.ndarray) -> np.ndarray:
+    """The rows of ``x`` with non-zero norm, each divided by its norm."""
+    norms = np.linalg.norm(x, axis=1)
+    good = norms > 0.0
+    return x[good] / norms[good, None]
+
+
 def _cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cosines between the rows of ``a`` and of ``b`` with non-zero norm, ``[a_good, b_good]``.
 
     Rows are normalised before the one product, so no division runs over the product.
     """
-    units = []
-    for x in (a, b):
-        norms = np.linalg.norm(x, axis=1)
-        good = norms > 0.0
-        units.append(x[good] / norms[good, None])
-    return np.clip(units[0] @ units[1].T, -1.0, 1.0)
+    return np.clip(_units(a) @ _units(b).T, -1.0, 1.0)
 
 
 def _as_heads(x, name: str) -> np.ndarray:
@@ -189,6 +191,11 @@ def attention_bias(A, V, sinks: SinkSet, method: str = "pairwise") -> BiasResult
     excluded. Consistency is the mean cosine over all unordered pairs of bias
     vectors (or against their centroid with ``method="centroid"``); pairs with
     a zero-norm member are counted as degenerate and skipped.
+
+    The pairwise mean takes O(m·d) for m bias rows, with no [m, m] matrix:
+    over the g unit rows u_i of non-zero norm, Σ_{i<j} u_i·u_j =
+    (‖Σ u_i‖² − Σ ‖u_i‖²) / 2, divided by the g(g−1)/2 counted pairs and
+    clipped to [−1, 1].
     """
     attn = as_tensor(A, ndim=2, name="attention matrix")
     vals = as_tensor(V, ndim=2, name="values")
@@ -202,8 +209,10 @@ def attention_bias(A, V, sinks: SinkSet, method: str = "pairwise") -> BiasResult
     if not len(sinks):
         raise ConfigError("attention bias is undefined for an empty sink set")
     sinks.mask(n)  # bounds check
-    if np.any(np.abs(np.triu(attn, k=1)) > 0.0):
-        raise ConfigError("attention matrix must be causal (zero above the diagonal)")
+    for start in range(0, n, 256):  # row blocks, so no [n, n] temporary is made
+        end = start + 256
+        if np.triu(attn[start:end, start:end], k=1).any() or attn[start:end, end:].any():
+            raise ConfigError("attention matrix must be causal (zero above the diagonal)")
     if method not in ("pairwise", "centroid"):
         raise ConfigError(f"unknown cosine method {method!r}", allowed=["pairwise", "centroid"])
     idx = list(sinks)
@@ -212,14 +221,18 @@ def attention_bias(A, V, sinks: SinkSet, method: str = "pairwise") -> BiasResult
     m = bias.shape[0]
     if method == "pairwise":
         pairs = m * (m - 1) // 2
-        cos = _cosines(bias, bias)
-        cos = cos[np.triu_indices(cos.shape[0], k=1)]
+        units = _units(bias)
+        total = units.sum(axis=0)
+        counted = len(units) * (len(units) - 1) // 2
+        cos_sum = (total @ total - np.einsum("ij,ij->", units, units)) / 2.0
+        avg = float(np.clip(cos_sum / counted, -1.0, 1.0)) if counted else 0.0
     else:
         pairs = m
         cos = _cosines(bias, bias.mean(axis=0)[None]).ravel()  # empty for a zero centroid
-    avg = float(cos.mean()) if cos.size else 0.0
+        counted = cos.size
+        avg = float(cos.mean()) if counted else 0.0
     return BiasResult(
-        bias=bias, first_token=first, avg_cosine=avg, degenerate_pairs=pairs - cos.size, pairs=pairs
+        bias=bias, first_token=first, avg_cosine=avg, degenerate_pairs=pairs - counted, pairs=pairs
     )
 
 
@@ -228,7 +241,7 @@ def bias_report_from_heads(A_heads, V_heads, sinks: SinkSet, layer: int = 0, met
     a = _as_heads(A_heads, "attention")
     v = _as_heads(V_heads, "values")
     heads, kv_heads = a.shape[0], v.shape[0]
-    if heads % kv_heads != 0:
+    if kv_heads == 0 or heads % kv_heads != 0:
         raise ShapeError("query heads must group evenly over kv heads", heads=heads, kv_heads=kv_heads)
     group = heads // kv_heads
     rows = []
@@ -256,14 +269,18 @@ def bias_disruption(
     per-token bias vectors and the largest absolute logit shift over sink
     columns (raw scaled dot-product scores, before the softmax). With
     ``preserve_sinks`` the sink rows stay at full precision, so the logit
-    delta over sink columns is exactly zero.
+    delta over sink columns is exactly zero. The biases read V only at the
+    sink rows, so under ``preserve_sinks`` V is not requantized: each spec
+    costs one ``quantize_tensor`` call, on the non-sink key rows. K, V and Q
+    share one [tokens, hidden] shape (``ShapeError`` otherwise).
     """
     k_arr = as_tensor(keys, ndim=2, name="keys")
     v_arr = as_tensor(values, ndim=2, name="values")
     q_arr = as_tensor(queries, ndim=2, name="queries")
     n = k_arr.shape[0]
-    if v_arr.shape != k_arr.shape or q_arr.shape[0] != n:
-        raise ShapeError("keys/values/queries token counts must match")
+    if v_arr.shape != k_arr.shape or q_arr.shape != k_arr.shape:
+        shapes = {"keys": list(k_arr.shape), "values": list(v_arr.shape), "queries": list(q_arr.shape)}
+        raise ShapeError("keys, values and queries must share one [tokens, hidden] shape", **shapes)
     if not len(sinks):
         raise ConfigError("bias disruption is undefined for an empty sink set")
     sink_mask = sinks.mask(n)
@@ -283,23 +300,22 @@ def bias_disruption(
         sink_attn, _ = causal_attention(q_heads, k_heads, one_hot)
         return logits, sink_attn[:, first:] @ v_heads[:, idx, :]
 
-    logits_fp, bias_fp = sink_terms(split_heads(k_arr, num_heads), split_heads(v_arr, num_heads))
+    v_fp = split_heads(v_arr, num_heads)
+    logits_fp, bias_fp = sink_terms(split_heads(k_arr, num_heads), v_fp)
     sink_cols = np.arange(n)[:, None] >= np.asarray(idx)  # [n, |S|] — positions where t >= s
 
     rows = []
     for spec in specs:
-        def _requant(full):
-            if preserve_sinks:
-                out = full.copy()
-                keep = ~sink_mask
-                if keep.any():
-                    out[keep] = dequantize(quantize_tensor(full[keep], spec))
-                return out
-            return dequantize(quantize_tensor(full, spec))
-
-        logits_q, bias_q = sink_terms(
-            split_heads(_requant(k_arr), num_heads), split_heads(_requant(v_arr), num_heads)
-        )
+        if preserve_sinks:
+            k_q = k_arr.copy()
+            keep = ~sink_mask
+            if keep.any():
+                k_q[keep] = dequantize(quantize_tensor(k_arr[keep], spec))
+            v_q = v_fp  # its sink rows, the only ones read, are kept exact
+        else:
+            k_q = dequantize(quantize_tensor(k_arr, spec))
+            v_q = split_heads(dequantize(quantize_tensor(v_arr, spec)), num_heads)
+        logits_q, bias_q = sink_terms(split_heads(k_q, num_heads), v_q)
         score_delta = float(np.abs(logits_q - logits_fp)[:, sink_cols].max(initial=0.0))
         bias_delta = float(np.linalg.norm(bias_q - bias_fp, axis=2).mean())
         rows.append(
@@ -316,15 +332,18 @@ def qk_sink_diagnostics(Q, K, sinks: SinkSet, V=None):
     """Per-head query-to-sink-key cosines and sink/non-sink norm ratios.
 
     Inputs are per-head tensors, either [tokens, head_dim] for one head or
-    [heads, tokens, head_dim]. The cosine is averaged over all (non-sink
+    [heads, tokens, head_dim]; Q and K share one shape, and V shares their
+    heads and tokens (``ShapeError`` otherwise). The cosine is averaged over all (non-sink
     query, sink key) pairs; norm ratios divide the mean sink-row norm by the
     mean non-sink-row norm, and are ``None`` when every non-sink row is zero.
     """
     q = _as_heads(Q, "queries")
     k = _as_heads(K, "keys")
     v = _as_heads(V, "values") if V is not None else None
-    if q.shape[0] != k.shape[0] or q.shape[1] != k.shape[1]:
-        raise ShapeError("queries and keys must share heads and tokens")
+    if q.shape != k.shape:
+        raise ShapeError("queries and keys must share heads, tokens and head dim", q=list(q.shape), k=list(k.shape))
+    if v is not None and v.shape[:2] != q.shape[:2]:
+        raise ShapeError("values must share heads and tokens with queries", q=list(q.shape), v=list(v.shape))
     if not len(sinks):
         raise ConfigError("diagnostics are undefined for an empty sink set")
     n = q.shape[1]

@@ -234,7 +234,11 @@ def causal_attention(q, k, v, keep_weights: bool = False):
 
 
 def split_heads(x, num_heads: int) -> np.ndarray:
-    """[tokens, hidden] -> [heads, tokens, head_dim]; hidden must split evenly."""
+    """[tokens, hidden] -> [heads, tokens, head_dim]; hidden must split evenly.
+
+    ``num_heads`` follows :func:`integer_at_least` (``ConfigError`` unless an integer >= 1).
+    """
+    num_heads = integer_at_least(num_heads, 1, "num_heads")
     arr = as_tensor(x, ndim=2, name="input")
     n, d = arr.shape
     if d % num_heads != 0:

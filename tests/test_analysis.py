@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+
+import sinkquant.analysis
 
 from sinkquant.analysis import (
     attention_bias,
@@ -155,6 +159,52 @@ class TestAttentionBias:
         assert all(r["layer"] == 5 for r in rows)
         assert all(-1.0 <= r["avg_cosine"] <= 1.0 for r in rows)
 
+    @pytest.mark.parametrize(
+        "n, sink, zero_rows",
+        [
+            (9, 8, []),  # m = 1: no pairs
+            (9, 7, []),  # m = 2: one pair
+            (9, 7, [8]),  # m = 2, one zero-norm row: no counted pair
+            (40, 2, []),  # many rows
+            (40, 2, [2, 5, 6, 30, 39]),  # many rows, some of zero norm
+            (40, 2, list(range(2, 40))),  # every row of zero norm: nothing counted
+            (40, 2, [t for t in range(2, 40) if t != 8]),  # one row of non-zero norm
+        ],
+    )
+    def test_pairwise_mean_matches_cosine_matrix(self, n, sink, zero_rows):
+        rng = np.random.default_rng(n + sink + len(zero_rows))
+        attn = np.tril(rng.uniform(size=(n, n)))
+        attn /= attn.sum(axis=1, keepdims=True)
+        attn[zero_rows, sink] = 0.0  # the bias of these tokens is zero
+        v = rng.normal(size=(n, 6))
+        result = attention_bias(attn, v, SinkSet.of([sink]))
+        m = n - sink
+        norms = np.linalg.norm(result.bias, axis=1)
+        units = result.bias[norms > 0.0] / norms[norms > 0.0, None]
+        cosines = np.clip(units @ units.T, -1.0, 1.0)[np.triu_indices(len(units), k=1)]
+        assert result.pairs == m * (m - 1) // 2
+        assert result.degenerate_pairs == result.pairs - cosines.size
+        assert result.avg_cosine == pytest.approx(cosines.mean() if cosines.size else 0.0, abs=1e-12)
+
+    def test_peak_memory_stays_below_the_attention_matrix(self):
+        n = 2048
+        rng = np.random.default_rng(9)
+        attn = np.tril(rng.uniform(size=(n, n)))
+        attn /= attn.sum(axis=1, keepdims=True)
+        v = rng.normal(size=(n, 32))
+        tracemalloc.start()
+        try:
+            attention_bias(attn, v, SinkSet.of([0, 700]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < attn.nbytes / 4
+
+    def test_zero_kv_heads_is_shape_error(self):
+        attn = np.tril(np.ones((2, 4, 4))) / np.arange(1, 5)[:, None]
+        with pytest.raises(ShapeError):
+            bias_report_from_heads(attn, np.zeros((0, 4, 3)), SinkSet.of([0]))
+
 
 class TestBiasDisruption:
     def fixture(self, n=24, d=16, seed=5):
@@ -195,13 +245,23 @@ class TestBiasDisruption:
         with pytest.raises(ConfigError):
             bias_disruption(k, v, q, SinkSet.empty(), [QuantSpec(4)])
 
-    def test_matches_full_attention_weights(self):
-        # Reference: sink columns read from the full [heads, n, n] weights. 300 tokens span two tiles.
+    @pytest.mark.parametrize("preserve_sinks", [False, True])
+    def test_matches_full_attention_weights(self, preserve_sinks):
+        # Reference: sink columns read from the full [heads, n, n] weights, with K and V both requantized
+        # (sink rows kept exact under preservation). 300 tokens span two tiles.
         k, v, q, _ = self.fixture(n=300, seed=13)
         sinks = SinkSet.of([4, 9, 270])
         idx, heads = list(sinks), 2
         specs = [QuantSpec(2, "per_token", group_size=8), QuantSpec(3, "per_channel", group_size=8)]
         q_heads = split_heads(q, heads)
+        keep = ~sinks.mask(300)
+
+        def requant(full, spec):
+            if not preserve_sinks:
+                return dequantize(quantize_tensor(full, spec))
+            out = full.copy()
+            out[keep] = dequantize(quantize_tensor(full[keep], spec))
+            return out
 
         def sink_terms(k_flat, v_flat):
             k_heads, v_heads = split_heads(k_flat, heads), split_heads(v_flat, heads)
@@ -211,10 +271,31 @@ class TestBiasDisruption:
 
         logits_fp, bias_fp = sink_terms(k, v)
         visible = np.arange(300)[:, None] >= np.asarray(idx)
-        for spec, row in zip(specs, bias_disruption(k, v, q, sinks, specs, num_heads=heads)):
-            logits, bias = sink_terms(dequantize(quantize_tensor(k, spec)), dequantize(quantize_tensor(v, spec)))
+        rows = bias_disruption(k, v, q, sinks, specs, num_heads=heads, preserve_sinks=preserve_sinks)
+        for spec, row in zip(specs, rows, strict=True):
+            logits, bias = sink_terms(requant(k, spec), requant(v, spec))
             assert row["attention_score_delta"] == float(np.abs(logits - logits_fp)[:, visible].max())
             assert row["bias_l2_delta"] == float(np.linalg.norm(bias - bias_fp, axis=2).mean())
+
+    @pytest.mark.parametrize("preserve_sinks, calls_per_spec", [(False, 2), (True, 1)])
+    def test_quantize_calls_per_spec(self, monkeypatch, preserve_sinks, calls_per_spec):
+        # Under preservation only the non-sink key rows are quantized: V is read only at its exact sink rows.
+        calls = []
+
+        def counted(x, spec, **kwargs):
+            calls.append(x.shape)
+            return quantize_tensor(x, spec, **kwargs)
+
+        monkeypatch.setattr(sinkquant.analysis, "quantize_tensor", counted)
+        k, v, q, sinks = self.fixture()
+        specs = [QuantSpec(b, "per_token", group_size=8) for b in (2, 4, 8)]
+        bias_disruption(k, v, q, sinks, specs, num_heads=2, preserve_sinks=preserve_sinks)
+        assert len(calls) == calls_per_spec * len(specs)
+
+    def test_query_width_must_match_keys(self):
+        k, v, q, sinks = self.fixture()
+        with pytest.raises(ShapeError):
+            bias_disruption(k, v, q[:, :8], sinks, [QuantSpec(4)], num_heads=2)
 
 
 class TestQKDiagnostics:
@@ -269,6 +350,18 @@ class TestQKDiagnostics:
         k_scaled[2] *= 37.0
         got = qk_sink_diagnostics(q_scaled, k_scaled, sinks)[0]["mean_qk_cosine"]
         assert got == pytest.approx(base, abs=1e-12)
+
+    def test_mismatched_shapes_are_shape_errors(self):
+        rng = np.random.default_rng(11)
+        q = rng.normal(size=(2, 8, 4))
+        sinks = SinkSet.of([0])
+        for k, v in (
+            (q[:, :, :3], None),  # Q and K head dims differ
+            (q, q[:1]),  # V has other heads
+            (q, q[:, :6]),  # V has another token count
+        ):
+            with pytest.raises(ShapeError):
+                qk_sink_diagnostics(q, k, sinks, V=v)
 
     def test_empty_or_all_sinks_rejected(self):
         q = np.ones((4, 2))

@@ -432,6 +432,39 @@ class TestAnalyze:
         assert out["rows"][0]["bits"] == 2
         assert out["rows"][0]["bias_l2_delta"] >= out["rows"][1]["bias_l2_delta"]
 
+    @pytest.mark.parametrize("heads", ["0", "-1"])
+    def test_disruption_non_positive_heads_is_config_error(self, workspace, capsys, heads):
+        argv = [*self.sink_commands(workspace)["disruption"], "--pfn", "2", "--heads", heads]
+        code, out, err = run_cli(capsys, "analyze", "disruption", *argv)
+        assert (code, out, err["code"]) == (2, None, "config")
+
+    def test_disruption_query_width_is_shape_error(self, workspace, capsys):
+        write_dump(str(workspace / "narrow.kvsd"), np.ones((32, 8)))
+        argv = [*self.sink_commands(workspace)["disruption"], "--pfn", "2", "--queries", str(workspace / "narrow.kvsd")]
+        code, out, err = run_cli(capsys, "analyze", "disruption", *argv)
+        assert (code, out, err["code"]) == (2, None, "shape")
+
+    @pytest.mark.parametrize(
+        "flag, shape",
+        [("--values", (2, 32, 16)), ("--values", (1, 16, 16)), ("--keys", (1, 32, 8))],
+        ids=["values-other-heads", "values-other-tokens", "keys-other-head-dim"],
+    )
+    def test_qk_mismatched_dump_is_shape_error(self, workspace, capsys, flag, shape):
+        write_dump(str(workspace / "odd.kvsd"), np.ones(shape))
+        argv = [*self.sink_commands(workspace)["qk"], "--pfn", "2", flag, str(workspace / "odd.kvsd")]
+        code, out, err = run_cli(capsys, "analyze", "qk", *argv)
+        assert (code, out, err["code"]) == (2, None, "shape")
+
+    def test_bias_values_without_kv_heads_is_format_error(self, workspace, capsys):
+        # A values dump cannot carry zero kv heads: the reader refuses every zero-sized dimension.
+        write_dump(str(workspace / "noheads.kvsd"), np.ones((1, 32, 4)))
+        blob = bytearray((workspace / "noheads.kvsd").read_bytes())
+        blob[16:24] = bytes(8)  # the head count, the first entry of the dimension table
+        (workspace / "noheads.kvsd").write_bytes(bytes(blob[:40]))
+        argv = [*self.sink_commands(workspace)["bias"][:2], "--values", str(workspace / "noheads.kvsd"), "--pfn", "2"]
+        code, out, err = run_cli(capsys, "analyze", "bias", *argv)
+        assert (code, out, err["code"]) == (3, None, "format")
+
     def test_qk_report(self, workspace, capsys):
         code, out, _ = run_cli(
             capsys,

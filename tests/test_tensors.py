@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sinkquant import tensors
-from sinkquant.errors import NumericError, ShapeError
+from sinkquant.errors import ConfigError, NumericError, ShapeError
 from sinkquant.tensors import (
     ATTENTION_TILE,
     causal_attention,
@@ -293,3 +293,8 @@ class TestHeadViews:
     def test_split_requires_divisible_width(self):
         with pytest.raises(ShapeError):
             split_heads(np.zeros((2, 10)), 3)
+
+    @pytest.mark.parametrize("num_heads", [0, -1, 2.0, True, "2"])
+    def test_split_head_count_is_a_positive_integer(self, num_heads):
+        with pytest.raises(ConfigError):
+            split_heads(np.zeros((2, 10)), num_heads)

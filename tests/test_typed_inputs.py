@@ -3,12 +3,19 @@
 import numpy as np
 import pytest
 
+from sinkquant.analysis import bias_disruption
 from sinkquant.bench import run_bench
 from sinkquant.decoder import DecoderConfig, InjectionHook
 from sinkquant.errors import ConfigError, UsageError
 from sinkquant.quant import CalibrationSet, QuantSpec, calibrate
+from sinkquant.sinks import SinkSet
 
 CONFIG = dict(num_layers=2, hidden=8, heads=2, ffn_hidden=16)
+KVQ = np.random.default_rng(0).normal(size=(3, 6, 8))
+
+
+def disruption(num_heads):
+    return bias_disruption(*KVQ, SinkSet.of([0]), [QuantSpec(4)], num_heads=num_heads)
 
 
 def case(name, build, error):
@@ -28,6 +35,9 @@ def case(name, build, error):
     case("bench-tokens-float", lambda: run_bench(repeats=1, tokens=2.5), UsageError),
     case("bench-repeats-bool", lambda: run_bench(repeats=True, tokens=8), UsageError),  # once ran one repeat
     case("bench-seed-float", lambda: run_bench(repeats=1, tokens=8, seed=1.5), UsageError),
+    case("disruption-heads-zero", lambda: disruption(0), ConfigError),  # once ZeroDivisionError
+    case("disruption-heads-negative", lambda: disruption(-1), ConfigError),  # once ValueError
+    case("disruption-heads-float", lambda: disruption(2.0), ConfigError),  # once TypeError
 ])
 def test_non_integer_counts_are_typed(build, error):
     with pytest.raises(error):
