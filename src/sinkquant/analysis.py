@@ -225,12 +225,11 @@ def attention_bias(A, V, sinks: SinkSet, method: str = "pairwise") -> BiasResult
         total = units.sum(axis=0)
         counted = len(units) * (len(units) - 1) // 2
         cos_sum = (total @ total - np.einsum("ij,ij->", units, units)) / 2.0
-        avg = float(np.clip(cos_sum / counted, -1.0, 1.0)) if counted else 0.0
     else:
         pairs = m
-        cos = _cosines(bias, bias.mean(axis=0)[None]).ravel()  # empty for a zero centroid
-        counted = cos.size
-        avg = float(cos.mean()) if counted else 0.0
+        cos = _cosines(bias, bias.mean(axis=0)[None])  # empty for a zero centroid
+        counted, cos_sum = cos.size, cos.sum()
+    avg = float(np.clip(cos_sum / counted, -1.0, 1.0)) if counted else 0.0
     return BiasResult(
         bias=bias, first_token=first, avg_cosine=avg, degenerate_pairs=pairs - counted, pairs=pairs
     )
@@ -333,9 +332,10 @@ def qk_sink_diagnostics(Q, K, sinks: SinkSet, V=None):
 
     Inputs are per-head tensors, either [tokens, head_dim] for one head or
     [heads, tokens, head_dim]; Q and K share one shape, and V shares their
-    heads and tokens (``ShapeError`` otherwise). The cosine is averaged over all (non-sink
-    query, sink key) pairs; norm ratios divide the mean sink-row norm by the
-    mean non-sink-row norm, and are ``None`` when every non-sink row is zero.
+    heads and tokens (``ShapeError`` otherwise). The cosine is averaged over
+    all (non-sink query, sink key) pairs; norm ratios divide the mean
+    sink-row norm by the mean non-sink-row norm, and are ``None`` when every
+    non-sink row is zero.
     """
     q = _as_heads(Q, "queries")
     k = _as_heads(K, "keys")
