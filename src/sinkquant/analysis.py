@@ -107,7 +107,7 @@ def error_decomposition(
         if spec.mode == "static":
             if cal is None:
                 raise ConfigError("static specs require a calibration set", spec=spec.axis)
-            params_in = calibrate(cal, spec)
+            params_in = calibrate(cal, spec, exclude=[None] * len(cal))  # sinks included
             recon = dequantize(quantize_tensor(arr, spec, params=params_in))
             err2 = (arr - recon) ** 2
             row = ErrorRow(
@@ -117,7 +117,7 @@ def error_decomposition(
                 elements=int(arr.size),
             )
             if len(sinks):
-                params_ex = calibrate(cal, spec, exclude=cal.sinks if cal_sinks is None else cal_sinks)
+                params_ex = calibrate(cal, spec, exclude=cal_sinks)  # None: the set's own sinks
                 sub = arr[~sink_mask]
                 recon_ex = dequantize(quantize_tensor(sub, spec, params=params_ex))
                 row.excluded = mse(sub, recon_ex)

@@ -22,7 +22,8 @@ Byte accounting (``footprint_bytes``, behind every footprint report):
 * sink rows and not-yet-quantized pending rows: 16 bits per element,
 * parameters: 8 bytes per group (float32 scale + int32 zero); static
   parameters are shared and counted once per layer side that holds a row,
-* sparse outliers: 6 bytes each (uint32 flat index + 16-bit value).
+* sparse outliers: 6 bytes each (uint32 flat index + 16-bit value),
+  ``GroupLayout.outliers`` of them per stored block.
 
 A side's counts follow from its row count alone (``divmod`` by the block
 height into ``_side_counts``), so ``predict_footprint`` is exact for every
@@ -44,7 +45,8 @@ from .quant import (
     QuantizedTensor,
     QuantParams,
     QuantSpec,
-    calibrate,
+    _nonsink_side,
+    calibrate,  # noqa: F401 -- still importable from here; bulk_load's fit runs it in _nonsink_side
     dequantize,
     join_stacks,
     quantize_tensor,
@@ -73,7 +75,7 @@ def _side_counts(
     """(packed bytes, parameter groups, outliers, full-precision rows) of a side holding
     ``blocks`` blocks and ``pending`` rows; a static side counts its one parameter set if ``static_params``."""
     groups = block.n_groups * (blocks if spec.mode == "dynamic" else int(static_params))
-    outliers = blocks * block.n_vectors * block.outliers_per_vector(spec.sparse_fraction)
+    outliers = blocks * block.outliers(spec.sparse_fraction)
     return blocks * block.packed_nbytes(spec.bits), groups, outliers, pending
 
 
@@ -243,9 +245,11 @@ class KVCache:
         """Load a whole prefill's K/V for one empty layer.
 
         Equivalent to appending the rows in token order with ``is_sink`` set
-        from ``sinks``; a static side with no parameters installed
-        self-calibrates on its non-sink rows first, if there are any (else a
-        later ``append`` of a non-sink row is a ``ConfigError``).
+        from ``sinks``; a static side with no parameters installed is first
+        fitted to its non-sink rows, if there are any (else a later
+        ``append`` of a non-sink row is a ``ConfigError``). The sink rows and
+        parameters come from the step ``quantize_scheme`` takes, so the
+        stored blocks decode to its tensors' rows.
         """
         layer = self._check_layer(cache_layer)
         if self._loaded[layer]:
@@ -257,11 +261,8 @@ class KVCache:
         if k_arr.shape[1] != self.width:
             raise ShapeError(f"expected width {self.width}", actual=int(k_arr.shape[1]))
         sink_mask = row_mask(sinks, k_arr.shape[0])
-        keep = ~sink_mask
         for side, data in ((self._keys[layer], k_arr), (self._values[layer], v_arr)):
-            rows = data[keep]
-            if side.spec.mode == "static" and side.params is None and len(rows):
-                side.params = calibrate([rows], side.spec)
+            rows, side.params = _nonsink_side(data, ~sink_mask, side.spec, side.params)
             side.extend(rows)
         for t in np.flatnonzero(sink_mask).tolist():
             self._sinks[layer][t] = (k_arr[t].copy(), v_arr[t].copy())
@@ -317,7 +318,9 @@ def predict_footprint(
     """Closed-form footprint of a fully loaded cache (no tensors needed).
 
     Each side holds whole ``GroupLayout.block`` blocks plus a full-precision
-    remainder, counted by the same ``_side_counts`` as ``memory_footprint``.
+    remainder, counted by the same ``_side_counts`` as ``memory_footprint``:
+    packed codes, parameters and ``GroupLayout.outliers`` outliers per
+    block, the dense-and-sparse count of one block.
     ``num_layers`` and ``width`` are integers of at least 1, ``tokens`` and
     ``sink_tokens`` of at least 0 (``ConfigError`` otherwise).
 

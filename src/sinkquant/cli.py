@@ -260,6 +260,7 @@ def _cmd_simulate(args) -> dict:
         "tokens": args.tokens,
         "sinks": dumpio.record_to_json(sinks),
         "h_l2_delta": float(np.linalg.norm(h_q - h_fp)),
+        "h_rel_err": float(np.linalg.norm(h_q - h_fp) / np.linalg.norm(h_fp)),
         "h_max_delta": float(np.abs(h_q - h_fp).max()),
         "footprint": footprint,
         "footprint_mb": cache.footprint_megabytes(footprint),

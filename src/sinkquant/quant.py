@@ -29,20 +29,25 @@ Static parameters are calibrated once (global min-max over the calibration
 samples) and frozen, so they depend only on the tensor width and can be
 reused for any number of tokens.
 
-Dense-and-sparse isolation (``sparse_fraction`` > 0) removes the top
-``round(f * len(vector))`` entries by magnitude from every vector (token rows
-for per-token and per-tensor layouts, channel columns for per-channel),
-stores them at full precision, and computes parameters on the remainder.
-The ranking runs on one ``|x|`` array in the tensor's own order: rows
-partition it in place, columns rank through chunk maxima
-(``tensors.top_k_mask``), and ties go to the lower index.
-Token rows listed in an exclusion set contribute to no group statistics.
+Dense-and-sparse isolation (``sparse_fraction`` > 0) ranks outliers per
+cache block: it removes the top ``round(f * h * d)`` entries by magnitude
+from every stripe of ``h = GroupLayout.height`` rows (1 for per-token and
+per-tensor layouts, ``group_size`` for per-channel ones; a shorter last
+stripe of ``t`` rows gives up ``round(f * t * d)``), stores them at full
+precision, and computes parameters on the remainder. So a whole tensor and
+the cache's blocks of its rows isolate the same entries. Each stripe is
+ranked as one row-major vector by ``tensors.top_k_mask``, which partitions
+one ``|x|`` array in place; ties go to the lower index.
+Token rows listed in an exclusion set contribute to no group statistics;
+they are dropped before the outliers are ranked.
 
 ``quantize_tensor`` is the one encode path (``quantize`` is the same call
 with parameters required): one ``GroupLayout`` and one outlier selection per
 call, then a parameter fit or one ``QuantParams.check_fits`` of given
 parameters, then the encode. ``compute_params`` and ``calibrate`` share its
-fit step.
+fit step. ``quantize_scheme`` and ``KVCache.bulk_load`` share one step that
+drops the sink rows and settles a static side's parameters, so the tensors
+``quantize_scheme`` returns decode to what the cache reconstructs.
 
 A leading block axis stacks tensors of one shape: ``quantize_tensor`` on a
 [blocks, n, d] stack quantizes every block with its own groups and outliers
@@ -169,6 +174,7 @@ class GroupLayout:
         self.shape = (int(shape[0]), int(shape[1]))
         self.group_size = int(group_size)
         self.by_rows = axis != "per_channel"
+        self.height = 1 if self.by_rows else self.group_size  # rows of a cache block: the outlier stripe
         self.shared = axis == "per_tensor" or (axis == "per_token" and mode == "static")
         whole = axis == "per_tensor" or (axis == "per_channel" and mode == "static")
         n, d = self.shape
@@ -194,7 +200,7 @@ class GroupLayout:
 
     @classmethod
     def block(cls, spec: QuantSpec, width: int) -> "GroupLayout":
-        """Smallest token block quantized on its own: 1 row, or ``group_size`` for columns."""
+        """Smallest token block quantized on its own: ``height`` rows (1, or ``group_size`` for columns)."""
         return cls.for_spec((1 if spec.axis != "per_channel" else spec.group_size, width), spec)
 
     def group_sizes(self) -> np.ndarray:
@@ -211,9 +217,10 @@ class GroupLayout:
         full = self.full * packed_nbytes(self.segment * self.stack, bits)
         return self.copies * (full + packed_nbytes(self.tail * self.stack, bits))
 
-    def outliers_per_vector(self, fraction: float) -> int:
-        """Entries that dense-and-sparse isolation takes from each vector."""
-        return min(round(fraction * self.length), self.length)  # round half to even, as np.rint
+    def outliers(self, fraction: float, rows: int | None = None) -> int:
+        """Entries that dense-and-sparse isolation takes from a stripe of ``rows`` rows (a block's ``height``)."""
+        entries = (self.height if rows is None else rows) * self.shape[1]
+        return min(round(fraction * entries), entries)  # round half to even, as np.rint
 
     def to_group_major(self, x: np.ndarray) -> np.ndarray:
         """The elements of an [..., n, d] array as the [..., stream] group-major stream."""
@@ -408,14 +415,28 @@ def join_stacks(stacks: list[QuantizedTensor]) -> QuantizedTensor:
 
 
 def _outlier_mask(x: np.ndarray, layout: GroupLayout, fraction: float) -> np.ndarray:
-    """Mask of the per-vector top-|.| entries that dense-and-sparse isolation removes."""
-    return top_k_mask(x, layout.outliers_per_vector(fraction), axis=-1 if layout.by_rows else -2)
+    """Mask of the entries that dense-and-sparse isolation removes from an [..., n, d] array.
+
+    Each stripe of ``layout.height`` rows, and a shorter last one, is one
+    row of a reshape, ranked for its ``layout.outliers`` count.
+    """
+    *lead, n, d = x.shape
+    tail = n % layout.height
+    stripes = [(x[..., : n - tail, :], layout.height)] + ([(x[..., n - tail :, :], tail)] if tail else [])
+    masks = [
+        top_k_mask(s.reshape(*lead, s.shape[-2] // rows, rows * d), layout.outliers(fraction, rows)).reshape(s.shape)
+        for s, rows in stripes
+    ]
+    return masks[0] if len(masks) == 1 else np.concatenate(masks, axis=-2)
 
 
 def _valid_entries(x: np.ndarray, layout: GroupLayout, spec: QuantSpec, exclude) -> np.ndarray:
-    """Entries that enter group statistics: neither isolated outliers nor in an excluded row."""
-    valid = ~_outlier_mask(x, layout, spec.sparse_fraction)
-    valid[row_mask(exclude, x.shape[0])] = False
+    """Entries that enter group statistics: the rows outside ``exclude``, less the outliers ranked among them."""
+    keep = ~row_mask(exclude, x.shape[0])
+    if keep.all():  # no copy of ``x`` to rank
+        return ~_outlier_mask(x, layout, spec.sparse_fraction)
+    valid = np.zeros(x.shape, dtype=bool)
+    valid[keep] = ~_outlier_mask(x[keep], layout, spec.sparse_fraction)
     return valid
 
 
@@ -597,8 +618,9 @@ def calibrate(cal, spec: QuantSpec, exclude=None) -> QuantParams:
     """Global min-max calibration across samples, frozen for reuse.
 
     ``exclude`` holds one collection of token rows per sample (``None`` for
-    none), dropped from that sample's statistics; ``None`` drops nothing.
-    Each sample's own dense-and-sparse outliers are left out as well.
+    none), dropped from that sample's statistics; by default it is the set's
+    own ``sinks``. Each sample's own dense-and-sparse outliers, ranked on the
+    rows left (the rows a cache stores), are left out as well.
     """
     if spec.mode != "static":
         raise ConfigError("calibration applies to static mode only", mode=spec.mode)
@@ -606,7 +628,7 @@ def calibrate(cal, spec: QuantSpec, exclude=None) -> QuantParams:
         cal = CalibrationSet(cal)
     if len(cal) == 0:
         raise CalibrationError("empty calibration set")
-    exclude = [None] * len(cal) if exclude is None else list(exclude)
+    exclude = cal.sinks if exclude is None else list(exclude)
     if len(exclude) != len(cal):
         raise CalibrationError("one exclusion set per calibration sample expected")
     valid = [
@@ -654,10 +676,10 @@ def quantize_scheme(
     """Quantize a (K, V) pair under a named preset, skipping sink rows.
 
     Sink-token rows never enter the quantized tensors; the caller keeps them
-    at full precision (normally in the cache's sink region). A static key side
-    uses ``key_params`` when given; otherwise static sides calibrate on the
-    supplied calibration set, or else fit the non-sink rows of the input in
-    the one ``quantize_tensor`` call.
+    at full precision (normally in the cache's sink region). Each side's
+    parameters come from ``_nonsink_side``, as in ``KVCache.bulk_load``, so the
+    result decodes to what a bulk-loaded cache reconstructs, except that rows
+    short of a cache block are quantized here and stay full precision there.
     """
     k_arr = _canonical(keys, name="keys")
     v_arr = _canonical(values, name="values")
@@ -670,12 +692,22 @@ def quantize_scheme(
     key_spec, value_spec = scheme_specs(scheme, bits, group_size, sparse_fraction)
     keep = ~row_mask(sinks, k_arr.shape[0])
 
-    def _side(arr, spec, params, calibration):
-        if spec.mode == "static" and params is None and calibration is not None:
-            params = calibrate(calibration, spec)
-        return quantize_tensor(arr[keep], spec, params=params)
+    def encode(arr, spec, params, calibration):
+        rows, params = _nonsink_side(arr, keep, spec, params, calibration)
+        return quantize_tensor(rows, spec, params=params)
 
-    return (
-        _side(k_arr, key_spec, key_params, key_calibration),
-        _side(v_arr, value_spec, None, value_calibration),
-    )
+    return encode(k_arr, key_spec, key_params, key_calibration), encode(v_arr, value_spec, None, value_calibration)
+
+
+def _nonsink_side(arr: np.ndarray, keep: np.ndarray, spec: QuantSpec, params=None, calibration=None):
+    """``(rows, params)``: the rows of ``arr`` marked in ``keep`` and the parameters that encode them.
+
+    A static side takes ``params`` when given, else calibrates on
+    ``calibration``, else on the kept rows (no rows, no parameters); a
+    dynamic side keeps ``params`` as given, normally none: each block is
+    fitted as it is encoded.
+    """
+    rows = arr[keep]
+    if spec.mode == "static" and params is None and (calibration is not None or len(rows)):
+        params = calibrate([rows] if calibration is None else calibration, spec)
+    return rows, params

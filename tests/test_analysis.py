@@ -15,7 +15,7 @@ from sinkquant.analysis import (
     rows_to_csv_text,
 )
 from sinkquant.errors import ConfigError, ShapeError
-from sinkquant.quant import CalibrationSet, QuantSpec, dequantize, quantize_tensor
+from sinkquant.quant import CalibrationSet, QuantSpec, calibrate, dequantize, quantize_tensor
 from sinkquant.sinks import SinkSet
 from sinkquant.tensors import causal_attention, split_heads
 
@@ -53,6 +53,17 @@ class TestErrorDecomposition:
         row = error_decomposition(x, sinks, [spec], cal=cal).rows[0]
         assert row.excluded < row.nonsink_elements
         assert row.excluded < row.overall
+
+    def test_static_overall_keeps_the_sinks_in_calibration(self):
+        # The set's sinks are calibrate's default exclusion; ``overall`` still fits with them, ``excluded`` without.
+        x, sinks = planted_tensor()
+        spec = QuantSpec(4, "per_channel", "static", group_size=16, sparse_fraction=0.01)
+        row = error_decomposition(x, sinks, [spec], cal=CalibrationSet([x], sinks=[sinks])).rows[0]
+        recon = dequantize(quantize_tensor(x, spec, params=calibrate([x], spec)))
+        assert row.overall == float(((x - recon) ** 2).mean())
+        sub = np.delete(x, list(sinks), axis=0)
+        recon_ex = dequantize(quantize_tensor(sub, spec, params=calibrate([sub], spec)))
+        assert row.excluded == mse(sub, recon_ex)
 
     def test_per_channel_sink_groups_hurt(self):
         x, sinks = planted_tensor()

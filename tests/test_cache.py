@@ -244,6 +244,45 @@ class TestBulkLoad:
                 assert bulk.pending_tokens(0) == seq.pending_tokens(0)
                 assert bulk.memory_footprint() == seq.memory_footprint()
 
+    @pytest.mark.parametrize("scheme", sorted(SCHEME_PRESETS))
+    @pytest.mark.parametrize("sparse", [0.0, 0.01, 1.0])
+    @pytest.mark.parametrize("sinks", [(), (0, 5, 37)])
+    def test_reconstruct_is_the_dequantized_scheme(self, scheme, sparse, sinks):
+        # 64 non-sink rows fill whole blocks of every side (1 row, or 16 for per-channel keys). Rows short of
+        # a block would stay pending, at full precision, in the cache, while quantize_scheme quantizes them
+        # (see the next test), so the two agree bitwise only on whole blocks.
+        rng = np.random.default_rng(sorted(SCHEME_PRESETS).index(scheme))
+        n, d = 64 + len(sinks), 64
+        k, v = rng.normal(size=(2, n, d)) * np.exp(rng.normal(0.0, 0.5, size=d))
+        k[list(sinks)] *= 30.0
+        kv = KVCache(1, d, scheme=scheme, bits=2, group_size=16, sparse_fraction=sparse)
+        kv.bulk_load(0, k, v, sinks)
+        assert kv.pending_tokens(0) == 0
+        keep = np.ones(n, dtype=bool)
+        keep[list(sinks)] = False
+        quantized = quantize_scheme(k, v, scheme, sinks, bits=2, group_size=16, sparse_fraction=sparse)
+        for got, x, qt in zip(kv.reconstruct(0), (k, v), quantized):
+            want = x.copy()
+            want[keep] = dequantize(qt)
+            assert got.tobytes() == want.tobytes()
+            assert (qt.outlier_indices.size > 0) == (sparse > 0)
+
+    def test_rows_short_of_a_block_stay_full_precision(self):
+        # 64 + 5 non-sink rows: quantize_scheme quantizes all 69, the cache stores 4 key blocks of 16 and
+        # holds the last 5 key rows pending; both share the parameters and the outliers of the 64.
+        rng = np.random.default_rng(3)
+        k, v = rng.normal(size=(2, 71, 32))
+        kv = KVCache(1, 32, scheme="kvquant_like", bits=2, group_size=16)
+        kv.bulk_load(0, k, v, sinks=[0, 40])
+        qk, _ = quantize_scheme(k, v, "kvquant_like", [0, 40], bits=2, group_size=16)
+        rk, _ = kv.reconstruct(0)
+        nonsink = np.delete(rk, [0, 40], axis=0)
+        decoded = dequantize(qk)
+        assert kv.pending_tokens(0) == 5
+        assert nonsink[:64].tobytes() == decoded[:64].tobytes()
+        assert nonsink[64:].tobytes() == np.delete(k, [0, 40], axis=0)[64:].tobytes()
+        assert not np.array_equal(decoded[64:], nonsink[64:])
+
     def test_requires_empty_layer(self):
         k, v = rand_kv(4, 8)
         cache = KVCache(1, 8)

@@ -150,8 +150,9 @@ class TestQuantize:
             "sink_bytes": 2 * (128 + 128) * 2,
             # 8 bytes per group: 128 static key groups plus the value groups
             "params_bytes": (128 + rows * 8) * 8,
-            # rint(0.01 * 158) = 2 outliers per key column, rint(0.01 * 128) = 1 per value row
-            "sparse_bytes": (128 * 2 + rows * 1) * 6,
+            # keys: rint(0.01 * 16 * 128) = 20 outliers in each of 9 stripes of 16 rows and
+            # rint(0.01 * 14 * 128) = 18 in the last 14 rows; values: rint(0.01 * 128) = 1 per row
+            "sparse_bytes": (9 * 20 + 18 + rows * 1) * 6,
         }
 
     def test_pfn_flag(self, workspace, capsys):
@@ -558,6 +559,13 @@ class TestSimulate:
         assert out["h_l2_delta"] > 0
         assert (workspace / "sim" / "h_last.kvsd").exists()
         assert (workspace / "sim" / "snapshot" / "snapshot.json").exists()
+
+    def test_relative_error_is_against_the_fp_forward(self, workspace, capsys):
+        # h_rel_err = ||h_q - h_fp|| / ||h_fp||, so h_l2_delta / h_rel_err is ||h_fp||, whatever the bits.
+        coarse, fine = (run_cli(capsys, *self.args(workspace, f"rel{b}", "--bits", str(b)))[1] for b in (2, 8))
+        assert 0 < fine["h_rel_err"] < coarse["h_rel_err"] < 1
+        norms = [out["h_l2_delta"] / out["h_rel_err"] for out in (coarse, fine)]
+        assert norms[0] == pytest.approx(norms[1], rel=1e-12)
 
     def test_seeded_runs_are_bit_identical(self, workspace, capsys):
         run_cli(capsys, *self.args(workspace, "sim_a"))

@@ -160,15 +160,26 @@ def dense_reference(shape, axis, mode, gs):
 
 
 def argsort_outlier_mask(x, spec):
-    """Reference selection: the first k entries of a stable descending sort of |x| per vector (and block)."""
-    layout = GroupLayout.for_spec(x.shape[-2:], spec)
+    """Reference selection: the first k entries of a stable descending sort of |x| in each stripe.
+
+    A stripe is a cache block's rows, 1 (per-token, per-tensor) or ``group_size`` (per-channel), of each
+    [n, d] block, read row-major; a shorter last stripe of r rows gives up min(rint(f * r * d), r * d).
+    """
+    height = spec.group_size if spec.axis == "per_channel" else 1
     mask = np.zeros(x.shape, dtype=bool)
-    k = layout.outliers_per_vector(spec.sparse_fraction)
-    if k and x.size:
-        vectors = (lambda a: a) if layout.by_rows else (lambda a: a.swapaxes(-1, -2))
-        picked = np.argsort(-np.abs(vectors(x)), axis=-1, kind="stable")[..., :k]
-        np.put_along_axis(vectors(mask), picked, True, axis=-1)
+    for block in np.ndindex(x.shape[:-2]):
+        for start in range(0, x.shape[-2], height):
+            stripe = x[block][start : start + height].ravel()
+            k = min(round(spec.sparse_fraction * stripe.size), stripe.size)
+            mask[block][start : start + height].flat[np.argsort(-np.abs(stripe), kind="stable")[:k]] = True
     return mask
+
+
+def stripe_counts(n, d, spec):
+    """Outliers per stripe of an [n, d] block, by the reference's count."""
+    height = spec.group_size if spec.axis == "per_channel" else 1
+    rows = [min(height, n - start) for start in range(0, n, height)]
+    return [min(round(spec.sparse_fraction * r * d), r * d) for r in rows]
 
 
 class TestOutlierMask:
@@ -187,59 +198,67 @@ class TestOutlierMask:
         axis, mode = layout
         x = np.random.default_rng(seed).integers(-spread, spread + 1, size=(n, d)).astype(float)
         grouping = GroupLayout((n, d), axis, mode, 4)
-        fraction = {"zero": 0.0, "one": 1.0 / max(grouping.length, 1), "len": 1.0, "any": fraction}[k]
+        fraction = {"zero": 0.0, "one": 1.0 / (grouping.height * d), "len": 1.0, "any": fraction}[k]
         spec = QuantSpec(3, axis, mode, group_size=4, sparse_fraction=fraction)
         got = _outlier_mask(x, grouping, fraction)
         assert got.shape == x.shape
         np.testing.assert_array_equal(got, argsort_outlier_mask(x, spec))
-        assert got.sum() == grouping.outliers_per_vector(fraction) * grouping.n_vectors
+        counts = stripe_counts(n, d, spec)
+        assert got.sum() == sum(counts)
+        assert counts[: n // grouping.height] == [grouping.outliers(fraction)] * (n // grouping.height)
 
     @settings(max_examples=300, deadline=None)
     @given(
         layout=st.sampled_from(LAYOUTS),
         blocks=st.sampled_from([(), (1,), (3,)]),
-        length=st.integers(2, 300),
-        width=st.integers(1, 7),
+        n=st.integers(1, 40),
+        d=st.integers(2, 300),
+        gs=st.sampled_from([1, 4, 16]),
         k=st.sampled_from(["one", "last", "few"]),
         spread=st.sampled_from([0, 1, 3, None]),
         seed=st.integers(0, 2**16),
     )
-    def test_long_lanes_and_stacks_match_stable_argsort(self, layout, blocks, length, width, k, spread, seed):
-        # Lanes long enough that columns are ranked through chunk maxima, most with rows past the last chunk;
-        # integer values (spread 0 is all zeros) tie at the k-th magnitude, None draws continuous values.
+    def test_long_lanes_and_stacks_match_stable_argsort(self, layout, blocks, n, d, gs, k, spread, seed):
+        # Stripes of up to 16 rows of up to 300 entries, most with a shorter last stripe; integer values
+        # (spread 0 is all zeros) tie at the k-th magnitude, None draws continuous values.
         axis, mode = layout
-        n, d = (width, length) if axis != "per_channel" else (length, width)
         rng = np.random.default_rng(seed)
         shape = (*blocks, n, d)
         x = rng.normal(size=shape) if spread is None else rng.integers(-spread, spread + 1, size=shape) * 1.0
-        grouping = GroupLayout((n, d), axis, mode, 4)
+        grouping = GroupLayout((n, d), axis, mode, gs)
+        length = grouping.height * d
         want = {"one": 1, "last": length - 1, "few": min(2 + seed % 7, length - 1)}[k]
         fraction = want / length
-        assert grouping.outliers_per_vector(fraction) == want
+        assert grouping.outliers(fraction) == want
         got = _outlier_mask(x, grouping, fraction)
-        spec = QuantSpec(3, axis, mode, 4, sparse_fraction=fraction)
+        spec = QuantSpec(3, axis, mode, gs, sparse_fraction=fraction)
         np.testing.assert_array_equal(got, argsort_outlier_mask(x, spec))
         if blocks:
             np.testing.assert_array_equal(got, np.stack([_outlier_mask(block, grouping, fraction) for block in x]))
 
     @pytest.mark.parametrize("where", ["first chunk", "last full chunk", "past the last chunk", "spread"])
     def test_column_outliers_wherever_they_lie(self, where):
-        # 203 rows at k = 5 rank chunks of 10 rows, with 3 rows past the last one; outliers packed into one
-        # chunk leave the chunk-maxima bound far below them.
+        # 203 rows in stripes of 16 give 12 full stripes (5 outliers of 64 entries each) and a last stripe of
+        # 11 rows (rint(5 / 64 * 44) = 3). Column 1 holds the planted outliers; column 2 ties at 9.0 in the
+        # same rows and at -8.0 in three more, and column 3 is all ties.
         x = np.random.default_rng(5).normal(size=(203, 4))
-        rows = {"first chunk": [0, 2, 4, 6, 8], "last full chunk": [190, 191, 195, 198, 199],
-                "past the last chunk": [200, 201, 202, 3, 4], "spread": [7, 50, 120, 160, 202]}[where]
+        rows = {"first chunk": [0, 2, 4, 6, 8], "last full chunk": [176, 180, 185, 190, 191],
+                "past the last chunk": [192, 195, 198, 200, 202], "spread": [7, 50, 120, 160, 202]}[where]
         x[rows, 1] = [-50.0, 60.0, 55.0, -70.0, 65.0]
-        x[rows, 2] = 9.0  # five ties at the top, three more ties just below them, and a column of ties
+        x[rows, 2] = 9.0
         x[[10, 11, 12], 2] = -8.0
         x[:, 3] = -1.0
         layout = GroupLayout(x.shape, "per_channel", "static", 16)
-        spec = QuantSpec(3, "per_channel", "static", 16, sparse_fraction=5 / 203)
+        spec = QuantSpec(3, "per_channel", "static", 16, sparse_fraction=5 / 64)
+        assert stripe_counts(203, 4, spec) == [5] * 12 + [3]
         got = _outlier_mask(x, layout, spec.sparse_fraction)
         np.testing.assert_array_equal(got, argsort_outlier_mask(x, spec))
-        np.testing.assert_array_equal(np.flatnonzero(got[:, 1]), sorted(rows))
-        np.testing.assert_array_equal(np.flatnonzero(got[:, 2]), sorted(rows))
-        np.testing.assert_array_equal(np.flatnonzero(got[:, 3]), range(5))
+        # A stripe takes its largest planted entries first, then its 9.0 ties while slots are left.
+        for start in range(0, 203, 16):
+            planted = sorted((r for r in rows if start <= r < start + 16), key=lambda r: -abs(x[r, 1]))
+            k = 5 if start < 192 else 3
+            assert set(planted[:k]) <= set(np.flatnonzero(got[start : start + 16, 1]) + start)
+            assert [bool(got[r, 2]) for r in planted] == [k > len(planted)] * len(planted)
 
 
 class TestGroupLayout:
@@ -521,11 +540,11 @@ class TestTensorOrderMatchesGroupMajor:
 
     @pytest.mark.parametrize("mode", ["dynamic", "static"])
     def test_wide_per_channel_outliers(self, mode):
-        # 96-row columns: outliers are ranked along rows of the contiguous |x.T|, five per column.
+        # 96 rows of 70: six stripes of 16 rows, each ranked as one 1120-entry row, rint(0.05 * 1120) = 56 each.
         rng = np.random.default_rng(23)
         spec = QuantSpec(2, "per_channel", mode, 16, sparse_fraction=0.05)
         blocks = [rng.integers(-4, 5, size=(96, 70)).astype(float), rng.normal(size=(96, 70))]
-        assert GroupLayout.for_spec(blocks[0].shape, spec).outliers_per_vector(spec.sparse_fraction) == 5
+        assert GroupLayout.for_spec(blocks[0].shape, spec).outliers(spec.sparse_fraction) == 56
         assert_matches_group_major(blocks, spec)
         if mode == "static":
             assert_matches_group_major(blocks, spec, calibrate(blocks, spec))
@@ -570,11 +589,11 @@ class TestQuantizeDequantize:
         assert qt.outlier_indices.size == 5 * round(0.1 * 40)
         per_row = np.bincount(qt.outlier_indices // 40, minlength=5)
         assert np.all(per_row == 4)
-        # per-channel vectors run down columns
-        spec_c = QuantSpec(4, "per_channel", group_size=5, sparse_fraction=0.2)
+        # per-channel layouts rank stripes of group_size rows: rows 0-1, 2-3 and the last row 4
+        spec_c = QuantSpec(4, "per_channel", group_size=2, sparse_fraction=0.2)
         qt_c = quantize_tensor(x, spec_c)
-        per_col = np.bincount(qt_c.outlier_indices % 40, minlength=40)
-        assert np.all(per_col == round(0.2 * 5))
+        per_stripe = np.bincount(qt_c.outlier_indices // (2 * 40), minlength=3)
+        np.testing.assert_array_equal(per_stripe, [round(0.2 * 80), round(0.2 * 80), round(0.2 * 40)])
 
     def test_params_layout_mismatch(self):
         spec = QuantSpec(4, "per_token", group_size=4)
@@ -744,6 +763,33 @@ class TestCalibration:
         np.testing.assert_array_equal(a.scale, b.scale)
         np.testing.assert_array_equal(a.zero, b.zero)
 
+    def test_set_sinks_are_the_default_exclusion(self):
+        # 64x16 keys with row 3 x50: a set that names row 3 its sink calibrates without it, in calibrate and
+        # in quantize_scheme; an explicit no-exclusion keeps it.
+        k = np.random.default_rng(0).normal(size=(64, 16))
+        k[3] *= 50.0
+        spec, _ = scheme_specs("pt_kv_static", 2, 16)
+        cal = CalibrationSet([k], sinks=[[3]])
+        excluded = calibrate([k], spec, exclude=[[3]])
+        assert excluded.scale[0] == pytest.approx(2.32, abs=0.01)
+        assert_params(calibrate(cal, spec), [getattr(excluded, name) for name in FIELDS])
+        assert calibrate(cal, spec, exclude=[None]).scale[0] == pytest.approx(51.5, abs=0.05)
+        qk, _ = quantize_scheme(k, k, "pt_kv_static", bits=2, group_size=16, key_calibration=cal)
+        assert_params(qk.params, [getattr(excluded, name) for name in FIELDS])
+
+    def test_outlier_stripes_skip_the_excluded_rows(self):
+        # Per-channel stripes are ranked on the rows left, so they are the blocks of a cache that holds them.
+        rng = np.random.default_rng(62)
+        k = rng.normal(size=(40, 24))
+        k[[5, 30]] *= 40.0
+        spec, _ = scheme_specs("kvquant_like", 2, 8, sparse_fraction=0.02)
+        params = calibrate(CalibrationSet([k], sinks=[[5, 30]]), spec)
+        want = compute_params(np.delete(k, [5, 30], axis=0), spec)
+        assert_params(params, [getattr(want, name) for name in FIELDS])
+        kv = KVCache(1, 24, scheme="kvquant_like", bits=2, group_size=8, sparse_fraction=0.02)
+        kv.bulk_load(0, k, k, sinks=[5, 30])
+        assert_params(kv._keys[0].params, [getattr(want, name) for name in FIELDS])
+
     def test_empty_set_rejected(self):
         with pytest.raises(CalibrationError):
             calibrate([], QuantSpec(4, mode="static"))
@@ -850,7 +896,7 @@ def assert_params(got, want):
 
 
 class TestOnePathPerStage:
-    """The clip fit runs on the segment views, and no quant stage runs twice."""
+    """The clip fit runs on the segment views, a static side is fitted once, and dequantize builds one layout."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -872,9 +918,12 @@ class TestOnePathPerStage:
         excluded = [sorted(rng.choice(m, size=rng.integers(0, m + 1), replace=False).tolist()) for m in (n, 5)]
 
         def valid(x, rows):
-            keep = ~argsort_outlier_mask(x, spec)
-            keep[rows] = False
-            return keep
+            # Excluded rows are dropped before the outliers are ranked.
+            kept = np.ones(len(x), dtype=bool)
+            kept[rows] = False
+            out = np.zeros(x.shape, dtype=bool)
+            out[kept] = ~argsort_outlier_mask(x[kept], spec)
+            return out
 
         assert_params(
             compute_params(samples[0], spec, exclude=excluded[0]),
@@ -895,16 +944,20 @@ class TestOnePathPerStage:
     )
     @pytest.mark.parametrize("sinks", [(), (0, 70)])
     @pytest.mark.parametrize("sparse", [0.0, 0.01])
-    def test_static_side_fits_in_its_quantize_call(self, monkeypatch, tmp_path, scheme, sinks, sparse):
+    def test_static_side_calibrates_once_on_its_rows(self, monkeypatch, tmp_path, scheme, sinks, sparse):
         rng = np.random.default_rng(sorted(SCHEME_PRESETS).index(scheme))
         keys, values = rng.normal(size=(2, 150, 64))
         keys[list(sinks)] *= 30.0
         real, calls = quant_module.calibrate, []
         monkeypatch.setattr(quant_module, "calibrate", lambda *a, **kw: calls.append(a) or real(*a, **kw))
         got = quantize_scheme(keys, values, scheme, sinks, bits=3, group_size=8, sparse_fraction=sparse)
-        assert calls == []
         rows = np.setdiff1d(np.arange(150), sinks)
         specs = scheme_specs(scheme, 3, 8, sparse)
+        # The step bulk_load shares: one calibration of each static side on its non-sink rows, then the encode.
+        static = [(x, spec) for x, spec in zip((keys[rows], values[rows]), specs) if spec.mode == "static"]
+        assert [spec for _, spec in calls] == [spec for _, spec in static]
+        for (samples, _), (x, _) in zip(calls, static):
+            assert_bitwise(samples[0], x)
         assert any(qt.outlier_indices.size for qt in got) == (sparse > 0)
         for side, qt, x, spec in zip("kv", got, (keys[rows], values[rows]), specs):
             want = quantize_tensor(x, spec, params=real([x], spec) if spec.mode == "static" else None)
