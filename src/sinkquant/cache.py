@@ -46,7 +46,7 @@ from .quant import (
     QuantParams,
     QuantSpec,
     _nonsink_side,
-    calibrate,  # noqa: F401 -- still importable from here; bulk_load's fit runs it in _nonsink_side
+    calibrate,
     dequantize,
     join_stacks,
     quantize_tensor,
@@ -263,6 +263,8 @@ class KVCache:
         sink_mask = row_mask(sinks, k_arr.shape[0])
         for side, data in ((self._keys[layer], k_arr), (self._values[layer], v_arr)):
             rows, side.params = _nonsink_side(data, ~sink_mask, side.spec, side.params)
+            if side.spec.mode == "static" and side.params is None and len(rows):
+                side.params = calibrate([rows], side.spec)
             side.extend(rows)
         for t in np.flatnonzero(sink_mask).tolist():
             self._sinks[layer][t] = (k_arr[t].copy(), v_arr[t].copy())

@@ -676,10 +676,11 @@ def quantize_scheme(
     """Quantize a (K, V) pair under a named preset, skipping sink rows.
 
     Sink-token rows never enter the quantized tensors; the caller keeps them
-    at full precision (normally in the cache's sink region). Each side's
-    parameters come from ``_nonsink_side``, as in ``KVCache.bulk_load``, so the
-    result decodes to what a bulk-loaded cache reconstructs, except that rows
-    short of a cache block are quantized here and stay full precision there.
+    at full precision (normally in the cache's sink region). A static side
+    takes the given parameters, else the calibration set's, else fits its
+    non-sink rows, as ``KVCache.bulk_load`` does. So the result decodes to what a
+    bulk-loaded cache reconstructs, except that rows short of a cache block
+    are quantized here and stay full precision there.
     """
     k_arr = _canonical(keys, name="keys")
     v_arr = _canonical(values, name="values")
@@ -700,14 +701,12 @@ def quantize_scheme(
 
 
 def _nonsink_side(arr: np.ndarray, keep: np.ndarray, spec: QuantSpec, params=None, calibration=None):
-    """``(rows, params)``: the rows of ``arr`` marked in ``keep`` and the parameters that encode them.
+    """``(rows, params)``: the rows of ``arr`` marked in ``keep`` and the parameters to encode them with.
 
-    A static side takes ``params`` when given, else calibrates on
-    ``calibration``, else on the kept rows (no rows, no parameters); a
-    dynamic side keeps ``params`` as given, normally none: each block is
-    fitted as it is encoded.
+    A static side with no ``params`` calibrates on ``calibration`` when
+    given; else ``params`` stays as given and the caller fits the kept rows.
     """
     rows = arr[keep]
-    if spec.mode == "static" and params is None and (calibration is not None or len(rows)):
-        params = calibrate([rows] if calibration is None else calibration, spec)
+    if spec.mode == "static" and params is None and calibration is not None:
+        params = calibrate(calibration, spec)
     return rows, params
