@@ -27,8 +27,8 @@ from .tensors import as_tensor, causal_attention, l2_norm_per_token, split_heads
 
 
 def mse(a, b) -> float:
-    x = np.asarray(a, dtype=np.float64)
-    y = np.asarray(b, dtype=np.float64)
+    x = as_tensor(a, name="MSE operand")
+    y = as_tensor(b, name="MSE operand")
     if x.shape != y.shape:
         raise ShapeError("MSE operands must match", a=list(x.shape), b=list(y.shape))
     if x.size == 0:
@@ -93,21 +93,25 @@ def error_decomposition(
     Dynamic specs report the overall MSE plus the split between groups that
     contain sink tokens and groups that do not. Static specs need ``cal``
     (ConfigError otherwise) and additionally report the non-sink-token error
-    with sinks excluded from calibration and quantization. The rows excluded
-    from calibration are ``cal_sinks`` (one collection per sample) or, when
-    it is ``None``, the calibration set's own ``cal.sinks``.
+    with sinks excluded from calibration and quantization: calibrated on
+    ``cal``, or on its samples with ``cal_sinks`` as their sinks when given.
+    The other errors calibrate on every row of ``cal``'s samples.
     """
     arr = as_tensor(x, ndim=2, name="input")
     n = arr.shape[0]
     sink_mask = sinks.mask(n)
-    if cal is not None and not isinstance(cal, CalibrationSet):
-        cal = CalibrationSet(cal)  # a plain sample list carries no sinks
+    if cal is not None:
+        if not isinstance(cal, CalibrationSet):
+            cal = CalibrationSet(cal)  # a plain sample list carries no sinks
+        cal_in = CalibrationSet(cal.samples)  # sinks included
+        if cal_sinks is not None:
+            cal = CalibrationSet(cal.samples, cal_sinks)
     rows = []
     for spec in specs:
         if spec.mode == "static":
             if cal is None:
                 raise ConfigError("static specs require a calibration set", spec=spec.axis)
-            params_in = calibrate(cal, spec, exclude=[None] * len(cal))  # sinks included
+            params_in = calibrate(cal_in, spec)
             recon = dequantize(quantize_tensor(arr, spec, params=params_in))
             err2 = (arr - recon) ** 2
             row = ErrorRow(
@@ -117,7 +121,7 @@ def error_decomposition(
                 elements=int(arr.size),
             )
             if len(sinks):
-                params_ex = calibrate(cal, spec, exclude=cal_sinks)  # None: the set's own sinks
+                params_ex = calibrate(cal, spec)
                 sub = arr[~sink_mask]
                 recon_ex = dequantize(quantize_tensor(sub, spec, params=params_ex))
                 row.excluded = mse(sub, recon_ex)

@@ -45,7 +45,6 @@ from .quant import (
     QuantizedTensor,
     QuantParams,
     QuantSpec,
-    _nonsink_side,
     calibrate,
     dequantize,
     join_stacks,
@@ -246,10 +245,10 @@ class KVCache:
 
         Equivalent to appending the rows in token order with ``is_sink`` set
         from ``sinks``; a static side with no parameters installed is first
-        fitted to its non-sink rows, if there are any (else a later
-        ``append`` of a non-sink row is a ``ConfigError``). The sink rows and
-        parameters come from the step ``quantize_scheme`` takes, so the
-        stored blocks decode to its tensors' rows.
+        fitted to its non-sink rows by ``calibrate``, if there are any (else
+        a later ``append`` of a non-sink row is a ``ConfigError``). That is
+        the fit ``quantize_scheme`` makes, so the stored blocks decode to its
+        tensors' rows.
         """
         layer = self._check_layer(cache_layer)
         if self._loaded[layer]:
@@ -262,7 +261,7 @@ class KVCache:
             raise ShapeError(f"expected width {self.width}", actual=int(k_arr.shape[1]))
         sink_mask = row_mask(sinks, k_arr.shape[0])
         for side, data in ((self._keys[layer], k_arr), (self._values[layer], v_arr)):
-            rows, side.params = _nonsink_side(data, ~sink_mask, side.spec, side.params)
+            rows = data[~sink_mask]
             if side.spec.mode == "static" and side.params is None and len(rows):
                 side.params = calibrate([rows], side.spec)
             side.extend(rows)

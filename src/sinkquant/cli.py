@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analysis, bench, cache, decoder, dumpio, profiles
 from .errors import ConfigError, SinkQuantError, UsageError, exit_status
-from .quant import SCHEME_PRESETS, CalibrationSet, QuantSpec, quantize_scheme
+from .quant import SCHEME_PRESETS, CalibrationSet, QuantSpec, calibrate, quantize_scheme, scheme_specs
 from .sinks import SinkProfile, SinkSet, classify_stages, detect_sinks, preserve_first_n
 
 
@@ -87,10 +87,14 @@ def _cmd_quantize(args) -> dict:
     keys = _read_matrix(args.keys, "keys")
     values = _read_matrix(args.values, "values")
     sinks = _load_sinks(args, keys.shape[0])
-    key_cal = value_cal = None
+    params = [None, None]  # key, value
     if args.calib:
-        key_cal = _calibration_from_dir(args.calib, "keys")
-        value_cal = _calibration_from_dir(args.calib, "values")
+        specs = scheme_specs(args.scheme, args.bits, args.group, args.sparse)
+        static = [i for i, spec in enumerate(specs) if spec.mode == "static"]
+        if not static:
+            raise UsageError("--calib needs a scheme with a static side", scheme=args.scheme)
+        for i in static:  # each static side reads only its own subdirectory
+            params[i] = calibrate(_calibration_from_dir(args.calib, ("keys", "values")[i]), specs[i])
     qk, qv = quantize_scheme(
         keys,
         values,
@@ -99,8 +103,8 @@ def _cmd_quantize(args) -> dict:
         bits=args.bits,
         group_size=args.group,
         sparse_fraction=args.sparse,
-        key_calibration=key_cal,
-        value_calibration=value_cal,
+        key_params=params[0],
+        value_params=params[1],
     )
     os.makedirs(args.out, exist_ok=True)
     dumpio.write_quantized(os.path.join(args.out, "keys.kvsq"), qk)
@@ -322,7 +326,7 @@ def build_parser() -> _Parser:
     p.add_argument("--bits", type=int, default=4)
     p.add_argument("--group", type=int, default=16)
     p.add_argument("--sparse", type=float, default=None)
-    p.add_argument("--calib", help="directory with keys/ and values/ calibration dumps")
+    p.add_argument("--calib", help="directory with keys/ and/or values/ calibration dumps for the static sides")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_quantize)
 

@@ -38,16 +38,16 @@ precision, and computes parameters on the remainder. So a whole tensor and
 the cache's blocks of its rows isolate the same entries. Each stripe is
 ranked as one row-major vector by ``tensors.top_k_mask``, which partitions
 one ``|x|`` array in place; ties go to the lower index.
-Token rows listed in an exclusion set contribute to no group statistics;
-they are dropped before the outliers are ranked.
+Rows left out of a fit (an ``exclude`` set, a calibration set's sinks) enter
+no group statistics; they are dropped before the outliers are ranked.
 
 ``quantize_tensor`` is the one encode path (``quantize`` is the same call
 with parameters required): one ``GroupLayout`` and one outlier selection per
 call, then a parameter fit or one ``QuantParams.check_fits`` of given
 parameters, then the encode. ``compute_params`` and ``calibrate`` share its
-fit step. ``quantize_scheme`` and ``KVCache.bulk_load`` share one step that
-drops the sink rows and settles a static side's parameters, so the tensors
-``quantize_scheme`` returns decode to what the cache reconstructs.
+fit step. ``quantize_scheme`` takes static parameters as the KV cache does;
+a static side given none is fitted to its non-sink rows by either (the fits
+are bitwise equal), so its tensors decode to what the cache reconstructs.
 
 A leading block axis stacks tensors of one shape: ``quantize_tensor`` on a
 [blocks, n, d] stack quantizes every block with its own groups and outliers
@@ -614,13 +614,11 @@ class CalibrationSet:
         return len(self.samples)
 
 
-def calibrate(cal, spec: QuantSpec, exclude=None) -> QuantParams:
+def calibrate(cal, spec: QuantSpec) -> QuantParams:
     """Global min-max calibration across samples, frozen for reuse.
 
-    ``exclude`` holds one collection of token rows per sample (``None`` for
-    none), dropped from that sample's statistics; by default it is the set's
-    own ``sinks``. Each sample's own dense-and-sparse outliers, ranked on the
-    rows left (the rows a cache stores), are left out as well.
+    Each sample's ``CalibrationSet.sinks`` (a plain list has none) are left
+    out, and so are its dense-and-sparse outliers, ranked on the rows left.
     """
     if spec.mode != "static":
         raise ConfigError("calibration applies to static mode only", mode=spec.mode)
@@ -628,12 +626,9 @@ def calibrate(cal, spec: QuantSpec, exclude=None) -> QuantParams:
         cal = CalibrationSet(cal)
     if len(cal) == 0:
         raise CalibrationError("empty calibration set")
-    exclude = cal.sinks if exclude is None else list(exclude)
-    if len(exclude) != len(cal):
-        raise CalibrationError("one exclusion set per calibration sample expected")
     valid = [
         _valid_entries(sample, GroupLayout.for_spec(sample.shape, spec), spec, rows)
-        for sample, rows in zip(cal.samples, exclude)
+        for sample, rows in zip(cal.samples, cal.sinks)
     ]
     combined = np.vstack(cal.samples)
     return _fit(combined, GroupLayout.for_spec(combined.shape, spec), spec, np.vstack(valid))
@@ -670,17 +665,16 @@ def quantize_scheme(
     group_size: int = 16,
     sparse_fraction: float | None = None,
     key_params: QuantParams | None = None,
-    key_calibration=None,
-    value_calibration=None,
+    value_params: QuantParams | None = None,
 ) -> tuple[QuantizedTensor, QuantizedTensor]:
     """Quantize a (K, V) pair under a named preset, skipping sink rows.
 
     Sink-token rows never enter the quantized tensors; the caller keeps them
     at full precision (normally in the cache's sink region). A static side
-    takes the given parameters, else the calibration set's, else fits its
-    non-sink rows, as ``KVCache.bulk_load`` does. So the result decodes to what a
-    bulk-loaded cache reconstructs, except that rows short of a cache block
-    are quantized here and stay full precision there.
+    given no parameters (``KVCache.set_static_params`` takes the same two) is
+    fitted to its non-sink rows, as ``KVCache.bulk_load`` fits it. So the
+    result decodes to what a bulk-loaded cache reconstructs, except that rows
+    short of a cache block are quantized here and stay full precision there.
     """
     k_arr = _canonical(keys, name="keys")
     v_arr = _canonical(values, name="values")
@@ -692,21 +686,7 @@ def quantize_scheme(
         )
     key_spec, value_spec = scheme_specs(scheme, bits, group_size, sparse_fraction)
     keep = ~row_mask(sinks, k_arr.shape[0])
-
-    def encode(arr, spec, params, calibration):
-        rows, params = _nonsink_side(arr, keep, spec, params, calibration)
-        return quantize_tensor(rows, spec, params=params)
-
-    return encode(k_arr, key_spec, key_params, key_calibration), encode(v_arr, value_spec, None, value_calibration)
-
-
-def _nonsink_side(arr: np.ndarray, keep: np.ndarray, spec: QuantSpec, params=None, calibration=None):
-    """``(rows, params)``: the rows of ``arr`` marked in ``keep`` and the parameters to encode them with.
-
-    A static side with no ``params`` calibrates on ``calibration`` when
-    given; else ``params`` stays as given and the caller fits the kept rows.
-    """
-    rows = arr[keep]
-    if spec.mode == "static" and params is None and calibration is not None:
-        params = calibrate(calibration, spec)
-    return rows, params
+    return (
+        quantize_tensor(k_arr[keep], key_spec, params=key_params),
+        quantize_tensor(v_arr[keep], value_spec, params=value_params),
+    )

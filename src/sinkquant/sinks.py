@@ -25,7 +25,7 @@ import numpy as np
 
 from .dumpio import record_to_json
 from .errors import BoundsError, ConfigError, DiscoveryError, ShapeError
-from .tensors import as_tensor, integer_at_least, row_mask, token_indices
+from .tensors import as_tensor, integer_at_least, positive_number, row_mask, token_indices
 
 STAGES = ("initial", "emergence", "stabilization", "dissipation", "final")
 
@@ -119,6 +119,7 @@ def detect_sinks(h, profile: SinkProfile, k: int, magnitude_ratio: float | None 
             actual=int(arr.shape[1]),
         )
     k = integer_at_least(k, 0, "k")
+    magnitude_ratio = None if magnitude_ratio is None else positive_number(magnitude_ratio, "magnitude_ratio")
     if k == 0 or arr.shape[0] == 0:
         return SinkSet.empty(k)
     mag = np.abs(arr[:, list(profile.outlier_channels)])
@@ -154,6 +155,7 @@ def discover_profile(
     uniform rescaling of the dumps.
     """
     max_channels = integer_at_least(max_channels, 1, "max_channels")
+    ratio = positive_number(ratio, "ratio")
     layers = [as_tensor(d, ndim=2, name="layer dump") for d in dumps]
     if not layers:
         raise DiscoveryError("no layer dumps supplied")
@@ -248,6 +250,7 @@ def classify_stages(layer_dumps, profile: SinkProfile, ratio: float = 100.0) -> 
     series that do not fit the expected progression keep the forward labels
     and collect warnings.
     """
+    ratio = positive_number(ratio, "ratio")
     required = ("X_d_in", "X_d_out", "H_prime", "H")
     dumps = []
     for i, entry in enumerate(layer_dumps):

@@ -8,6 +8,8 @@ place ``-inf`` is allowed.
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
@@ -40,6 +42,13 @@ def integer_at_least(value, least: int, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ConfigError(f"{name} must be an integer >= {least}", actual=repr(value))
     return int(value)
+
+
+def positive_number(value, name: str) -> float:
+    """``value`` as a ``float``; ``ConfigError`` unless it is a finite real ``> 0`` (numpy numbers pass, bools do not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise ConfigError(f"{name} must be a finite number > 0", actual=repr(value))
+    return float(value)
 
 
 def token_indices(indices, n: int | None = None) -> np.ndarray:

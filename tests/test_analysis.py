@@ -14,7 +14,7 @@ from sinkquant.analysis import (
     qk_sink_diagnostics,
     rows_to_csv_text,
 )
-from sinkquant.errors import ConfigError, ShapeError
+from sinkquant.errors import ConfigError, NumericError, ShapeError
 from sinkquant.quant import CalibrationSet, QuantSpec, calibrate, dequantize, quantize_tensor
 from sinkquant.sinks import SinkSet
 from sinkquant.tensors import causal_attention, split_heads
@@ -54,11 +54,13 @@ class TestErrorDecomposition:
         assert row.excluded < row.nonsink_elements
         assert row.excluded < row.overall
 
-    def test_static_overall_keeps_the_sinks_in_calibration(self):
-        # The set's sinks are calibrate's default exclusion; ``overall`` still fits with them, ``excluded`` without.
+    @pytest.mark.parametrize("set_sinks, cal_sinks", [("sinks", None), (None, "sinks"), ([5], "sinks")])
+    def test_static_overall_keeps_the_sinks_in_calibration(self, set_sinks, cal_sinks):
+        # ``overall`` fits with the sinks, ``excluded`` without: the set's own, or ``cal_sinks`` when given.
         x, sinks = planted_tensor()
         spec = QuantSpec(4, "per_channel", "static", group_size=16, sparse_fraction=0.01)
-        row = error_decomposition(x, sinks, [spec], cal=CalibrationSet([x], sinks=[sinks])).rows[0]
+        cal = CalibrationSet([x], sinks=[sinks if set_sinks == "sinks" else set_sinks])
+        row = error_decomposition(x, sinks, [spec], cal=cal, cal_sinks=[sinks] if cal_sinks else None).rows[0]
         recon = dequantize(quantize_tensor(x, spec, params=calibrate([x], spec)))
         assert row.overall == float(((x - recon) ** 2).mean())
         sub = np.delete(x, list(sinks), axis=0)
@@ -386,6 +388,12 @@ def test_mse_shape_check():
     with pytest.raises(ShapeError):
         mse(np.zeros(3), np.zeros(4))
     assert mse([1.0, 2.0], [1.0, 2.0]) == 0.0
+
+
+@pytest.mark.parametrize("a, b", [([np.nan], [1.0]), ([1.0], [np.inf]), ([[0.0, -np.inf]], [[0.0, 0.0]])])
+def test_mse_rejects_non_finite_operands(a, b):
+    with pytest.raises(NumericError):
+        mse(a, b)
 
 
 def test_csv_emission():

@@ -247,20 +247,32 @@ class TestBulkLoad:
     @pytest.mark.parametrize("scheme", sorted(SCHEME_PRESETS))
     @pytest.mark.parametrize("sparse", [0.0, 0.01, 1.0])
     @pytest.mark.parametrize("sinks", [(), (0, 5, 37)])
-    def test_reconstruct_is_the_dequantized_scheme(self, scheme, sparse, sinks):
+    @pytest.mark.parametrize("given", [False, True], ids=["fitted", "given-params"])
+    def test_reconstruct_is_the_dequantized_scheme(self, scheme, sparse, sinks, given):
         # 64 non-sink rows fill whole blocks of every side (1 row, or 16 for per-channel keys). Rows short of
         # a block would stay pending, at full precision, in the cache, while quantize_scheme quantizes them
-        # (see the next test), so the two agree bitwise only on whole blocks.
+        # (see the next test), so the two agree bitwise only on whole blocks. With ``given`` both take the
+        # same calibrated parameters for their static sides, through set_static_params and
+        # key_params/value_params.
         rng = np.random.default_rng(sorted(SCHEME_PRESETS).index(scheme))
         n, d = 64 + len(sinks), 64
         k, v = rng.normal(size=(2, n, d)) * np.exp(rng.normal(0.0, 0.5, size=d))
         k[list(sinks)] *= 30.0
         kv = KVCache(1, d, scheme=scheme, bits=2, group_size=16, sparse_fraction=sparse)
+        params = {}
+        if given:
+            cal_k, cal_v = rng.normal(size=(2, 40, d)) * 3.0
+            params = {
+                name: calibrate([sample], spec)
+                for name, sample, spec in (("key_params", cal_k, kv.key_spec), ("value_params", cal_v, kv.value_spec))
+                if spec.mode == "static"
+            }
+            kv.set_static_params(0, **params)
         kv.bulk_load(0, k, v, sinks)
         assert kv.pending_tokens(0) == 0
         keep = np.ones(n, dtype=bool)
         keep[list(sinks)] = False
-        quantized = quantize_scheme(k, v, scheme, sinks, bits=2, group_size=16, sparse_fraction=sparse)
+        quantized = quantize_scheme(k, v, scheme, sinks, bits=2, group_size=16, sparse_fraction=sparse, **params)
         for got, x, qt in zip(kv.reconstruct(0), (k, v), quantized):
             want = x.copy()
             want[keep] = dequantize(qt)

@@ -9,9 +9,9 @@ import pytest
 
 from sinkquant.analysis import attention_bias, error_decomposition, qk_sink_diagnostics, rows_to_csv_text
 from sinkquant.cli import build_parser, main
-from sinkquant.dumpio import ManifestEntry, read_dump, write_dump, write_json, write_manifest
+from sinkquant.dumpio import ManifestEntry, read_dump, read_quantized, write_dump, write_json, write_manifest
 from sinkquant.errors import UsageError
-from sinkquant.quant import QuantSpec
+from sinkquant.quant import QuantSpec, calibrate, scheme_specs
 from sinkquant.sinks import SinkSet
 
 
@@ -70,6 +70,18 @@ class TestDetect:
         assert code == 0
         assert out["sinks"]["indices"] == [0, 14]
         assert out["count"] == 2
+
+    @pytest.mark.parametrize("ratio", ["nan", "-1", "0", "inf"])
+    def test_ratio_must_be_a_finite_positive_number(self, workspace, capsys, ratio):
+        # nan would qualify no entry and -1 every one, each without a word.
+        code, _, err = run_cli(
+            capsys,
+            "detect",
+            "--dump", str(workspace / "h.kvsd"),
+            "--profile", str(workspace / "profile.json"),
+            "--ratio", ratio,
+        )
+        assert code == 2 and err["code"] == "config"
 
     def test_registry_profile_by_name(self, workspace, capsys):
         rng = np.random.default_rng(1)
@@ -211,22 +223,54 @@ class TestQuantize:
         )
         assert code == 2 and err["code"] == "usage"
 
-    def test_calibration_directory(self, workspace, capsys):
+    @pytest.mark.parametrize(
+        "scheme, subs",
+        [("pc_key_pt_value_static", ("keys", "values")), ("pt_kv_static", ("keys", "values")), ("kvquant_like", ("keys",))],
+    )
+    def test_calibration_directory(self, workspace, capsys, scheme, subs):
+        # Each static side is encoded with calibrate of its own subdirectory's dumps, and reads no other.
         rng = np.random.default_rng(5)
-        for sub in ("keys", "values"):
+        samples = {}
+        for sub in subs:
             os.makedirs(workspace / "calib" / sub, exist_ok=True)
-            for i in range(2):
-                write_dump(str(workspace / "calib" / sub / f"s{i}.kvsd"), rng.normal(size=(16, 16)))
+            samples[sub] = [rng.normal(size=(16, 16)) * (3.0 if sub == "keys" else 0.5) for _ in range(2)]
+            for i, sample in enumerate(samples[sub]):
+                write_dump(str(workspace / "calib" / sub / f"s{i}.kvsd"), sample)
         code, out, _ = run_cli(
             capsys,
             "quantize",
             "--keys", str(workspace / "keys.kvsd"),
             "--values", str(workspace / "values.kvsd"),
-            "--scheme", "pc_key_pt_value_static",
+            "--scheme", scheme,
+            "--sinks", str(workspace / "sinks.json"),
             "--calib", str(workspace / "calib"),
             "--out", str(workspace / "out5"),
         )
         assert code == 0
+        for sub, spec in zip(("keys", "values"), scheme_specs(scheme, 4, 16)):
+            got = read_quantized(str(workspace / "out5" / f"{sub}.kvsq")).params
+            assert (sub in samples) == (spec.mode == "static")
+            if sub in samples:
+                want = calibrate(samples[sub], spec)
+                for field in ("scale", "zero", "degenerate", "constant"):
+                    np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+    def test_calibration_directory_needs_a_static_side(self, workspace, capsys):
+        # A dynamic preset fits every tensor itself: --calib would change nothing, so it is refused.
+        for sub in ("keys", "values"):
+            os.makedirs(workspace / "calib" / sub)
+            write_dump(str(workspace / "calib" / sub / "s0.kvsd"), np.ones((4, 16)))
+        code, _, err = run_cli(
+            capsys,
+            "quantize",
+            "--keys", str(workspace / "keys.kvsd"),
+            "--values", str(workspace / "values.kvsd"),
+            "--scheme", "pt_kv_dynamic",
+            "--calib", str(workspace / "calib"),
+            "--out", str(workspace / "out6"),
+        )
+        assert code == 2 and err["code"] == "usage"
+        assert not (workspace / "out6").exists()
 
 
 class TestAnalyze:

@@ -719,7 +719,7 @@ class TestRoundTripProperties:
         keep = np.arange(32) != 7
         full_params = calibrate([x], spec)
         err_incl = np.mean((x[keep] - dequantize(quantize(x, full_params, spec))[keep]) ** 2)
-        excl_params = calibrate([x], spec, exclude=[[7]])
+        excl_params = calibrate(CalibrationSet([x], sinks=[[7]]), spec)
         err_excl = np.mean((x[keep] - dequantize(quantize(x[keep], excl_params, spec))) ** 2)
         assert err_excl < err_incl
 
@@ -750,7 +750,7 @@ class TestCalibration:
         planted = clean.copy()
         planted[5] = 1000.0
         spec = QuantSpec(4, "per_token", "static", group_size=8)
-        a = calibrate([planted], spec, exclude=[[5]])
+        a = calibrate(CalibrationSet([planted], sinks=[[5]]), spec)
         b = calibrate([np.delete(clean, 5, axis=0)], spec)
         np.testing.assert_array_equal(a.scale, b.scale)
 
@@ -763,18 +763,17 @@ class TestCalibration:
         np.testing.assert_array_equal(a.scale, b.scale)
         np.testing.assert_array_equal(a.zero, b.zero)
 
-    def test_set_sinks_are_the_default_exclusion(self):
-        # 64x16 keys with row 3 x50: a set that names row 3 its sink calibrates without it, in calibrate and
-        # in quantize_scheme; an explicit no-exclusion keeps it.
+    def test_set_sinks_are_left_out(self):
+        # 64x16 keys with row 3 x50: a set that names row 3 its sink calibrates as the other 63 rows do, and
+        # quantize_scheme encodes with those parameters; a plain sample list keeps the row.
         k = np.random.default_rng(0).normal(size=(64, 16))
         k[3] *= 50.0
         spec, _ = scheme_specs("pt_kv_static", 2, 16)
-        cal = CalibrationSet([k], sinks=[[3]])
-        excluded = calibrate([k], spec, exclude=[[3]])
+        excluded = calibrate(CalibrationSet([k], sinks=[[3]]), spec)
         assert excluded.scale[0] == pytest.approx(2.32, abs=0.01)
-        assert_params(calibrate(cal, spec), [getattr(excluded, name) for name in FIELDS])
-        assert calibrate(cal, spec, exclude=[None]).scale[0] == pytest.approx(51.5, abs=0.05)
-        qk, _ = quantize_scheme(k, k, "pt_kv_static", bits=2, group_size=16, key_calibration=cal)
+        assert_params(calibrate([np.delete(k, 3, axis=0)], spec), [getattr(excluded, name) for name in FIELDS])
+        assert calibrate([k], spec).scale[0] == pytest.approx(51.5, abs=0.05)
+        qk, _ = quantize_scheme(k, k, "pt_kv_static", bits=2, group_size=16, key_params=excluded)
         assert_params(qk.params, [getattr(excluded, name) for name in FIELDS])
 
     def test_outlier_stripes_skip_the_excluded_rows(self):
@@ -931,7 +930,7 @@ class TestOnePathPerStage:
         )
         if mode == "static":
             assert_params(
-                calibrate(samples, spec, exclude=excluded),
+                calibrate(CalibrationSet(samples, sinks=excluded), spec),
                 group_major_params(np.vstack(samples), spec, np.vstack([valid(*pair) for pair in zip(samples, excluded)])),
             )
         # A [blocks, n, d] stack fits every block to its own entries.
@@ -981,7 +980,8 @@ class TestOnePathPerStage:
             monkeypatch.setattr(GroupLayout, name, recording)
         tensors = [quantize_tensor(rng.normal(size=(9, 10)), spec), quantize_tensor(rng.normal(size=(2, 9, 10)), spec)]
         if mode == "static":
-            params = calibrate([rng.normal(size=(9, 10)), rng.normal(size=(5, 10))], spec, exclude=[[1, 4], None])
+            samples = [rng.normal(size=(9, 10)), rng.normal(size=(5, 10))]
+            params = calibrate(CalibrationSet(samples, sinks=[[1, 4], None]), spec)
             tensors.append(quantize_tensor(rng.normal(size=(2, 9, 10)), spec, params=params))
         init = GroupLayout.__init__
 

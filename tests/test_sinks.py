@@ -123,6 +123,12 @@ class TestDetect:
         with pytest.raises(ConfigError):
             detect_sinks(np.ones((4, 64)), plain_profile(), -1)
 
+    @pytest.mark.parametrize("ratio", [float("nan"), float("inf"), -1.0, 0, True, "100"])
+    def test_ratio_must_be_a_finite_positive_number(self, ratio):
+        # nan would qualify no entry (count 0) and -1 every entry (pure top-k), each without a word.
+        with pytest.raises(ConfigError):
+            detect_sinks(np.ones((4, 64)), plain_profile(), 2, magnitude_ratio=ratio)
+
     def test_multi_channel_union(self):
         h = np.zeros((10, 64)) + 0.1
         prof = plain_profile(channels=(3, 9))
@@ -222,6 +228,13 @@ class TestDiscover:
         with pytest.raises(ShapeError):
             discover_profile([np.zeros((4, 8)), np.zeros((4, 9))])
 
+    @pytest.mark.parametrize("ratio", [float("nan"), float("-inf"), -5.0, 0.0, None])
+    def test_ratio_must_be_a_finite_positive_number(self, ratio):
+        # -5 would make every channel an outlier channel, and nan a misleading DiscoveryError.
+        dumps = planted_dumps(6, 8, 8, (3,), start_layer=1)
+        with pytest.raises(ConfigError):
+            discover_profile(dumps, ratio=ratio)
+
 
 def stage_dumps(layers, emerge, dissipate, n=8, d=32, channel=5, magnitude=1500.0, seed=3):
     """Hand-built dump series following the planted life cycle."""
@@ -262,6 +275,13 @@ class TestStages:
             "final",
         ]
         assert not report.warnings
+
+    @pytest.mark.parametrize("ratio", [float("nan"), float("inf"), -1.0, 0.0, None])
+    def test_ratio_must_be_a_finite_positive_number(self, ratio):
+        # nan would label every layer initial and -1 every layer emergence, with no warning.
+        dumps = stage_dumps(8, emerge=1, dissipate=6)
+        with pytest.raises(ConfigError):
+            classify_stages(dumps, plain_profile(d=32, channels=(5,), layers=8), ratio=ratio)
 
     def test_no_outliers_all_initial(self):
         dumps = stage_dumps(5, emerge=None, dissipate=None)
