@@ -9,7 +9,7 @@ rescues low-bit codes from heavy tails.
 
 import numpy as np
 
-from sinkquant import QuantSpec, compute_params, dequantize, quantize_tensor
+from sinkquant import QuantSpec, dequantize, quantize_tensor
 
 rng = np.random.default_rng(0)
 
@@ -17,10 +17,8 @@ rng = np.random.default_rng(0)
 # with scale = (max - min) / (2^bits - 1) and zero = -round(min/scale).
 # A ramp over [0, 3] at 2 bits lands exactly on the code lattice:
 spec = QuantSpec(bits=2, axis="per_tensor")
-params = compute_params([0.0, 1.0, 2.0, 3.0], spec)
-print("ramp scale:", params.scale[0], " zero point:", params.zero[0])
-
 qt = quantize_tensor([0.0, 1.0, 2.0, 3.0], spec)
+print("ramp scale:", qt.params.scale[0], " zero point:", qt.params.zero[0])
 print("codes:", qt.codes().ravel(), " reconstruction:", dequantize(qt).ravel())
 
 # Real data does not land on the lattice, but every in-range element is

@@ -52,7 +52,6 @@ from .quant import (
     QuantSpec,
     QuantizedTensor,
     calibrate,
-    compute_params,
     dequantize,
     quantize,
     quantize_scheme,

@@ -46,6 +46,7 @@ from .quant import (
     QuantParams,
     QuantSpec,
     calibrate,
+    check_side_params,
     dequantize,
     join_stacks,
     quantize_tensor,
@@ -161,7 +162,6 @@ class KVCache:
         self._keys = [_Side(key_spec, self.width) for _ in range(self.num_layers)]
         self._values = [_Side(value_spec, self.width) for _ in range(self.num_layers)]
         self._sinks: list[dict[int, tuple[np.ndarray, np.ndarray]]] = [dict() for _ in range(self.num_layers)]
-        self._counts = [0] * self.num_layers
         self._loaded = [False] * self.num_layers
 
     def _check_layer(self, layer: int) -> int:
@@ -171,7 +171,9 @@ class KVCache:
         return int(token_indices([layer], self.num_layers)[0])
 
     def layer_tokens(self, layer: int) -> int:
-        return self._counts[self._check_layer(layer)]
+        """Tokens held: the key side's non-sink rows plus the sinks."""
+        layer = self._check_layer(layer)
+        return self._keys[layer].rows + len(self._sinks[layer])
 
     def sink_indices(self, layer: int) -> tuple[int, ...]:
         return tuple(sorted(self._sinks[self._check_layer(layer)]))
@@ -205,8 +207,7 @@ class KVCache:
         pairs = ((self._keys[layer], key_params), (self._values[layer], value_params))
         given = [(side, params) for side, params in pairs if params is not None]
         for side, params in given:
-            if side.spec.mode != "static":
-                raise ConfigError("a dynamic side takes no installed parameters", axis=side.spec.axis)
+            check_side_params(side.spec, params)
             if side.quantized_rows():
                 raise StateError(
                     "parameters are fixed once a side holds quantized rows",
@@ -227,7 +228,7 @@ class KVCache:
         layer = self._check_layer(layer)
         k = self._coerce_row(k_row, "key row")
         v = self._coerce_row(v_row, "value row")
-        token = self._counts[layer]
+        token = self.layer_tokens(layer)
         sides = (self._keys[layer], self._values[layer])
         if is_sink:
             self._sinks[layer][token] = (k, v)
@@ -236,7 +237,6 @@ class KVCache:
         else:
             sides[0].extend(k[None])
             sides[1].extend(v[None])
-        self._counts[layer] = token + 1
         self._loaded[layer] = True
         return token
 
@@ -252,7 +252,7 @@ class KVCache:
         """
         layer = self._check_layer(cache_layer)
         if self._loaded[layer]:
-            raise StateError("bulk_load requires an empty layer", layer=layer, tokens=self._counts[layer])
+            raise StateError("bulk_load requires an empty layer", layer=layer, tokens=self.layer_tokens(layer))
         k_arr = as_tensor(keys, ndim=2, name="keys")
         v_arr = as_tensor(values, ndim=2, name="values")
         if k_arr.shape != v_arr.shape:
@@ -267,7 +267,6 @@ class KVCache:
             side.extend(rows)
         for t in np.flatnonzero(sink_mask).tolist():
             self._sinks[layer][t] = (k_arr[t].copy(), v_arr[t].copy())
-        self._counts[layer] = k_arr.shape[0]
         self._loaded[layer] = True
 
     def reconstruct(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
@@ -279,7 +278,7 @@ class KVCache:
         layer = self._check_layer(layer)
         if not self._loaded[layer]:
             raise StateError("layer was never populated", layer=layer)
-        n = self._counts[layer]
+        n = self.layer_tokens(layer)
         nonsink = np.ones(n, dtype=bool)
         nonsink[list(self._sinks[layer])] = False
         positions = np.flatnonzero(nonsink)

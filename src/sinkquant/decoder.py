@@ -38,7 +38,7 @@ from . import dumpio
 from .cache import KVCache
 from .errors import BoundsError, ConfigError, FormatError, NumericError, ShapeError
 from .sinks import SinkProfile, SinkSet, detect_sinks, preserve_first_n
-from .tensors import as_tensor, causal_attention, integer_at_least, merge_heads, split_heads
+from .tensors import as_tensor, causal_attention, integer_at_least, merge_heads, positive_number, split_heads
 
 ACTIVATIONS = ("silu", "gelu")
 HOOK_MODES = ("add_to_ffn_output", "negate_channels")
@@ -284,12 +284,15 @@ def prefill_with_kvsink(
     final hidden states. Sink prediction runs once, on the output of the
     profile's emergence layer; earlier layers run with nothing preserved.
     ``mode`` selects what is preserved: predicted sinks (``kvsink``), the
-    first ``k`` tokens (``pfn``), or nothing (``none``).
+    first ``k`` tokens (``pfn``), or nothing (``none``). ``k`` and
+    ``magnitude_ratio`` are checked in every mode, before layer 0.
 
     Returns (H_last, populated KVCache, preserved SinkSet).
     """
     if mode not in PREFILL_MODES:
         raise ConfigError(f"unknown prefill mode {mode!r}", allowed=list(PREFILL_MODES))
+    k = integer_at_least(k, 0, "k")
+    magnitude_ratio = None if magnitude_ratio is None else positive_number(magnitude_ratio, "magnitude_ratio")
     h_arr = as_tensor(h0, ndim=2, name="input hidden states")
     n = h_arr.shape[0]
     if mode == "kvsink":

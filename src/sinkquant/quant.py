@@ -38,16 +38,17 @@ precision, and computes parameters on the remainder. So a whole tensor and
 the cache's blocks of its rows isolate the same entries. Each stripe is
 ranked as one row-major vector by ``tensors.top_k_mask``, which partitions
 one ``|x|`` array in place; ties go to the lower index.
-Rows left out of a fit (an ``exclude`` set, a calibration set's sinks) enter
-no group statistics; they are dropped before the outliers are ranked.
+A calibration set's sinks are the one way to leave rows out of a fit: they
+enter no group statistics and are dropped before the outliers are ranked.
 
 ``quantize_tensor`` is the one encode path (``quantize`` is the same call
 with parameters required): one ``GroupLayout`` and one outlier selection per
 call, then a parameter fit or one ``QuantParams.check_fits`` of given
-parameters, then the encode. ``compute_params`` and ``calibrate`` share its
-fit step. ``quantize_scheme`` takes static parameters as the KV cache does;
-a static side given none is fitted to its non-sink rows by either (the fits
-are bitwise equal), so its tensors decode to what the cache reconstructs.
+parameters, then the encode. Dynamic parameters come from its own fit and
+static ones from ``calibrate``, which shares that fit step. ``quantize_scheme``
+takes parameters for static sides only, as the KV cache does; a static side
+given none is fitted to its non-sink rows (bitwise as ``calibrate`` fits
+them), so its tensors decode to what the cache reconstructs.
 
 A leading block axis stacks tensors of one shape: ``quantize_tensor`` on a
 [blocks, n, d] stack quantizes every block with its own groups and outliers
@@ -430,9 +431,9 @@ def _outlier_mask(x: np.ndarray, layout: GroupLayout, fraction: float) -> np.nda
     return masks[0] if len(masks) == 1 else np.concatenate(masks, axis=-2)
 
 
-def _valid_entries(x: np.ndarray, layout: GroupLayout, spec: QuantSpec, exclude) -> np.ndarray:
-    """Entries that enter group statistics: the rows outside ``exclude``, less the outliers ranked among them."""
-    keep = ~row_mask(exclude, x.shape[0])
+def _valid_entries(x: np.ndarray, layout: GroupLayout, spec: QuantSpec, sinks) -> np.ndarray:
+    """Entries that enter group statistics: the rows outside ``sinks``, less the outliers ranked among them."""
+    keep = ~row_mask(sinks, x.shape[0])
     if keep.all():  # no copy of ``x`` to rank
         return ~_outlier_mask(x, layout, spec.sparse_fraction)
     valid = np.zeros(x.shape, dtype=bool)
@@ -512,17 +513,6 @@ def _fit(x: np.ndarray, layout: GroupLayout, spec: QuantSpec, valid: np.ndarray)
     )
 
 
-def compute_params(x, spec: QuantSpec, exclude=None) -> QuantParams:
-    """Per-group (scale, zero) for ``x`` under ``spec``.
-
-    Token rows in ``exclude`` contribute to no group statistics, and neither
-    do the entries that the spec's dense-and-sparse isolation removes.
-    """
-    arr = _canonical(x)
-    layout = GroupLayout.for_spec(arr.shape, spec)
-    return _fit(arr, layout, spec, _valid_entries(arr, layout, spec, exclude))
-
-
 def quantize_tensor(x, spec: QuantSpec, params: QuantParams | None = None) -> QuantizedTensor:
     """The quantize pipeline: one layout, one outlier pass, then fit or check parameters and encode.
 
@@ -590,32 +580,27 @@ class CalibrationSet:
     """Tensors sampled for static calibration, with optional per-sample sinks."""
 
     def __init__(self, samples=(), sinks=None):
-        self.samples: list[np.ndarray] = []
-        self.sinks: list = []
         samples = list(samples)
-        sinks = list(sinks) if sinks is not None else [None] * len(samples)
-        if len(sinks) != len(samples):
+        self.sinks: list = list(sinks) if sinks is not None else [None] * len(samples)
+        if len(self.sinks) != len(samples):
             raise CalibrationError("one sink set per calibration sample expected")
-        for sample, s in zip(samples, sinks):
-            self.add(sample, s)
-
-    def add(self, sample, sinks=None):
-        arr = _canonical(sample, name="calibration sample")
-        if self.samples and arr.shape[1] != self.samples[0].shape[1]:
-            raise ShapeError(
-                "calibration samples must share trailing dimensions",
-                expected=int(self.samples[0].shape[1]),
-                actual=int(arr.shape[1]),
-            )
-        self.samples.append(arr)
-        self.sinks.append(sinks)
+        self.samples: list[np.ndarray] = []
+        for sample in samples:
+            arr = _canonical(sample, name="calibration sample")
+            if self.samples and arr.shape[1] != self.samples[0].shape[1]:
+                raise ShapeError(
+                    "calibration samples must share trailing dimensions",
+                    expected=int(self.samples[0].shape[1]),
+                    actual=int(arr.shape[1]),
+                )
+            self.samples.append(arr)
 
     def __len__(self):
         return len(self.samples)
 
 
 def calibrate(cal, spec: QuantSpec) -> QuantParams:
-    """Global min-max calibration across samples, frozen for reuse.
+    """Global min-max calibration across samples, frozen for reuse: the one static fit.
 
     Each sample's ``CalibrationSet.sinks`` (a plain list has none) are left
     out, and so are its dense-and-sparse outliers, ranked on the rows left.
@@ -641,6 +626,12 @@ SCHEME_PRESETS = {
     "pc_key_pt_value_static": (("per_channel", "static"), ("per_token", "static"), 0.0),
     "kvquant_like": (("per_channel", "static"), ("per_token", "dynamic"), 0.01),
 }
+
+
+def check_side_params(spec: QuantSpec, params: QuantParams | None) -> None:
+    """The one rule for a side's ``key_params``/``value_params``: a dynamic side takes none (``ConfigError``)."""
+    if params is not None and spec.mode != "static":
+        raise ConfigError("a dynamic side takes no parameters", axis=spec.axis)
 
 
 def scheme_specs(
@@ -670,9 +661,9 @@ def quantize_scheme(
     """Quantize a (K, V) pair under a named preset, skipping sink rows.
 
     Sink-token rows never enter the quantized tensors; the caller keeps them
-    at full precision (normally in the cache's sink region). A static side
-    given no parameters (``KVCache.set_static_params`` takes the same two) is
-    fitted to its non-sink rows, as ``KVCache.bulk_load`` fits it. So the
+    at full precision (normally in the cache's sink region). Only a static
+    side takes parameters, as in ``KVCache.set_static_params``; one given
+    none is fitted to its non-sink rows, as ``KVCache.bulk_load`` fits it. So the
     result decodes to what a bulk-loaded cache reconstructs, except that rows
     short of a cache block are quantized here and stay full precision there.
     """
@@ -685,6 +676,8 @@ def quantize_scheme(
             values=list(v_arr.shape),
         )
     key_spec, value_spec = scheme_specs(scheme, bits, group_size, sparse_fraction)
+    check_side_params(key_spec, key_params)
+    check_side_params(value_spec, value_params)
     keep = ~row_mask(sinks, k_arr.shape[0])
     return (
         quantize_tensor(k_arr[keep], key_spec, params=key_params),

@@ -618,6 +618,14 @@ class TestSimulate:
         b = (workspace / "sim_b" / "h_last.kvsd").read_bytes()
         assert a == b
 
+    @pytest.mark.parametrize(
+        "mode, flag, value", [("pfn", "--ratio", "nan"), ("none", "--ratio", "-1"), ("none", "--k", "-1")]
+    )
+    def test_k_and_ratio_checked_in_every_mode(self, workspace, capsys, mode, flag, value):
+        code, _, err = run_cli(capsys, *self.args(workspace, "sim_bad", "--mode", mode, flag, value))
+        assert code == 2 and err["code"] == "config"
+        assert not (workspace / "sim_bad").exists()
+
     def test_kvsink_without_profile_or_plant(self, workspace, capsys):
         code, _, err = run_cli(
             capsys,

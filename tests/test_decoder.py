@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sinkquant.cache import KVCache
 from sinkquant.decoder import (
     DecoderConfig,
     InjectionHook,
@@ -283,6 +284,17 @@ class TestPrefill:
         late = SinkProfile("late", 99, 98, cfg.hidden, (1,))
         with pytest.raises(ConfigError):
             prefill_with_kvsink(h0, weights, cfg, late, mode="kvsink")
+
+    @pytest.mark.parametrize("mode", ["kvsink", "pfn", "none"])
+    def test_k_and_ratio_checked_before_layer_0(self, monkeypatch, mode):
+        # In every mode, not only where detection reads them; kvsink once ran up to the emergence layer first.
+        cfg, weights, hooks, profile, h0 = sink_fixture(layers=3)
+        loads = []
+        monkeypatch.setattr(KVCache, "bulk_load", lambda self, *args, **kw: loads.append(args))
+        for bad in ({"k": -1}, {"k": 1.5}, {"magnitude_ratio": float("nan")}, {"magnitude_ratio": -1.0}):
+            with pytest.raises(ConfigError):
+                prefill_with_kvsink(h0, weights, cfg, profile, mode=mode, hooks=hooks, **bad)
+        assert loads == []
 
 
 class TestSynthesize:

@@ -19,7 +19,6 @@ from sinkquant.quant import (
     GroupLayout,
     QuantSpec,
     calibrate,
-    compute_params,
     dequantize,
     join_stacks,
     quantize,
@@ -44,12 +43,12 @@ def per_element_scale(qt):
 
 class TestComputeParams:
     def test_unit_range_example(self):
-        p = compute_params([0.0, 1.0, 2.0, 3.0], QuantSpec(2, "per_tensor"))
+        p = quantize_tensor([0.0, 1.0, 2.0, 3.0], QuantSpec(2, "per_tensor")).params
         assert p.scale[0] == pytest.approx(1.0)
         assert p.zero[0] == 0
 
     def test_symmetric_range_example(self):
-        p = compute_params([-1.0, 1.0], QuantSpec(3, "per_tensor"))
+        p = quantize_tensor([-1.0, 1.0], QuantSpec(3, "per_tensor")).params
         assert p.scale[0] == pytest.approx(2.0 / 7.0)
         assert p.zero[0] == 4  # -round(-3.5) under half-to-even
 
@@ -64,27 +63,28 @@ class TestComputeParams:
         x = rng.normal(size=(8, 16))
         x[3] *= 1000
         spec = QuantSpec(4, "per_token", "static", group_size=4)
-        with_excl = compute_params(x, spec, exclude=[3])
-        without_row = compute_params(np.delete(x, 3, axis=0), spec)
+        with_excl = calibrate(CalibrationSet([x], [[3]]), spec)
+        without_row = calibrate([np.delete(x, 3, axis=0)], spec)
         np.testing.assert_array_equal(with_excl.scale, without_row.scale)
         np.testing.assert_array_equal(with_excl.zero, without_row.zero)
 
     def test_exclude_out_of_range(self):
+        static = QuantSpec(4, mode="static")
         with pytest.raises(BoundsError):
-            compute_params(np.zeros((4, 4)), QuantSpec(4), exclude=[4])
+            calibrate(CalibrationSet([np.zeros((4, 4))], [[4]]), static)
         # A float row index once truncated to row 1; a bool one once read as row 1.
-        for exclude in ([1.5], [True]):
+        for rows in ([1.5], [True]):
             with pytest.raises(BoundsError):
-                compute_params(np.zeros((4, 4)), QuantSpec(4), exclude=exclude)
+                calibrate(CalibrationSet([np.zeros((4, 4))], [rows]), static)
             with pytest.raises(BoundsError):
-                quantize_scheme(np.zeros((4, 4)), np.zeros((4, 4)), "pt_kv_dynamic", sinks=exclude)
+                quantize_scheme(np.zeros((4, 4)), np.zeros((4, 4)), "pt_kv_dynamic", sinks=rows)
 
     def test_clip_shrinks_range(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(1, 200))
         x[0, 0] = 500.0
-        plain = compute_params(x, QuantSpec(4, "per_tensor"))
-        clipped = compute_params(x, QuantSpec(4, "per_tensor", clip=0.05))
+        plain = quantize_tensor(x, QuantSpec(4, "per_tensor")).params
+        clipped = quantize_tensor(x, QuantSpec(4, "per_tensor", clip=0.05)).params
         assert clipped.scale[0] < plain.scale[0]
 
     def test_remainder_groups_are_smaller(self):
@@ -400,7 +400,7 @@ class TestGroupLayout:
         params = None  # else shared by every block, as a static cache side's are
         if given:
             sample = rng.normal(size=(6, d))
-            params = calibrate([sample], spec) if mode == "static" else compute_params(sample[:n], spec)
+            params = calibrate([sample], spec) if mode == "static" else quantize_tensor(sample[:n], spec).params
         for count in (1, 2, 3):
             parts = [rng.normal(size=(int(rng.integers(1, 5)), n, d)) for _ in range(count)]
             stacks = [quantize_tensor(part, spec, params=params) for part in parts]
@@ -553,7 +553,7 @@ class TestTensorOrderMatchesGroupMajor:
 class TestQuantizeDequantize:
     def test_lattice_codes_example(self):
         spec = QuantSpec(2, "per_tensor")
-        p = compute_params([0.0, 1.0, 2.0, 3.0], spec)
+        p = quantize_tensor([0.0, 1.0, 2.0, 3.0], spec).params
         qt = quantize([0.0, 1.0, 2.0, 3.0], p, spec)
         np.testing.assert_array_equal(qt.codes(), [[0, 1, 2, 3]])
         np.testing.assert_array_equal(dequantize(qt), [[0.0, 1.0, 2.0, 3.0]])
@@ -597,7 +597,7 @@ class TestQuantizeDequantize:
 
     def test_params_layout_mismatch(self):
         spec = QuantSpec(4, "per_token", group_size=4)
-        p = compute_params(np.zeros((3, 8)), spec)
+        p = quantize_tensor(np.zeros((3, 8)), spec).params
         with pytest.raises(LayoutError):
             quantize(np.zeros((4, 8)), p, spec)
         with pytest.raises(LayoutError):
@@ -606,7 +606,7 @@ class TestQuantizeDequantize:
     def test_params_from_another_grouping_rejected(self):
         # 16x8 at group size 4: per-token and per-channel dynamic layouts both have 32 groups.
         x = np.random.default_rng(13).normal(size=(16, 8))
-        per_token = compute_params(x, QuantSpec(4, "per_token", group_size=4))
+        per_token = quantize_tensor(x, QuantSpec(4, "per_token", group_size=4)).params
         per_channel = QuantSpec(4, "per_channel", group_size=4)
         assert per_token.n_groups == GroupLayout.for_spec(x.shape, per_channel).n_groups
         with pytest.raises(LayoutError):
@@ -652,7 +652,7 @@ class TestQuantizeDequantize:
         monkeypatch.setattr(GroupLayout, "__init__", counting_init)
         quantize_tensor(rng.normal(size=(8, 6)), spec)
         assert len(built) == 1
-        given = params if params is not None else compute_params(rng.normal(size=(8, 6)), spec)
+        given = params if params is not None else quantize_tensor(rng.normal(size=(8, 6)), spec).params
         built.clear()
         quantize_tensor(rng.normal(size=(8, 6)), spec, params=given)
         assert len(built) == 1
@@ -754,12 +754,12 @@ class TestCalibration:
         b = calibrate([np.delete(clean, 5, axis=0)], spec)
         np.testing.assert_array_equal(a.scale, b.scale)
 
-    def test_single_sample_equals_compute_params(self):
+    def test_single_sample_equals_the_quantize_fit(self):
         rng = np.random.default_rng(71)
         x = rng.normal(size=(6, 12))
         spec = QuantSpec(4, "per_token", "static", group_size=4)
         a = calibrate([x], spec)
-        b = compute_params(x, spec)
+        b = quantize_tensor(x, spec).params
         np.testing.assert_array_equal(a.scale, b.scale)
         np.testing.assert_array_equal(a.zero, b.zero)
 
@@ -783,7 +783,7 @@ class TestCalibration:
         k[[5, 30]] *= 40.0
         spec, _ = scheme_specs("kvquant_like", 2, 8, sparse_fraction=0.02)
         params = calibrate(CalibrationSet([k], sinks=[[5, 30]]), spec)
-        want = compute_params(np.delete(k, [5, 30], axis=0), spec)
+        want = quantize_tensor(np.delete(k, [5, 30], axis=0), spec).params
         assert_params(params, [getattr(want, name) for name in FIELDS])
         kv = KVCache(1, 24, scheme="kvquant_like", bits=2, group_size=8, sparse_fraction=0.02)
         kv.bulk_load(0, k, k, sinks=[5, 30])
@@ -924,15 +924,15 @@ class TestOnePathPerStage:
             out[kept] = ~argsort_outlier_mask(x[kept], spec)
             return out
 
-        assert_params(
-            compute_params(samples[0], spec, exclude=excluded[0]),
-            group_major_params(samples[0], spec, valid(samples[0], excluded[0])),
-        )
         if mode == "static":
-            assert_params(
-                calibrate(CalibrationSet(samples, sinks=excluded), spec),
-                group_major_params(np.vstack(samples), spec, np.vstack([valid(*pair) for pair in zip(samples, excluded)])),
-            )
+            for m in (1, 2):  # the first sample alone, then both
+                sets, rows = samples[:m], excluded[:m]
+                assert_params(
+                    calibrate(CalibrationSet(sets, sinks=rows), spec),
+                    group_major_params(np.vstack(sets), spec, np.vstack([valid(*pair) for pair in zip(sets, rows)])),
+                )
+        else:  # a dynamic fit leaves no rows out
+            assert_params(quantize_tensor(samples[0], spec).params, group_major_params(samples[0], spec, valid(samples[0], [])))
         # A [blocks, n, d] stack fits every block to its own entries.
         stack = draw_values(rng, (3, n, d), kind)
         per_block = [group_major_params(block, spec, valid(block, [])) for block in stack]
