@@ -52,11 +52,11 @@ class TestConstruction:
 
     def test_dynamic_side_takes_no_parameters(self):
         cache = KVCache(1, 8, scheme="kvquant_like", bits=2, group_size=4)
-        params = quantize_tensor(np.ones((1, 8)) * np.arange(8), cache.value_spec).params
+        x = np.ones((1, 8)) * np.arange(8)
+        params = quantize_tensor(x, cache.value_spec).params
         with pytest.raises(ConfigError):
             cache.set_static_params(0, value_params=params)
         # quantize_scheme keeps the same rule for both of its parameters: pt_kv_dynamic keys, kvquant_like values.
-        x = np.ones((1, 8)) * np.arange(8)
         for scheme, given in (
             ("pt_kv_dynamic", {"key_params": quantize_tensor(x, QuantSpec(2, "per_token", group_size=4)).params}),
             ("kvquant_like", {"value_params": params}),
