@@ -96,7 +96,10 @@ def error_decomposition(
     with sinks excluded from calibration and quantization: calibrated on
     ``cal``, or on its samples with ``cal_sinks`` as their sinks when given.
     The other errors calibrate on every row of ``cal``'s samples.
+    ``cal_sinks`` without ``cal`` has no samples to belong to (ConfigError).
     """
+    if cal is None and cal_sinks is not None:
+        raise ConfigError("cal_sinks needs the calibration set whose samples they index")
     arr = as_tensor(x, ndim=2, name="input")
     n = arr.shape[0]
     sink_mask = sinks.mask(n)

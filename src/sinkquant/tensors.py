@@ -23,13 +23,28 @@ from .errors import BoundsError, ConfigError, NumericError, ShapeError
 # 128 or 256 rows, 65 ms with 512 and 88 ms with 1024.
 ATTENTION_TILE = 256
 
+# Entries per chunk of the quantizer's float stages (``quant.GroupLayout.chunks``) and of ``as_tensor``'s
+# finiteness scan. A 2-bit kvquant_like ``quantize_scheme`` of a 4096x512 K/V pair plus both dequantizes took
+# (medians of 25, interleaved, two workers on a 2-vCPU host) 101 ms with 2**14, 75 ms with 2**15, 64 ms with
+# 2**16, 65 ms with 2**17, 71 ms with 2**18 and 80 ms as one chunk; 2**16 keeps a chunk's float64
+# temporaries at 512 KiB.
+CHUNK_ELEMENTS = 2**16
+
 
 def as_tensor(x, ndim: int | None = None, name: str = "tensor") -> np.ndarray:
-    """Coerce to a float64 array, checking rank and finiteness."""
+    """Coerce to a float64 array, checking rank and finiteness.
+
+    Finiteness is checked ``CHUNK_ELEMENTS`` entries at a time, so no mask as large as the input is made.
+    """
     arr = np.asarray(x, dtype=np.float64)
     if ndim is not None and arr.ndim != ndim:
         raise ShapeError(f"{name} must be {ndim}-D, got shape {arr.shape}", shape=list(arr.shape))
-    if not np.isfinite(arr).all():
+    if arr.size <= CHUNK_ELEMENTS:
+        finite = np.isfinite(arr).all()
+    else:
+        blocks = np.nditer(arr, flags=["external_loop", "buffered"], buffersize=CHUNK_ELEMENTS, order="K")
+        finite = all(np.isfinite(block).all() for block in blocks)
+    if not finite:
         raise NumericError(f"{name} contains non-finite values")
     return arr
 
@@ -132,14 +147,40 @@ def _worker_count(cpus: int, environ) -> int:
     return 1
 
 
-_ATTENTION_WORKERS = _worker_count(
+_WORKERS = _worker_count(
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1, os.environ
 )
 
 
+def pool_size(tiles: int) -> int:
+    """Threads :func:`map_tiles` runs ``tiles`` items on: the worker count capped at the item count."""
+    return max(1, min(_WORKERS, tiles))
+
+
+def map_tiles(fn, items, per_worker: int = 1) -> None:
+    """Call ``fn`` on every item, on ``pool_size(len(items) // per_worker)`` threads; in the calling thread when that is one.
+
+    The worker count is the process's CPUs over the BLAS threads that ``OPENBLAS_NUM_THREADS``,
+    ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` set at import, so an unpinned BLAS keeps one. Items
+    share no state but disjoint slices of the arrays they write. Those arrays, and anything else large,
+    come from the caller: memory a worker thread allocates stays in that thread's malloc arena after
+    it is freed, so an item's own temporaries should be no larger than its share of the work. The
+    first exception an item raises is raised here.
+    """
+    items = list(items)
+    workers = pool_size(len(items) // per_worker)
+    if workers == 1:
+        for item in items:
+            fn(item)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            for _ in pool.map(fn, items):
+                pass
+
+
 def attention_workers(n: int) -> int:
     """Threads ``causal_attention`` runs ``n`` query rows on: the worker count capped at the tile count."""
-    return max(1, min(_ATTENTION_WORKERS, -(-n // ATTENTION_TILE)))
+    return pool_size(-(-n // ATTENTION_TILE))
 
 
 def causal_attention(q, k, v, keep_weights: bool = False):
@@ -153,10 +194,9 @@ def causal_attention(q, k, v, keep_weights: bool = False):
     weights are allocated only when ``keep_weights`` is true, scored in place
     tile by tile and exactly zero above the diagonal.
 
-    Tiles share no state and run, widest first, on ``attention_workers(n)``
-    threads: the process's CPUs over the BLAS threads that
-    ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` set
-    at import, so an unpinned BLAS keeps one. The results do not depend on the count.
+    Tiles share no state and run, widest first, through :func:`map_tiles`
+    on ``attention_workers(n)`` threads, each scoring into a buffer this
+    thread allocated. The results do not depend on the count.
 
     Returns ``(out [heads, n, dv], weights [heads, n, n] or None)``; ``out``
     does not depend on ``keep_weights``.
@@ -193,12 +233,7 @@ def causal_attention(q, k, v, keep_weights: bool = False):
         np.matmul(scores, v[:, :end], out=out[:, start:end])
         buffers.put(buf)
 
-    starts = range(0, n, ATTENTION_TILE)[::-1]
-    if workers == 1:
-        list(map(tile, starts))
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(tile, starts))
+    map_tiles(tile, range(0, n, ATTENTION_TILE)[::-1])
     return out, weights
 
 

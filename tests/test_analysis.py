@@ -87,6 +87,13 @@ class TestErrorDecomposition:
         with pytest.raises(ConfigError):
             error_decomposition(x, sinks, [QuantSpec(4, mode="static")])
 
+    def test_cal_sinks_without_a_calibration_set(self):
+        x, sinks = planted_tensor(n=32, d=8, sinks=(3,))
+        with pytest.raises(ConfigError):
+            error_decomposition(x, sinks, [QuantSpec(2)], cal=None, cal_sinks=[[99]])
+        with pytest.raises(ConfigError):
+            error_decomposition(x, sinks, [QuantSpec(2)], cal_sinks=[[3]])
+
     def test_display_scale_only_affects_emission(self):
         x, sinks = planted_tensor(n=8, d=16, sinks=(3,))
         spec = QuantSpec(2, "per_token", group_size=4)

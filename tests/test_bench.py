@@ -25,6 +25,6 @@ def test_attention_workers_follow_the_kernel_rule(monkeypatch):
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     rule = tensors._worker_count(cpus, os.environ)
     assert run_bench(tokens=600, repeats=1).attention_workers == min(rule, tiles)
-    monkeypatch.setattr(tensors, "_ATTENTION_WORKERS", tiles + 2)
+    monkeypatch.setattr(tensors, "_WORKERS", tiles + 2)
     report = run_bench(tokens=600, repeats=1)
     assert report.attention_workers == report.to_json_dict()["attention_workers"] == tiles

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from sinkquant import cache as cache_module
+from sinkquant import quant as quant_module
+from sinkquant import tensors as tensors_module
 from sinkquant.cache import (
     KVCache,
     footprint_bytes,
@@ -370,6 +372,23 @@ class TestReconstruct:
             cache.append(0, rng.normal(size=8), rng.normal(size=8), is_sink=(i % 4 == 0))
             counts = cache.region_counts(0)
             assert counts["quantized"] + counts["pending"] + counts["sink"] == cache.layer_tokens(0)
+
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEME_PRESETS))
+    def test_bits_do_not_depend_on_the_worker_count(self, monkeypatch, scheme):
+        monkeypatch.setattr(quant_module, "CHUNKS_PER_WORKER", 1)  # every chunk may take a thread
+        keys, values = rand_kv(1100, 128, seed=sorted(SCHEME_PRESETS).index(scheme))
+        extra_k, extra_v = rand_kv(40, 128, seed=99)
+        got = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(tensors_module, "_WORKERS", workers)
+            cache = KVCache(1, 128, scheme=scheme, bits=2, group_size=16)
+            cache.bulk_load(0, keys, values, sinks=(0, 700))  # stacks over 2**16 entries
+            for k, v in zip(extra_k, extra_v):
+                cache.append(0, k, v)
+            got.append(cache.reconstruct(0))
+        for pair in got[1:]:
+            assert [a.tobytes() for a in pair] == [a.tobytes() for a in got[0]]
 
 
 class TestFootprint:

@@ -1,4 +1,7 @@
 import dataclasses
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +13,11 @@ from sinkquant.errors import (
     CalibrationError,
     ConfigError,
     LayoutError,
+    NumericError,
     ShapeError,
 )
 import sinkquant.quant as quant_module
+import sinkquant.tensors as tensors_module
 from sinkquant.quant import (
     SCHEME_PRESETS,
     CalibrationSet,
@@ -995,3 +1000,133 @@ class TestOnePathPerStage:
             dequantize(qt)
             assert len(built) == 1
         assert handed and set(handed) == {np.dtype(np.uint8)}
+
+
+def assert_same_quantized(got, want):
+    assert got.shape == want.shape
+    assert got.packed == want.packed
+    assert_bitwise(got.outlier_indices, want.outlier_indices)
+    assert_bitwise(got.outlier_values, want.outlier_values)
+    assert_params(got.params, [getattr(want.params, name) for name in FIELDS])
+    assert_bitwise(dequantize(got), dequantize(want))
+
+
+def chunk_settings(monkeypatch):
+    """Set each (workers, chunk entries) pair in turn; a call takes as many threads as it has chunks, up to ``workers``."""
+    monkeypatch.setattr(quant_module, "CHUNKS_PER_WORKER", 1)
+    for workers, chunk in ((1, 2**40), (1, quant_module.CHUNK_ELEMENTS), (2, quant_module.CHUNK_ELEMENTS),
+                           (3, quant_module.CHUNK_ELEMENTS), (3, 997)):
+        monkeypatch.setattr(tensors_module, "_WORKERS", workers)
+        monkeypatch.setattr(quant_module, "CHUNK_ELEMENTS", chunk)
+        yield
+
+
+class TestChunks:
+    """The float stages run chunk by chunk on the worker pool; the bits depend on neither the chunks nor the count.
+
+    The first setting is one chunk on one thread, the unchunked pipeline.
+    """
+
+    @pytest.mark.parametrize("clip", [None, 0.05])
+    @pytest.mark.parametrize("shape", [(1100, 61), (40, 33, 61)], ids=["tensor", "stack"])
+    @pytest.mark.parametrize("layout", LAYOUTS, ids="-".join)
+    def test_bits_do_not_depend_on_chunks_or_workers(self, monkeypatch, layout, shape, clip):
+        axis, mode = layout
+        spec = QuantSpec(3, axis, mode, group_size=16, clip=clip, sparse_fraction=0.01)
+        rng = np.random.default_rng(LAYOUTS.index(layout))
+        # Over 2**16 entries, with a short last stripe (1100 and 33 rows are not multiples of 16),
+        # a constant row and a constant column (degenerate groups) and a sink-like row.
+        x = rng.normal(size=shape) * np.exp(rng.normal(0.0, 0.5, size=shape[-1]))
+        x[..., 9, :] *= 30.0
+        x[..., 5, :] = 0.75
+        x[..., :, 7] = -2.0
+        assert x.size > quant_module.CHUNK_ELEMENTS
+        params = [None] + ([calibrate([rng.normal(size=(50, shape[-1]))], spec)] if mode == "static" else [])
+        want = None
+        for _ in chunk_settings(monkeypatch):
+            got = [quantize_tensor(x, spec, params=p) for p in params]
+            if want is None:
+                want = got
+                assert want[0].outlier_indices.size
+                assert want[0].params.degenerate.any() == (axis != "per_tensor" and layout != ("per_token", "static"))
+            for g, w in zip(got, want):
+                assert_same_quantized(g, w)
+
+    def test_concurrent_calls_match_serial_calls(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        spec = QuantSpec(2, "per_token", group_size=16, sparse_fraction=0.01)
+        inputs = [rng.normal(size=(1100, 61)), rng.normal(size=(40, 33, 61))]
+        want = [quantize_tensor(x, spec) for x in inputs]
+        want += [dequantize(qt) for qt in want]
+        # Three workers per call, one chunk each, and a short switch interval interleave the calls' chunks.
+        monkeypatch.setattr(tensors_module, "_WORKERS", 3)
+        monkeypatch.setattr(quant_module, "CHUNKS_PER_WORKER", 1)
+        monkeypatch.setattr(quant_module, "CHUNK_ELEMENTS", 4096)
+        got = [None] * 4
+        start = threading.Barrier(4, timeout=60)
+
+        def call(i):
+            start.wait()
+            got[i] = quantize_tensor(inputs[i], spec) if i < 2 else dequantize(want[i - 2])
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for g, w in zip(got[:2], want[:2]):
+            assert_same_quantized(g, w)
+        for g, w in zip(got[2:], want[2:]):
+            assert_bitwise(g, w)
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEME_PRESETS))
+    def test_scheme_bits_do_not_depend_on_chunks_or_workers(self, monkeypatch, scheme):
+        rng = np.random.default_rng(sorted(SCHEME_PRESETS).index(scheme))
+        keys, values = rng.normal(size=(2, 1103, 64))
+        sinks = (0, 500, 1000)
+        keys[list(sinks)] *= 30.0
+        want = None
+        for _ in chunk_settings(monkeypatch):
+            got = quantize_scheme(keys, values, scheme, sinks, bits=2, group_size=16)
+            want = want if want is not None else got
+            for g, w in zip(got, want):
+                assert_same_quantized(g, w)
+
+    # Per-channel dynamic is left out: packing its 13-row tail groups takes ~11 MiB on its own
+    # (``pack_codes``' padded path), which is not a float stage.
+    @pytest.mark.parametrize("layout", [lay for lay in LAYOUTS if lay != ("per_channel", "dynamic")], ids="-".join)
+    def test_encode_peaks_below_one_float_copy(self, layout):
+        axis, mode = layout
+        spec = QuantSpec(2, axis, mode, group_size=16, sparse_fraction=0.01)
+        x = np.random.default_rng(3).normal(size=(4093, 512))
+        params = calibrate([x[:64]], spec) if mode == "static" else None
+        tracemalloc.start()
+        try:
+            quantize_tensor(x, spec, params=params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes
+
+    def test_each_scheme_row_is_checked_once(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        keys, values = rng.normal(size=(2, 40, 16))
+        checked, real = [], quant_module.as_tensor
+        monkeypatch.setattr(quant_module, "as_tensor", lambda x, *a, **kw: checked.append(np.size(x)) or real(x, *a, **kw))
+        quantize_scheme(keys, values, "kvquant_like", (0, 21), bits=2)
+        assert sum(checked) == keys.size + values.size
+
+    @pytest.mark.parametrize("side", ["keys", "values"])
+    @pytest.mark.parametrize("row", [21, 22], ids=["sink_row", "kept_row"])
+    def test_non_finite_rows_are_refused(self, side, row):
+        rng = np.random.default_rng(5)
+        kv = dict(zip(("keys", "values"), rng.normal(size=(2, 40, 16))))
+        kv[side][row, 3] = np.nan
+        with pytest.raises(NumericError):
+            quantize_scheme(kv["keys"], kv["values"], "kvquant_like", (0, 21), bits=2)

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from sinkquant import tensors
 from sinkquant.errors import ConfigError, NumericError, ShapeError
 from sinkquant.tensors import (
     ATTENTION_TILE,
+    CHUNK_ELEMENTS,
+    as_tensor,
     causal_attention,
     l2_norm_per_token,
     merge_heads,
@@ -51,6 +54,30 @@ def serial_causal_attention(q, k, v, keep_weights):
         if keep_weights:
             weights[:, start:end, :end] = scores
     return out, weights
+
+
+class TestAsTensor:
+    def test_finiteness_scan_makes_no_input_sized_mask(self):
+        x = np.zeros((2048, 2048))  # a bool mask of it would be 4 MiB
+        tracemalloc.start()
+        try:
+            assert as_tensor(x) is x
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("where", [0, CHUNK_ELEMENTS - 1, CHUNK_ELEMENTS, 3 * CHUNK_ELEMENTS + 5, -1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("order", ["C", "F", "strided"])
+    def test_every_block_is_checked(self, where, bad, order):
+        base = np.zeros((4 * CHUNK_ELEMENTS // 256, 512))
+        x = base[:, ::2] if order == "strided" else np.asarray(base[:, :256], order=order)
+        x[np.unravel_index(where % x.size, x.shape)] = bad
+        with pytest.raises(NumericError):
+            as_tensor(x)
+        x[np.isnan(x) | np.isinf(x)] = 0.0
+        assert as_tensor(x) is x
 
 
 class TestL2Norm:
@@ -216,7 +243,7 @@ class TestCausalAttention:
         q, k, v = self.qkv(n, heads=heads, dv=5, seed=n + heads)
         want_out, want_weights = serial_causal_attention(q, k, v, keep_weights)
         for workers in (1, 2, 3):
-            monkeypatch.setattr(tensors, "_ATTENTION_WORKERS", workers)
+            monkeypatch.setattr(tensors, "_WORKERS", workers)
             out, weights = causal_attention(q, k, v, keep_weights=keep_weights)
             np.testing.assert_array_equal(out, want_out)
             if keep_weights:
@@ -226,7 +253,7 @@ class TestCausalAttention:
 
     def test_concurrent_calls_match_serial_calls(self, monkeypatch):
         # Three workers per call and a short switch interval interleave the two calls' tiles.
-        monkeypatch.setattr(tensors, "_ATTENTION_WORKERS", 3)
+        monkeypatch.setattr(tensors, "_WORKERS", 3)
         inputs = [self.qkv(3 * ATTENTION_TILE + 17, heads=2, seed=seed) for seed in (5, 6)]
         # One call scores into its own buffers, the other into its kept weights.
         want = [serial_causal_attention(*qkv, keep_weights=bool(i)) for i, qkv in enumerate(inputs)]
@@ -269,8 +296,34 @@ class TestCausalAttention:
         assert tensors._worker_count(cpus, env) == cpus
         assert tensors._worker_count(cpus, {"GOTO_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}) == cpus
 
+    @pytest.mark.parametrize("items, per_worker, threads", [(5, 1, 3), (5, 2, 2), (5, 8, 0), (1, 1, 0), (0, 1, 0)])
+    def test_map_tiles_threads(self, monkeypatch, items, per_worker, threads):
+        monkeypatch.setattr(tensors, "_WORKERS", 3)
+        seen, caller, wait = {}, threading.get_ident(), threading.Barrier(max(threads, 1), timeout=60)
+
+        def record(item):
+            seen[item] = threading.get_ident()
+            if item < threads:
+                wait.wait()  # the first items are held until each worker thread has taken one
+
+        tensors.map_tiles(record, range(items), per_worker)
+        assert sorted(seen) == list(range(items))
+        pool = set(seen.values()) - {caller}
+        assert len(pool) == threads and (not threads or caller not in seen.values())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_map_tiles_raises_an_items_exception(self, monkeypatch, workers):
+        monkeypatch.setattr(tensors, "_WORKERS", workers)
+
+        def fail(item):
+            if item == 3:
+                raise NumericError("item 3")
+
+        with pytest.raises(NumericError, match="item 3"):
+            tensors.map_tiles(fail, range(6))
+
     def test_workers_are_capped_at_the_tile_count(self, monkeypatch):
-        monkeypatch.setattr(tensors, "_ATTENTION_WORKERS", 4)
+        monkeypatch.setattr(tensors, "_WORKERS", 4)
         sizes = (0, 1, ATTENTION_TILE, ATTENTION_TILE + 1, 9 * ATTENTION_TILE)
         assert [tensors.attention_workers(n) for n in sizes] == [1, 1, 1, 2, 4]
 

@@ -11,7 +11,7 @@ Each case draws its inputs from its own seed (a CRC-32 of its id), so its
 digest depends only on what the library returns. The script calls only
 public names that have been stable across recent versions
 (``quantize_scheme`` with ``key_params``/``value_params``, ``calibrate`` on a
-``CalibrationSet``, ``KVCache``, ``prefill_with_kvsink``,
+``CalibrationSet``, ``dequantize``, ``KVCache``, ``prefill_with_kvsink``,
 ``error_decomposition`` and ``write_quantized``). Cases, one digest each:
 
 * ``scheme``: the ``.kvsq`` bytes of both sides of ``quantize_scheme``, over
@@ -23,7 +23,16 @@ public names that have been stable across recent versions
 * ``prefill``: ``prefill_with_kvsink``'s final hidden states, preserved sinks
   and every layer's reconstruct on a small planted decoder, per mode;
 * ``errors``: ``error_decomposition`` rows over a grid of specs, with the
-  calibration set's own sinks and with ``cal_sinks``.
+  calibration set's own sinks and with ``cal_sinks``;
+* ``long_scheme``: the ``.kvsq`` bytes and the ``dequantize`` output of both
+  sides of ``quantize_scheme`` on a 4096-token, 512-wide K/V pair with three
+  sinks (4093 kept rows), over the presets x static parameters {none,
+  calibrated} at 2 bits;
+* ``long_cache``: ``reconstruct`` of a layer after a 4096-token ``bulk_load``
+  at width 128 plus appends, over the same grid.
+
+The long cases are larger than one chunk of the quantizer's float stages
+(``sinkquant.tensors.CHUNK_ELEMENTS``, 2**16 entries); the others fit in one.
 """
 
 from __future__ import annotations
@@ -49,6 +58,7 @@ from sinkquant import (
     SinkProfile,
     SinkSet,
     calibrate,
+    dequantize,
     error_decomposition,
     prefill_with_kvsink,
     quantize_scheme,
@@ -69,18 +79,18 @@ def _rng(case: tuple) -> np.random.Generator:
     return np.random.default_rng(zlib.crc32(case_id(case).encode()))
 
 
-def _rows(rng, n, sinks):
+def _rows(rng, n, sinks, width=WIDTH):
     """Gaussian rows with per-channel spread; sink rows 30x larger."""
-    rows = rng.normal(size=(n, WIDTH)) * np.exp(rng.normal(0.0, 0.5, size=WIDTH))
+    rows = rng.normal(size=(n, width)) * np.exp(rng.normal(0.0, 0.5, size=width))
     rows[list(sinks)] *= 30.0
     return rows
 
 
-def _static_params(rng, specs) -> dict:
+def _static_params(rng, specs, width=WIDTH) -> dict:
     """``key_params``/``value_params`` calibrated for the static sides of ``specs``, with a sink left out."""
     names = ("key_params", "value_params")
     return {
-        name: calibrate(CalibrationSet([_rows(rng, 40, [3])], [[3]]), spec)
+        name: calibrate(CalibrationSet([_rows(rng, 40, [3], width)], [[3]]), spec)
         for name, spec in zip(names, specs)
         if spec.mode == "static"
     }
@@ -145,7 +155,43 @@ def _errors(case, rng, digest, _workdir):
     digest.update(json.dumps([dataclasses.asdict(row) for row in report.rows], sort_keys=True).encode())
 
 
-KINDS = {"scheme": _scheme, "cache": _cache, "prefill": _prefill, "errors": _errors}
+LONG_SINKS = (0, 1500, 3000)
+
+
+def _long_scheme(case, rng, digest, workdir):
+    _, scheme, given = case
+    k, v = _rows(rng, 4096, LONG_SINKS, 512), _rows(rng, 4096, LONG_SINKS, 512)
+    params = _static_params(rng, scheme_specs(scheme, 2, 16), 512) if given == "calibrated" else {}
+    sides = quantize_scheme(k, v, scheme, LONG_SINKS, bits=2, group_size=16, **params)
+    for name, qt in zip(("keys", "values"), sides):
+        path = os.path.join(workdir, f"{name}.kvsq")
+        write_quantized(path, qt)
+        with open(path, "rb") as fh:
+            digest.update(fh.read())
+        digest.update(dequantize(qt).tobytes())
+
+
+def _long_cache(case, rng, digest, _workdir):
+    _, scheme, given = case
+    kv = KVCache(1, 128, scheme=scheme, bits=2, group_size=16)
+    if given == "calibrated":
+        kv.set_static_params(0, **_static_params(rng, (kv.key_spec, kv.value_spec), 128))
+    kv.bulk_load(0, _rows(rng, 4096, LONG_SINKS, 128), _rows(rng, 4096, LONG_SINKS, 128), LONG_SINKS)
+    for k, v in zip(_rows(rng, 21, (), 128), _rows(rng, 21, (), 128)):
+        kv.append(0, k, v)
+    for arr in kv.reconstruct(0):
+        digest.update(arr.tobytes())
+    digest.update(json.dumps([kv.layer_tokens(0), kv.region_counts(0), kv.memory_footprint()], sort_keys=True).encode())
+
+
+KINDS = {
+    "scheme": _scheme,
+    "cache": _cache,
+    "prefill": _prefill,
+    "errors": _errors,
+    "long_scheme": _long_scheme,
+    "long_cache": _long_cache,
+}
 
 
 def cases() -> list[tuple]:
@@ -155,6 +201,7 @@ def cases() -> list[tuple]:
     grid += [("cache", *c) for c in itertools.product(presets, bits, (None, 0.01), sinks, given)]
     grid += [("prefill", *c) for c in itertools.product(("kvsink", "pfn", "none"), ("pt_kv_static", "kvquant_like"), (2, 4))]
     grid += [("errors", *c) for c in itertools.product(bits, ("own", "given"))]
+    grid += [(kind, *c) for kind in ("long_scheme", "long_cache") for c in itertools.product(presets, given)]
     return grid
 
 
