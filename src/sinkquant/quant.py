@@ -95,10 +95,11 @@ from .errors import (
     CalibrationError,
     ConfigError,
     LayoutError,
+    NumericError,
     ShapeError,
 )
 from .packing import pack_codes, packed_nbytes, unpack_codes
-from .tensors import CHUNK_ELEMENTS, as_tensor, integer_at_least, map_tiles, row_mask, top_k_mask
+from .tensors import CHUNK_ELEMENTS, as_tensor, integer_at_least, map_tiles, pool_size, row_mask, top_k_mask
 
 AXES = ("per_token", "per_channel", "per_tensor")
 MODES = ("dynamic", "static")
@@ -594,6 +595,7 @@ def quantize_tensor(x, spec: QuantSpec, params: QuantParams | None = None) -> Qu
     layout = GroupLayout.for_spec(arr.shape[-2:], spec)
     blocks = arr.shape[:-2]
     chunks = layout.chunks(blocks)
+    workers = pool_size(len(chunks) // CHUNKS_PER_WORKER)
     outliers = np.empty(arr.shape, dtype=bool)
     codes = np.empty(arr.shape, dtype=np.uint8)
 
@@ -603,7 +605,7 @@ def quantize_tensor(x, spec: QuantSpec, params: QuantParams | None = None) -> Qu
     # Shared or whole groups span every row of a tensor: one fit, after every chunk's outliers are ranked.
     ranked = params is None and not blocks and (layout.shared or layout.whole)
     if ranked:
-        map_tiles(rank, chunks, CHUNKS_PER_WORKER)
+        map_tiles(rank, chunks, workers)
         params = _fit(arr, layout, spec, ~outliers)
     fitted = params is None
     if fitted:  # scale, zero, degenerate and constant, filled chunk by chunk
@@ -629,7 +631,7 @@ def quantize_tensor(x, spec: QuantSpec, params: QuantParams | None = None) -> Qu
             if degenerate.any():
                 np.copyto(out, 0, where=degenerate)
 
-    map_tiles(encode, chunks, CHUNKS_PER_WORKER)
+    map_tiles(encode, chunks, workers)
     if fitted:
         if not layout.by_rows and layout.n_groups:  # channel views of ``per_group`` are copies: gather them
             per_group = [layout.from_segments([view[3 + i] for view in views]) for i in range(4)]
@@ -672,7 +674,8 @@ def dequantize(qt: QuantizedTensor) -> np.ndarray:
             if degenerate:
                 np.copyto(view, constant, where=flags)
 
-    map_tiles(decode, layout.chunks(qt.shape[:-2]), CHUNKS_PER_WORKER)
+    chunks = layout.chunks(qt.shape[:-2])
+    map_tiles(decode, chunks, pool_size(len(chunks) // CHUNKS_PER_WORKER))
     out.flat[qt.outlier_indices] = qt.outlier_values
     return out
 
@@ -780,10 +783,12 @@ def quantize_scheme(
     check_side_params(key_spec, key_params)
     check_side_params(value_spec, value_params)
     keep = ~row_mask(sinks, k_arr.shape[0])
+    out = []
     # Each row is checked once: the sink rows here, the kept rows by ``quantize_tensor``.
-    as_tensor(k_arr[~keep], name="keys")
-    as_tensor(v_arr[~keep], name="values")
-    return (
-        quantize_tensor(k_arr[keep], key_spec, params=key_params),
-        quantize_tensor(v_arr[keep], value_spec, params=value_params),
-    )
+    for name, arr, spec, params in (("keys", k_arr, key_spec, key_params), ("values", v_arr, value_spec, value_params)):
+        as_tensor(arr[~keep], name=name)
+        try:
+            out.append(quantize_tensor(arr[keep], spec, params=params))
+        except NumericError:  # its one NumericError: a non-finite entry, reported under the side's name
+            raise NumericError(f"{name} contains non-finite values") from None
+    return out[0], out[1]

@@ -1128,5 +1128,5 @@ class TestChunks:
         rng = np.random.default_rng(5)
         kv = dict(zip(("keys", "values"), rng.normal(size=(2, 40, 16))))
         kv[side][row, 3] = np.nan
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match=f"^{side} contains non-finite values$"):
             quantize_scheme(kv["keys"], kv["values"], "kvquant_like", (0, 21), bits=2)

@@ -306,10 +306,24 @@ class TestCausalAttention:
             if item < threads:
                 wait.wait()  # the first items are held until each worker thread has taken one
 
-        tensors.map_tiles(record, range(items), per_worker)
+        tensors.map_tiles(record, range(items), tensors.pool_size(items // per_worker))
         assert sorted(seen) == list(range(items))
         pool = set(seen.values()) - {caller}
         assert len(pool) == threads and (not threads or caller not in seen.values())
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_map_tiles_runs_on_the_count_it_is_given(self, monkeypatch, workers):
+        # The caller's count holds whatever the worker count is, so a caller can make one buffer per thread.
+        monkeypatch.setattr(tensors, "_WORKERS", 1)
+        seen, wait = set(), threading.Barrier(workers, timeout=60)
+
+        def record(item):
+            seen.add(threading.get_ident())
+            if item < workers:
+                wait.wait()
+
+        tensors.map_tiles(record, range(6), workers)
+        assert len(seen) == workers and (workers == 1) == (threading.get_ident() in seen)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_map_tiles_raises_an_items_exception(self, monkeypatch, workers):
@@ -320,7 +334,7 @@ class TestCausalAttention:
                 raise NumericError("item 3")
 
         with pytest.raises(NumericError, match="item 3"):
-            tensors.map_tiles(fail, range(6))
+            tensors.map_tiles(fail, range(6), workers)
 
     def test_workers_are_capped_at_the_tile_count(self, monkeypatch):
         monkeypatch.setattr(tensors, "_WORKERS", 4)
