@@ -22,6 +22,7 @@ from . import analysis, bench, cache, decoder, dumpio, profiles
 from .errors import ConfigError, SinkQuantError, UsageError, exit_status
 from .quant import SCHEME_PRESETS, CalibrationSet, QuantSpec, calibrate, quantize_scheme, scheme_specs
 from .sinks import SinkProfile, SinkSet, classify_stages, detect_sinks, preserve_first_n
+from .tensors import integer_at_least, positive_number
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,6 +65,14 @@ def _int_list(text: str, flag: str) -> list[int]:
         return [int(part) for part in _str_list(text, flag)]
     except ValueError as exc:
         raise UsageError(f"{flag} expects a comma-separated integer list, got {text!r}") from exc
+
+
+def _flag(check, value, *args):
+    """``check(value, *args)`` on a flag's value; the ``ConfigError`` it raises becomes a ``UsageError``."""
+    try:
+        return check(value, *args)
+    except ConfigError as exc:
+        raise UsageError(exc.message, **exc.context) from None
 
 
 def _calibration_from_dir(path: str, sub: str) -> CalibrationSet:
@@ -147,6 +156,7 @@ def _with_csv(args, report: dict) -> dict:
 
 
 def _cmd_analyze_error(args) -> dict:
+    scale = None if args.display_scale is None else _flag(positive_number, args.display_scale, "--display-scale")
     arr = _read_matrix(args.tensor, "input tensor")
     sinks = _load_sinks(args, arr.shape[0])
     specs = _specs_from_flags(args)
@@ -154,14 +164,15 @@ def _cmd_analyze_error(args) -> dict:
     if any(s.mode == "static" for s in specs):
         cal = CalibrationSet([arr], sinks=[sinks])
     report = analysis.error_decomposition(arr, sinks, specs, cal=cal)
-    return _with_csv(args, report.to_json_dict(display_scale=args.display_scale))
+    return _with_csv(args, report.to_json_dict(display_scale=scale))
 
 
 def _cmd_analyze_bias(args) -> dict:
+    layer = _flag(integer_at_least, args.layer, 0, "--layer")
     a = analysis._as_heads(dumpio.read_dump(args.attention), "attention")
     v = dumpio.read_dump(args.values)
     sinks = _load_sinks(args, a.shape[1])
-    rows = analysis.bias_report_from_heads(a, v, sinks, layer=args.layer, method=args.method)
+    rows = analysis.bias_report_from_heads(a, v, sinks, layer=layer, method=args.method)
     return _with_csv(args, {"sinks": dumpio.record_to_json(sinks), "method": args.method, "rows": rows})
 
 
@@ -195,8 +206,6 @@ def _cmd_analyze_stages(args) -> dict:
             per_layer.setdefault(entry.layer, {})[entry.kind] = dumpio.read_dump(
                 dumpio.manifest_file_path(entry, args.manifest)
             )
-    if not per_layer:
-        raise ConfigError("manifest holds no stage-classification dumps", manifest=args.manifest)
     layers = [per_layer[l] for l in sorted(per_layer)]
     report = classify_stages(layers, profile, ratio=args.ratio)
     return report.to_json_dict()
@@ -212,19 +221,18 @@ class _Plant:
 
 
 def _cmd_simulate(args) -> dict:
+    tokens = _flag(integer_at_least, args.tokens, 1, "--tokens")
+    seed = _flag(integer_at_least, args.seed, 0, "--seed")
     cfg = decoder.DecoderConfig.from_json_dict(dumpio.read_json(args.config))
-    hooks = ()
-    plant = None
+    plant = _Plant((), 0, 0)  # planting nothing gives init_weights(cfg)'s weights
     if args.plant:
         plant = dumpio.record_from_json(_Plant, dumpio.read_json(args.plant), partial(ConfigError, path=args.plant))
-        weights, hooks = decoder.synthesize_sink_model(cfg, plant.targets, plant.emerge_layer, plant.dissipate_layer)
-    else:
-        weights = decoder.init_weights(cfg)
+    weights, hooks = decoder.synthesize_sink_model(cfg, plant.targets, plant.emerge_layer, plant.dissipate_layer)
 
     profile = None
     if args.profile:
         profile = profiles.load_profile(args.profile)
-    elif plant is not None:
+    elif args.plant:
         profile = SinkProfile(
             model_name="synthetic",
             total_layers=cfg.num_layers,
@@ -232,12 +240,8 @@ def _cmd_simulate(args) -> dict:
             hidden_size=cfg.hidden,
             outlier_channels=tuple(sorted({c for _, c, _ in plant.targets})),
         )
-    if args.mode == "kvsink" and profile is None:
-        raise ConfigError("kvsink mode needs --profile or --plant")
 
-    rng = np.random.default_rng(args.seed)
-    h0 = rng.normal(size=(args.tokens, cfg.hidden))
-    h_fp, _ = decoder.decoder_forward(h0, weights, cfg, hooks=hooks)
+    h0 = np.random.default_rng(seed).normal(size=(tokens, cfg.hidden))
     h_q, kv, sinks = decoder.prefill_with_kvsink(
         h0,
         weights,
@@ -252,6 +256,7 @@ def _cmd_simulate(args) -> dict:
         magnitude_ratio=args.ratio,
         hooks=hooks,
     )
+    h_fp, _ = decoder.decoder_forward(h0, weights, cfg, hooks=hooks)
     os.makedirs(args.out, exist_ok=True)
     dumpio.write_dump(os.path.join(args.out, "h_last.kvsd"), h_q)
     dumpio.write_json(os.path.join(args.out, "sinks.json"), dumpio.record_to_json(sinks))
@@ -261,7 +266,7 @@ def _cmd_simulate(args) -> dict:
         "mode": args.mode,
         "scheme": args.scheme,
         "bits": args.bits,
-        "tokens": args.tokens,
+        "tokens": tokens,
         "sinks": dumpio.record_to_json(sinks),
         "h_l2_delta": float(np.linalg.norm(h_q - h_fp)),
         "h_rel_err": float(np.linalg.norm(h_q - h_fp) / np.linalg.norm(h_fp)),

@@ -18,10 +18,10 @@ Instrumentation:
   add, either adding a planted magnitude at (token, channel) positions or
   cancelling the incoming residual there — the two edits that synthesize the
   emergence and dissipation of stable outliers;
-* ``prefill_with_kvsink`` runs the prefill pass with the KV cache quantized
-  in-line (attention consumes the dequantized rows), detecting sink tokens
-  from the emergence-layer output and preserving them at full precision from
-  the next layer on.
+* ``prefill_with_kvsink`` runs the prefill pass with each layer's K/V rows
+  quantized in a cache that attention reads back, preserving at full
+  precision either the first N tokens (N = 0 for none) from layer 0, or the
+  sinks detected at the emergence layer from the next layer on.
 """
 
 from __future__ import annotations
@@ -202,8 +202,8 @@ def _check_finite(h, layer, op):
 
 
 def _run_stack(h0, weights, cfg, hooks, capture, kv_stage=None):
-    """Shared layer loop. ``kv_stage(layer, k_flat, v_flat)`` may substitute
-    the K/V actually consumed by attention (the quantize-then-use path)."""
+    """Shared layer loop. ``kv_stage(layer, k_rows, v_rows)`` may substitute the
+    [tokens, kv_width] K/V rows attention consumes (the quantize-then-use path)."""
     h = as_tensor(h0, ndim=2, name="input hidden states")
     if h.shape[1] != cfg.hidden:
         raise ShapeError("input width must equal the hidden size", expected=cfg.hidden, actual=int(h.shape[1]))
@@ -221,15 +221,13 @@ def _run_stack(h0, weights, cfg, hooks, capture, kv_stage=None):
     for l, lw in enumerate(weights.layers):
         x = _layer_norm(h, lw.ln_attn_gain)
         q_heads = split_heads(x @ lw.wq, cfg.heads)
-        k_heads = split_heads(x @ lw.wk, cfg.kv_heads)
-        v_heads = split_heads(x @ lw.wv, cfg.kv_heads)
+        k_rows, v_rows = x @ lw.wk, x @ lw.wv
         if cfg.rope:
             q_heads = _rope(q_heads)
-            k_heads = _rope(k_heads)
+            k_rows = merge_heads(_rope(split_heads(k_rows, cfg.kv_heads)))
         if kv_stage is not None:
-            k_flat, v_flat = kv_stage(l, merge_heads(k_heads), merge_heads(v_heads))
-            k_heads = split_heads(k_flat, cfg.kv_heads)
-            v_heads = split_heads(v_flat, cfg.kv_heads)
+            k_rows, v_rows = kv_stage(l, k_rows, v_rows)
+        k_heads, v_heads = split_heads(k_rows, cfg.kv_heads), split_heads(v_rows, cfg.kv_heads)
         kv = [np.repeat(t, group, axis=0) if group > 1 else t for t in (k_heads, v_heads)]
         attn, attn_weights = causal_attention(q_heads, *kv, keep_weights="A" in dumps)
         h_prime = merge_heads(attn) @ lw.wo + h
@@ -279,13 +277,14 @@ def prefill_with_kvsink(
 ):
     """Prefill pass with an in-line quantized KV cache.
 
-    Every layer quantizes the non-preserved K/V rows before attention reads
-    them back (quantize-then-use), so quantization error is visible in the
-    final hidden states. Sink prediction runs once, on the output of the
-    profile's emergence layer; earlier layers run with nothing preserved.
-    ``mode`` selects what is preserved: predicted sinks (``kvsink``), the
-    first ``k`` tokens (``pfn``), or nothing (``none``). ``k`` and
-    ``magnitude_ratio`` are checked in every mode, before layer 0.
+    Every layer hands its K/V rows to the cache and attention reads back the
+    rows it reconstructs (quantize-then-use), so quantization error is visible
+    in the final hidden states. One rule preserves rows: a set fixed before
+    layer 0, or one detected on a layer's output and kept from the next layer
+    on. ``mode`` picks it: the first ``k`` tokens (``pfn``; ``none`` is N = 0),
+    or the sinks predicted at the profile's emergence layer (``kvsink``).
+    Every argument, the kvsink profile's layer and width too, is checked
+    before layer 0.
 
     Returns (H_last, populated KVCache, preserved SinkSet).
     """
@@ -294,7 +293,7 @@ def prefill_with_kvsink(
     k = integer_at_least(k, 0, "k")
     magnitude_ratio = None if magnitude_ratio is None else positive_number(magnitude_ratio, "magnitude_ratio")
     h_arr = as_tensor(h0, ndim=2, name="input hidden states")
-    n = h_arr.shape[0]
+    detect_at = None  # the layer whose output picks the preserved set; None when it is fixed before layer 0
     if mode == "kvsink":
         if profile is None:
             raise ConfigError("kvsink mode needs a sink profile")
@@ -304,11 +303,11 @@ def prefill_with_kvsink(
                 emergence_layer=profile.emergence_layer,
                 num_layers=cfg.num_layers,
             )
-        preserved = SinkSet.empty(k)
-    elif mode == "pfn":
-        preserved = preserve_first_n(n, k)
+        if profile.hidden_size != cfg.hidden:
+            raise ShapeError("hidden size does not match profile", expected=profile.hidden_size, actual=cfg.hidden)
+        detect_at, preserved = profile.emergence_layer, SinkSet.empty(k)
     else:
-        preserved = SinkSet.empty(0)
+        preserved = preserve_first_n(h_arr.shape[0], k if mode == "pfn" else 0)
 
     cache = KVCache(
         cfg.num_layers,
@@ -319,13 +318,13 @@ def prefill_with_kvsink(
         sparse_fraction=sparse_fraction,
     )
 
-    def kv_stage(layer, k_flat, v_flat):
-        cache.bulk_load(layer, k_flat, v_flat, preserved)
+    def kv_stage(layer, k_rows, v_rows):
+        cache.bulk_load(layer, k_rows, v_rows, preserved)
         return cache.reconstruct(layer)
 
     h = h_arr
     for l, h, _ in _run_stack(h_arr, weights, cfg, hooks, (), kv_stage=kv_stage):
-        if mode == "kvsink" and l == profile.emergence_layer:
+        if l == detect_at:
             preserved = detect_sinks(h, profile, k, magnitude_ratio)
     return h, cache, preserved
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sinkquant.analysis import attention_bias, error_decomposition, qk_sink_diagnostics, rows_to_csv_text
+from sinkquant.cache import KVCache
 from sinkquant.cli import build_parser, main
 from sinkquant.dumpio import ManifestEntry, read_dump, read_quantized, write_dump, write_json, write_manifest
 from sinkquant.errors import UsageError
@@ -319,6 +320,27 @@ class TestAnalyze:
         assert code == 0
         assert [r["head"] for r in out["rows"]] == [0, 1]
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-2"])
+    def test_display_scale_must_be_a_finite_positive_number(self, workspace, capsys, scale):
+        code, _, err = run_cli(
+            capsys, "analyze", "error", "--tensor", str(workspace / "keys.kvsd"), "--display-scale", scale
+        )
+        assert code == 2 and err["code"] == "usage"
+
+    def test_bias_layer_must_be_non_negative(self, workspace, capsys):
+        causal = np.tril(np.ones((2, 8, 8)))
+        write_dump(str(workspace / "attn.kvsd"), causal / causal.sum(axis=2, keepdims=True))
+        write_dump(str(workspace / "vheads.kvsd"), np.random.default_rng(2).normal(size=(2, 8, 4)))
+        code, _, err = run_cli(
+            capsys,
+            "analyze", "bias",
+            "--attention", str(workspace / "attn.kvsd"),
+            "--values", str(workspace / "vheads.kvsd"),
+            "--pfn", "2",
+            "--layer", "-5",
+        )
+        assert code == 2 and err["code"] == "usage"
+
     def test_bias_centroid_method(self, workspace, capsys):
         rng = np.random.default_rng(2)
         attn = np.tril(rng.uniform(size=(2, 8, 8)))
@@ -579,6 +601,17 @@ class TestAnalyze:
         stages = [row["stage"] for row in out["layers"]]
         assert stages[1] == "emergence" and stages[4] == "dissipation"
 
+    def test_stages_manifest_without_stage_kinds(self, workspace, capsys):
+        write_manifest([ManifestEntry("toy", 0, "K", 32, 16, "keys.kvsd")], str(workspace / "k_manifest.json"))
+        code, _, err = run_cli(
+            capsys,
+            "analyze", "stages",
+            "--manifest", str(workspace / "k_manifest.json"),
+            "--profile", str(workspace / "profile.json"),
+        )
+        assert code == 2 and err["code"] == "config"
+        assert err["message"] == "no layer dumps supplied"  # classify_stages' own check
+
 
 class TestSimulate:
     def args(self, workspace, out_name, *extra):
@@ -625,6 +658,20 @@ class TestSimulate:
         code, _, err = run_cli(capsys, *self.args(workspace, "sim_bad", "--mode", mode, flag, value))
         assert code == 2 and err["code"] == "config"
         assert not (workspace / "sim_bad").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--tokens", "-3"), ("--tokens", "0"), ("--seed", "-1")])
+    def test_tokens_and_seed_checked_before_any_work(self, workspace, capsys, flag, value):
+        code, _, err = run_cli(capsys, *self.args(workspace, "sim_bad", flag, value))
+        assert code == 2 and err["code"] == "usage"
+        assert not (workspace / "sim_bad").exists()
+
+    def test_wrong_width_profile_refused_before_layer_0(self, workspace, capsys, monkeypatch):
+        loads = []
+        monkeypatch.setattr(KVCache, "bulk_load", lambda self, *args, **kw: loads.append(args))
+        # profile.json is 64 wide; the config's hidden size is 32
+        code, _, err = run_cli(capsys, *self.args(workspace, "sim_w", "--profile", str(workspace / "profile.json")))
+        assert code == 2 and err["code"] == "shape"
+        assert loads == [] and not (workspace / "sim_w").exists()
 
     def test_kvsink_without_profile_or_plant(self, workspace, capsys):
         code, _, err = run_cli(

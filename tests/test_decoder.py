@@ -294,6 +294,10 @@ class TestPrefill:
         for bad in ({"k": -1}, {"k": 1.5}, {"magnitude_ratio": float("nan")}, {"magnitude_ratio": -1.0}):
             with pytest.raises(ConfigError):
                 prefill_with_kvsink(h0, weights, cfg, profile, mode=mode, hooks=hooks, **bad)
+        if mode == "kvsink":  # only kvsink reads the profile
+            narrow = SinkProfile("narrow", cfg.num_layers, 1, cfg.hidden // 2, (1,))
+            with pytest.raises(ShapeError):
+                prefill_with_kvsink(h0, weights, cfg, narrow, mode=mode, hooks=hooks)
         assert loads == []
 
 
@@ -333,6 +337,13 @@ class TestSynthesize:
         ]
         report = classify_stages(layers, SinkProfile("none", 4, 0, cfg.hidden, (3,)), ratio=100.0)
         assert report.stages == ["initial"] * 4
+
+    def test_empty_plant_gives_init_weights(self):
+        cfg = small_cfg(num_layers=3, kv_heads=1)
+        planted, _ = synthesize_sink_model(cfg, (), 0, 0)
+        for got, want in zip(planted.layers, init_weights(cfg).layers):
+            for role in got.MATRIX_ROLES:
+                np.testing.assert_array_equal(getattr(got, role), getattr(want, role))
 
     def test_layer_order_validated(self):
         cfg = small_cfg(num_layers=3)

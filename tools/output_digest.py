@@ -21,7 +21,10 @@ public names that have been stable across recent versions
   of them a sink), with its token and region counts and footprint, over the
   presets x bits x sparse {None, 0.01} x sinks x static parameters;
 * ``prefill``: ``prefill_with_kvsink``'s final hidden states, preserved sinks
-  and every layer's reconstruct on a small planted decoder, per mode;
+  and every layer's reconstruct on a small planted decoder, per architecture
+  (plain multi-head, rotary, rotary grouped-query with 2 K/V heads for 4
+  query heads, one K/V head for 4) x mode x two presets x bits {2, 4} x
+  k {0, 4};
 * ``errors``: ``error_decomposition`` rows over a grid of specs, with the
   calibration set's own sinks and with ``cal_sinks``;
 * ``long_scheme``: the ``.kvsq`` bytes and the ``dequantize`` output of both
@@ -124,14 +127,22 @@ def _cache(case, rng, digest, _workdir):
     digest.update(json.dumps([counts, kv.memory_footprint()], sort_keys=True).encode())
 
 
+PREFILL_ARCHS = {
+    "mha": dict(heads=2),
+    "rope": dict(heads=2, rope=True),
+    "rope_gqa": dict(heads=4, kv_heads=2, rope=True),
+    "mqa": dict(heads=4, kv_heads=1),
+}
+
+
 def _prefill(case, rng, digest, _workdir):
-    _, mode, scheme, bits = case
-    cfg = DecoderConfig(num_layers=4, hidden=64, heads=2, ffn_hidden=128, seed=7)
+    _, arch, mode, scheme, bits, k = case
+    cfg = DecoderConfig(num_layers=4, hidden=64, ffn_hidden=128, seed=7, **PREFILL_ARCHS[arch])
     plant = [(0, 5, 400.0), (29, 5, 400.0), (41, 33, 400.0)]
     weights, hooks = synthesize_sink_model(cfg, plant, 1, 3)
     profile = SinkProfile("digest", cfg.num_layers, 1, cfg.hidden, (5, 33))
     h, kv, preserved = prefill_with_kvsink(
-        rng.normal(size=(48, cfg.hidden)), weights, cfg, profile, scheme=scheme, bits=bits, k=4, mode=mode, hooks=hooks
+        rng.normal(size=(48, cfg.hidden)), weights, cfg, profile, scheme=scheme, bits=bits, k=k, mode=mode, hooks=hooks
     )
     digest.update(h.tobytes())
     digest.update(json.dumps(list(preserved)).encode())
@@ -199,7 +210,8 @@ def cases() -> list[tuple]:
     presets, bits, sinks, given = sorted(SCHEME_PRESETS), (2, 3, 4), ("none", "some"), ("none", "calibrated")
     grid = [("scheme", *c) for c in itertools.product(presets, bits, (None, 0.0, 0.01), sinks, given)]
     grid += [("cache", *c) for c in itertools.product(presets, bits, (None, 0.01), sinks, given)]
-    grid += [("prefill", *c) for c in itertools.product(("kvsink", "pfn", "none"), ("pt_kv_static", "kvquant_like"), (2, 4))]
+    modes, prefill_presets = ("kvsink", "pfn", "none"), ("pt_kv_static", "kvquant_like")
+    grid += [("prefill", *c) for c in itertools.product(PREFILL_ARCHS, modes, prefill_presets, (2, 4), (0, 4))]
     grid += [("errors", *c) for c in itertools.product(bits, ("own", "given"))]
     grid += [(kind, *c) for kind in ("long_scheme", "long_cache") for c in itertools.product(presets, given)]
     return grid
