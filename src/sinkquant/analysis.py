@@ -23,7 +23,7 @@ from .quant import (
     quantize_tensor,
 )
 from .sinks import SinkSet
-from .tensors import as_tensor, causal_attention, l2_norm_per_token, split_heads
+from .tensors import as_tensor, causal_weights_at, integer_at_least, l2_norm_per_token, positive_number, split_heads
 
 
 def mse(a, b) -> float:
@@ -66,10 +66,12 @@ class ErrorRow:
     sink_group_elements: int = 0
 
     def to_json_dict(self, display_scale: float | None = None) -> dict:
+        """The row as JSON, its errors times ``display_scale`` (``None`` for 1; else ``positive_number``'s rule)."""
+        scale = 1.0 if display_scale is None else positive_number(display_scale, "display_scale")
         out = record_to_json(self)
         for key in _SCALED_ERRORS:
             if out[key] is not None:
-                out[key] *= display_scale or 1.0
+                out[key] *= scale
         return out
 
 
@@ -81,6 +83,9 @@ class ErrorReport:
     sink_tokens: tuple[int, ...]
 
     def to_json_dict(self, display_scale: float | None = None) -> dict:
+        """The report as JSON; ``display_scale`` follows :meth:`ErrorRow.to_json_dict` and is reported as a float."""
+        if display_scale is not None:
+            display_scale = positive_number(display_scale, "display_scale")
         rows = [r.to_json_dict(display_scale) for r in self.rows]
         return {**record_to_json(self), "display_scale": display_scale, "rows": rows}
 
@@ -243,7 +248,11 @@ def attention_bias(A, V, sinks: SinkSet, method: str = "pairwise") -> BiasResult
 
 
 def bias_report_from_heads(A_heads, V_heads, sinks: SinkSet, layer: int = 0, method: str = "pairwise"):
-    """Per-head bias-consistency rows from captured attention/value heads (2-D for one head)."""
+    """Per-head bias-consistency rows from captured attention/value heads (2-D for one head).
+
+    ``layer`` is written into every row and follows :func:`integer_at_least` with 0.
+    """
+    layer = integer_at_least(layer, 0, "layer")
     a = _as_heads(A_heads, "attention")
     v = _as_heads(V_heads, "values")
     heads, kv_heads = a.shape[0], v.shape[0]
@@ -270,15 +279,19 @@ def bias_disruption(
 ):
     """How much quantizing K/V moves attention logits and sink biases.
 
-    For each spec the K/V tensors are quantized and dequantized, attention is
-    recomputed, and two deltas are reported: the mean L2 shift of the
-    per-token bias vectors and the largest absolute logit shift over sink
-    columns (raw scaled dot-product scores, before the softmax). With
-    ``preserve_sinks`` the sink rows stay at full precision, so the logit
-    delta over sink columns is exactly zero. The biases read V only at the
-    sink rows, so under ``preserve_sinks`` V is not requantized: each spec
-    costs one ``quantize_tensor`` call, on the non-sink key rows. K, V and Q
-    share one [tokens, hidden] shape (``ShapeError`` otherwise).
+    For each spec the K/V tensors are quantized and dequantized, the attention
+    weights at the sink columns are recomputed, and two deltas are reported:
+    the mean L2 shift of the per-token bias vectors and the largest absolute
+    logit shift over sink columns (raw scaled dot-product scores, before the
+    softmax). With ``preserve_sinks`` the sink rows stay at full precision, so
+    the logit delta over sink columns is exactly zero. The biases read V only
+    at the sink rows, so under ``preserve_sinks`` V is not requantized: each
+    spec costs one ``quantize_tensor`` call, on the non-sink key rows. K, V and
+    Q share one [tokens, hidden] shape (``ShapeError`` otherwise).
+
+    Every spec is quantized first; then one :func:`causal_weights_at` pass
+    scores the full-precision keys and every spec's keys, so the call holds
+    ``len(specs) + 1`` key tensors at once.
     """
     k_arr = as_tensor(keys, ndim=2, name="keys")
     v_arr = as_tensor(values, ndim=2, name="values")
@@ -293,37 +306,32 @@ def bias_disruption(
     idx = list(sinks)
     first = idx[0]
 
+    specs = list(specs)
     q_heads = split_heads(q_arr, num_heads)
     scale = np.sqrt(q_heads.shape[-1])
-    # Attending to one-hot rows (a 1 at each sink row) returns exactly the
-    # sink columns of the attention weights, [heads, n, |S|].
-    one_hot = np.zeros((q_heads.shape[0], n, len(idx)))
-    one_hot[:, idx, np.arange(len(idx))] = 1.0
-
-    def sink_terms(k_heads, v_heads):
-        """Sink-column logits [heads, n, |S|] and per-token sink biases."""
-        logits = q_heads @ k_heads[:, idx, :].transpose(0, 2, 1) / scale
-        sink_attn, _ = causal_attention(q_heads, k_heads, one_hot)
-        return logits, sink_attn[:, first:] @ v_heads[:, idx, :]
-
-    v_fp = split_heads(v_arr, num_heads)
-    logits_fp, bias_fp = sink_terms(split_heads(k_arr, num_heads), v_fp)
-    sink_cols = np.arange(n)[:, None] >= np.asarray(idx)  # [n, |S|] — positions where t >= s
-
-    rows = []
+    # Key sets and the sink rows of their values: full precision first, then one per spec.
+    k_sets = [split_heads(k_arr, num_heads)]
+    v_sinks = [split_heads(v_arr, num_heads)[:, idx, :]]
     for spec in specs:
         if preserve_sinks:
             k_q = k_arr.copy()
             keep = ~sink_mask
             if keep.any():
                 k_q[keep] = dequantize(quantize_tensor(k_arr[keep], spec))
-            v_q = v_fp  # its sink rows, the only ones read, are kept exact
+            v_sinks.append(v_sinks[0])  # the sink rows, the only ones read, are kept exact
         else:
             k_q = dequantize(quantize_tensor(k_arr, spec))
-            v_q = split_heads(dequantize(quantize_tensor(v_arr, spec)), num_heads)
-        logits_q, bias_q = sink_terms(split_heads(k_q, num_heads), v_q)
-        score_delta = float(np.abs(logits_q - logits_fp)[:, sink_cols].max(initial=0.0))
-        bias_delta = float(np.linalg.norm(bias_q - bias_fp, axis=2).mean())
+            v_sinks.append(split_heads(dequantize(quantize_tensor(v_arr, spec)), num_heads)[:, idx, :])
+        k_sets.append(split_heads(k_q, num_heads))
+    sink_attn = causal_weights_at(q_heads, k_sets, idx)  # [sets, heads, n, |S|]
+    logits = [q_heads @ k[:, idx, :].transpose(0, 2, 1) / scale for k in k_sets]
+    biases = [attn[:, first:] @ v for attn, v in zip(sink_attn, v_sinks)]
+    sink_cols = np.arange(n)[:, None] >= np.asarray(idx)  # [n, |S|] — positions where t >= s
+
+    rows = []
+    for spec, logits_q, bias_q in zip(specs, logits[1:], biases[1:]):
+        score_delta = float(np.abs(logits_q - logits[0])[:, sink_cols].max(initial=0.0))
+        bias_delta = float(np.linalg.norm(bias_q - biases[0], axis=2).mean())
         rows.append(
             {
                 **asdict(spec),

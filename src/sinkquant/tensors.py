@@ -187,6 +187,46 @@ def attention_workers(n: int) -> int:
     return pool_size(-(-n // ATTENTION_TILE))
 
 
+# Entries above the diagonal of a tile's own key block, where its query rows may not look.
+_ABOVE = np.triu(np.ones((ATTENTION_TILE, ATTENTION_TILE), dtype=bool), k=1)
+
+
+def _score_tile(q, k_t, start: int, end: int, scores: np.ndarray) -> np.ndarray:
+    """Causal softmax numerators of query rows ``[start, end)`` against keys ``[:end]``, formed in ``scores``.
+
+    ``scores`` is ``[heads, end - start, end]``; ``k_t`` is the keys transposed to ``[heads, dk, n]``.
+    Returns the row sums ``[heads, end - start, 1]`` that the numerators are divided by.
+    """
+    rows = end - start
+    np.matmul(q[:, start:end], k_t[:, :, :end], out=scores)
+    scores /= np.sqrt(q.shape[2])
+    np.copyto(scores[:, :, start:], -np.inf, where=_ABOVE[:rows, :rows])
+    scores -= scores.max(axis=2, keepdims=True)
+    np.exp(scores, out=scores)
+    return scores.sum(axis=2, keepdims=True)
+
+
+def _map_scored(fn, items, workers: int, entries: int) -> None:
+    """:func:`map_tiles` of ``fn(item, buf)`` on ``workers`` threads, each with a buffer of ``entries`` floats.
+
+    Each call borrows one of ``workers`` flat buffers (``None`` when ``entries`` is 0) and hands it back
+    however it ends, so an item that raises leaves no other item waiting. The buffers come from this
+    thread: buffers allocated by workers stay in per-thread malloc arenas.
+    """
+    buffers = queue.SimpleQueue()
+    for _ in range(workers):
+        buffers.put(np.empty(entries) if entries else None)
+
+    def run(item):
+        buf = buffers.get()
+        try:
+            fn(item, buf)
+        finally:
+            buffers.put(buf)
+
+    map_tiles(run, items, workers)
+
+
 def causal_attention(q, k, v, keep_weights: bool = False):
     """Causal scaled dot-product attention over ``[heads, n, dk]`` tensors.
 
@@ -212,33 +252,60 @@ def causal_attention(q, k, v, keep_weights: bool = False):
             k=list(k.shape),
             v=list(v.shape),
         )
-    heads, n, dk = q.shape
-    scale = np.sqrt(dk)
+    heads, n, _ = q.shape
     k_t = k.transpose(0, 2, 1)
-    above = np.triu(np.ones((ATTENTION_TILE, ATTENTION_TILE), dtype=bool), k=1)
     out = np.empty((heads, n, v.shape[2]))
     weights = np.zeros((heads, n, n)) if keep_weights else None
-    workers = attention_workers(n)
-    # Score buffers come from this thread: buffers allocated by workers stay in per-thread malloc arenas.
-    buffers = queue.SimpleQueue()
-    for _ in range(workers):
-        buffers.put(None if keep_weights else np.empty(heads * min(ATTENTION_TILE, n) * n))
 
-    def tile(start):
+    def tile(start, buf):
         end = min(start + ATTENTION_TILE, n)
-        rows, buf = end - start, buffers.get()
+        rows = end - start
         scores = weights[:, start:end, :end] if keep_weights else buf[: heads * rows * end].reshape(heads, rows, end)
-        np.matmul(q[:, start:end], k_t[:, :, :end], out=scores)
-        scores /= scale
-        np.copyto(scores[:, :, start:], -np.inf, where=above[:rows, :rows])
-        scores -= scores.max(axis=2, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= scores.sum(axis=2, keepdims=True)
+        scores /= _score_tile(q, k_t, start, end, scores)
         np.matmul(scores, v[:, :end], out=out[:, start:end])
-        buffers.put(buf)
 
-    map_tiles(tile, range(0, n, ATTENTION_TILE)[::-1], workers)
+    entries = 0 if keep_weights else heads * min(ATTENTION_TILE, n) * n
+    _map_scored(tile, range(0, n, ATTENTION_TILE)[::-1], attention_workers(n), entries)
     return out, weights
+
+
+def causal_weights_at(q, key_sets, columns) -> np.ndarray:
+    """Causal softmax weights of ``q`` against each of ``key_sets`` at ``columns``: ``[sets, heads, n, columns]``.
+
+    ``q`` and every key set are ``[heads, n, dk]`` (``ShapeError`` otherwise); ``columns`` follow
+    :func:`token_indices` with ``n``. Entry ``[i, h, t, j]`` equals, bit for bit,
+    ``causal_attention(q, key_sets[i], v, keep_weights=True)[1][h, t, columns[j]]``: each tile runs the same
+    scoring steps, then divides only the wanted columns it can see by the row sums and leaves 0 in those
+    past its end. No full-width divide and no product with V is made.
+
+    Every (key set, tile) pair runs, widest tiles first, through one :func:`map_tiles` call on
+    ``pool_size(pairs)`` threads, each scoring into one of as many buffers this thread allocated. The
+    results do not depend on the count. The caller holds all the key sets at once.
+    """
+    key_sets = list(key_sets)
+    if q.ndim != 3 or any(k.shape != q.shape for k in key_sets):
+        raise ShapeError(
+            "causal weights need q and every key set of one [heads, n, dk] shape",
+            q=list(q.shape),
+            keys=[list(k.shape) for k in key_sets],
+        )
+    heads, n, _ = q.shape
+    cols = token_indices(columns, n)
+    k_ts = [k.transpose(0, 2, 1) for k in key_sets]
+    weights = np.zeros((len(key_sets), heads, n, len(cols)))
+
+    def tile(item, buf):
+        i, start = item
+        end = min(start + ATTENTION_TILE, n)
+        rows = end - start
+        scores = buf[: heads * rows * end].reshape(heads, rows, end)
+        sums = _score_tile(q, k_ts[i], start, end, scores)
+        seen = cols < end
+        weights[i, :, start:end][:, :, seen] = scores[:, :, cols[seen]] / sums
+
+    items = [(i, start) for start in range(0, n, ATTENTION_TILE)[::-1] for i in range(len(key_sets))]
+    _map_scored(tile, items, pool_size(len(items)), heads * min(ATTENTION_TILE, n) * n)
+    return weights
 
 
 def split_heads(x, num_heads: int) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sinkquant.analysis
-
+from sinkquant import tensors
 from sinkquant.analysis import (
     attention_bias,
     bias_disruption,
@@ -101,6 +101,15 @@ class TestErrorDecomposition:
         raw = report.to_json_dict()["rows"][0]["overall"]
         scaled = report.to_json_dict(display_scale=100.0)["rows"][0]["overall"]
         assert scaled == pytest.approx(100.0 * raw)
+
+    @pytest.mark.parametrize("scale", [0, -1.0, float("nan")])
+    def test_display_scale_must_be_a_finite_positive_number(self, scale):
+        x, sinks = planted_tensor(n=8, d=16, sinks=(3,))
+        report = error_decomposition(x, sinks, [QuantSpec(2, "per_token", group_size=4)])
+        with pytest.raises(ConfigError, match="display_scale"):
+            report.rows[0].to_json_dict(display_scale=scale)
+        with pytest.raises(ConfigError, match="display_scale"):
+            report.to_json_dict(display_scale=scale)
 
 
 class TestAttentionBias:
@@ -225,6 +234,12 @@ class TestAttentionBias:
         with pytest.raises(ShapeError):
             bias_report_from_heads(attn, np.zeros((0, 4, 3)), SinkSet.of([0]))
 
+    @pytest.mark.parametrize("layer", [-5, 1.0, True])
+    def test_layer_is_an_integer_at_least_0(self, layer):
+        attn = np.tril(np.ones((4, 4))) / np.arange(1, 5)[:, None]
+        with pytest.raises(ConfigError, match="layer"):
+            bias_report_from_heads(attn, np.ones((4, 3)), SinkSet.of([0]), layer=layer)
+
 
 class TestBiasDisruption:
     def fixture(self, n=24, d=16, seed=5):
@@ -296,6 +311,19 @@ class TestBiasDisruption:
             logits, bias = sink_terms(requant(k, spec), requant(v, spec))
             assert row["attention_score_delta"] == float(np.abs(logits - logits_fp)[:, visible].max())
             assert row["bias_l2_delta"] == float(np.linalg.norm(bias - bias_fp, axis=2).mean())
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("preserve_sinks", [False, True])
+    def test_rows_do_not_depend_on_the_worker_count(self, monkeypatch, preserve_sinks, heads):
+        # 600 tokens span three tiles; the last sink sits in the last, partial tile.
+        k, v, q, _ = self.fixture(n=600, seed=14)
+        sinks = SinkSet.of([0, 300, 590])
+        specs = [QuantSpec(2, "per_token", group_size=8), QuantSpec(4, "per_channel", "static", group_size=8)]
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(tensors, "_WORKERS", workers)
+            runs.append(bias_disruption(k, v, q, sinks, specs, num_heads=heads, preserve_sinks=preserve_sinks))
+        assert runs[0] == runs[1] == runs[2]
 
     @pytest.mark.parametrize("preserve_sinks, calls_per_spec", [(False, 2), (True, 1)])
     def test_quantize_calls_per_spec(self, monkeypatch, preserve_sinks, calls_per_spec):

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sinkquant import tensors
-from sinkquant.errors import ConfigError, NumericError, ShapeError
+from sinkquant.errors import BoundsError, ConfigError, NumericError, ShapeError
 from sinkquant.tensors import (
     ATTENTION_TILE,
     CHUNK_ELEMENTS,
     as_tensor,
     causal_attention,
+    causal_weights_at,
     l2_norm_per_token,
     merge_heads,
     softmax_row,
@@ -341,6 +343,38 @@ class TestCausalAttention:
         sizes = (0, 1, ATTENTION_TILE, ATTENTION_TILE + 1, 9 * ATTENTION_TILE)
         assert [tensors.attention_workers(n) for n in sizes] == [1, 1, 1, 2, 4]
 
+    @staticmethod
+    def overflowing_call(monkeypatch, call):
+        """Run ``call(q)`` with warnings as errors on three workers; what it raised, or "hung".
+
+        Every tile of ``q`` but the widest, which runs first and slowest, overflows. Were a failing tile to
+        keep its buffer, the two other workers would each lose one and wait for a third that is never free.
+        """
+        monkeypatch.setattr(tensors, "_WORKERS", 3)
+        q = np.full((4, 8 * ATTENTION_TILE, 8), 1e200)
+        q[:, 7 * ATTENTION_TILE :] = 1.0
+        raised = ["hung"]
+
+        def run():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    call(q)
+                except RuntimeWarning as exc:
+                    raised[0] = exc
+                else:
+                    raised[0] = None
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        return raised[0]
+
+    def test_a_failing_tile_returns_its_buffer(self, monkeypatch):
+        raised = self.overflowing_call(monkeypatch, lambda q: causal_attention(q, q, q))
+        assert isinstance(raised, RuntimeWarning) and "overflow" in str(raised)
+
     def test_shape_mismatch(self):
         q, k, v = self.qkv(4)
         with pytest.raises(ShapeError):
@@ -349,6 +383,39 @@ class TestCausalAttention:
             causal_attention(q, k, v[:2])
         with pytest.raises(ShapeError):
             causal_attention(q[0], k[0], v[0])
+
+
+class TestCausalWeightsAt:
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("n", TestCausalAttention.SIZES)
+    def test_equals_the_kept_weights_at_the_columns(self, monkeypatch, n, heads):
+        rng = np.random.default_rng(n + heads)
+        q = rng.normal(size=(heads, n, 8))
+        key_sets = [rng.normal(size=(heads, n, 8)) * scale for scale in (1.0, 3.0, 0.1)]
+        columns = sorted({0, n // 2, n - 1, min(ATTENTION_TILE + 3, n - 1)})
+        want = np.stack([causal_attention(q, k, q, keep_weights=True)[1][:, :, columns] for k in key_sets])
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(tensors, "_WORKERS", workers)
+            np.testing.assert_array_equal(causal_weights_at(q, key_sets, columns), want)
+
+    def test_columns_in_any_order_and_none(self):
+        q, k, _ = TestCausalAttention.qkv(ATTENTION_TILE + 40, heads=2)
+        _, weights = causal_attention(q, k, k, keep_weights=True)
+        np.testing.assert_array_equal(causal_weights_at(q, [k], [270, 3, 3])[0], weights[:, :, [270, 3, 3]])
+        assert causal_weights_at(q, [k, k], []).shape == (2, 2, ATTENTION_TILE + 40, 0)
+
+    def test_a_failing_tile_returns_its_buffer(self, monkeypatch):
+        raised = TestCausalAttention.overflowing_call(monkeypatch, lambda q: causal_weights_at(q, [q], [0]))
+        assert isinstance(raised, RuntimeWarning) and "overflow" in str(raised)
+
+    def test_shape_and_column_checks(self):
+        q, k, _ = TestCausalAttention.qkv(6)
+        with pytest.raises(ShapeError):
+            causal_weights_at(q, [k, k[:, :5]], [0])
+        with pytest.raises(ShapeError):
+            causal_weights_at(q[0], [k[0]], [0])
+        with pytest.raises(BoundsError):
+            causal_weights_at(q, [k], [6])
 
 
 class TestHeadViews:

@@ -12,7 +12,8 @@ digest depends only on what the library returns. The script calls only
 public names that have been stable across recent versions
 (``quantize_scheme`` with ``key_params``/``value_params``, ``calibrate`` on a
 ``CalibrationSet``, ``dequantize``, ``KVCache``, ``prefill_with_kvsink``,
-``error_decomposition`` and ``write_quantized``). Cases, one digest each:
+``error_decomposition``, ``bias_disruption`` and ``write_quantized``).
+Cases, one digest each:
 
 * ``scheme``: the ``.kvsq`` bytes of both sides of ``quantize_scheme``, over
   the four presets x bits {2, 3, 4} x sparse {None, 0, 0.01} x sinks
@@ -27,6 +28,9 @@ public names that have been stable across recent versions
   k {0, 4};
 * ``errors``: ``error_decomposition`` rows over a grid of specs, with the
   calibration set's own sinks and with ``cal_sinks``;
+* ``disruption``: ``bias_disruption`` rows over four specs, with the sinks
+  kept and quantized x heads {1, 2} x tokens {300, 1024}; the last of three
+  sinks lies in the last attention tile, which is partial at 300 tokens;
 * ``long_scheme``: the ``.kvsq`` bytes and the ``dequantize`` output of both
   sides of ``quantize_scheme`` on a 4096-token, 512-wide K/V pair with three
   sinks (4093 kept rows), over the presets x static parameters {none,
@@ -60,6 +64,7 @@ from sinkquant import (
     QuantSpec,
     SinkProfile,
     SinkSet,
+    bias_disruption,
     calibrate,
     dequantize,
     error_decomposition,
@@ -166,6 +171,18 @@ def _errors(case, rng, digest, _workdir):
     digest.update(json.dumps([dataclasses.asdict(row) for row in report.rows], sort_keys=True).encode())
 
 
+def _disruption(case, rng, digest, _workdir):
+    _, sinks_are, heads, n = case
+    sinks = (0, n // 2, n - 7)
+    k, v, q = (_rows(rng, n, sinks) for _ in range(3))
+    grid = ((2, "per_token", 0.0), (2, "per_channel", 0.01), (4, "per_token", 0.0), (4, "per_channel", 0.0))
+    specs = [QuantSpec(bits, axis, group_size=16, sparse_fraction=sparse) for bits, axis, sparse in grid]
+    rows = bias_disruption(
+        k, v, q, SinkSet(sinks, len(sinks)), specs, num_heads=heads, preserve_sinks=sinks_are == "kept"
+    )
+    digest.update(json.dumps(rows, sort_keys=True).encode())
+
+
 LONG_SINKS = (0, 1500, 3000)
 
 
@@ -200,6 +217,7 @@ KINDS = {
     "cache": _cache,
     "prefill": _prefill,
     "errors": _errors,
+    "disruption": _disruption,
     "long_scheme": _long_scheme,
     "long_cache": _long_cache,
 }
@@ -213,6 +231,7 @@ def cases() -> list[tuple]:
     modes, prefill_presets = ("kvsink", "pfn", "none"), ("pt_kv_static", "kvquant_like")
     grid += [("prefill", *c) for c in itertools.product(PREFILL_ARCHS, modes, prefill_presets, (2, 4), (0, 4))]
     grid += [("errors", *c) for c in itertools.product(bits, ("own", "given"))]
+    grid += [("disruption", *c) for c in itertools.product(("kept", "quantized"), (1, 2), (300, 1024))]
     grid += [(kind, *c) for kind in ("long_scheme", "long_cache") for c in itertools.product(presets, given)]
     return grid
 
